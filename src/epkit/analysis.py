@@ -7,8 +7,6 @@ are the only stable label. The matching between adjacent radii solves the
 assignment problem maximizing total |overlap|.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,25 +215,13 @@ class BZCandidate:
     classification: _classify.EPClassification
 
 
-def _sigma_grid(bh, qx, qy, threads):
+def _sigma_grid(bh, qx, qy):
     """Smallest/largest singular values of H on the grid (batched SVD)."""
     nx, ny = len(qx), len(qy)
     hs = np.empty((nx * ny, 2 * bh.n, 2 * bh.n), dtype=np.complex128)
-
-    def fill(chunk):
-        lo, hi = chunk
-        for idx in range(lo, hi):
-            i, j = divmod(idx, ny)
-            hs[idx] = assemble(bh, (qx[i], qy[j]))
-
-    total = nx * ny
-    if threads and threads > 1:
-        bounds = np.linspace(0, total, threads + 1, dtype=int)
-        chunks = list(zip(bounds[:-1], bounds[1:]))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-    else:
-        fill((0, total))
+    for idx in range(nx * ny):
+        i, j = divmod(idx, ny)
+        hs[idx] = assemble(bh, (qx[i], qy[j]))
     svals = np.linalg.svd(hs, compute_uv=False)
     return svals[:, -1].reshape(nx, ny), float(np.max(svals[:, 0]))
 
@@ -267,8 +253,7 @@ def _coordinate_search(objective, start, step, max_evals, lo, hi):
 
 
 def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6,
-            coarse_fraction: float = 0.5, max_evals: int = 200,
-            threads: int | None = None):
+            coarse_fraction: float = 0.5, max_evals: int = 200):
     """Locate and classify degeneracy points of H(q) over a momentum window.
 
     The objective is the smallest singular value of H(q), which vanishes
@@ -276,8 +261,7 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6,
     coarse_fraction * scale are refined by coordinate search (at most
     ``max_evals`` objective evaluations each); refined points are kept when
     sigma_min <= tol * scale, deduplicated, classified, and returned sorted
-    by (qx, qy). Grid evaluation may be chunked over threads (EPKIT_THREADS
-    by default); the merge is deterministic regardless.
+    by (qx, qy).
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 16 or ny < 16:
@@ -285,13 +269,10 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6,
     (qx_min, qx_max), (qy_min, qy_max) = bounds
     if not (qx_min < qx_max and qy_min < qy_max):
         raise ValueError("bounds must be increasing per axis")
-    if threads is None:
-        env = os.environ.get("EPKIT_THREADS", "")
-        threads = int(env) if env else (os.cpu_count() or 1)
 
     qx = np.linspace(qx_min, qx_max, nx)
     qy = np.linspace(qy_min, qy_max, ny)
-    sig, scale = _sigma_grid(bh, qx, qy, threads)
+    sig, scale = _sigma_grid(bh, qx, qy)
     scale = max(scale, cmatrix._ABS_FLOOR)
 
     minima = []

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import cmatrix, spectral
 from .cmatrix import DEFAULT_TOL
-from .errors import CrossCheckMismatchError, ZeroEigenvaluePresentError
-from .sublattice import assemble_blocks
+from .errors import CrossCheckMismatchError, NotAnEigenvalueError, ZeroEigenvaluePresentError
+from .sublattice import assemble_blocks, factor_blocks
 
 
 class EPKind(str, Enum):
@@ -59,17 +59,18 @@ _EXPECTED_BLOCKS = {
 
 def _zero_blocks(h, tol):
     """Jordan block sizes of H at E = 0, or [] when H is nonsingular."""
-    n = h.shape[0]
-    if cmatrix.svd_rank(h, tol) == n:
+    try:
+        return spectral.jordan_structure(h, 0.0, tol, with_chains=False).block_sizes
+    except NotAnEigenvalueError:
         return []
-    return spectral.jordan_structure(h, 0.0, tol, with_chains=False).block_sizes
 
 
-def _proportional_to_identity(m, tol, scale):
+def _proportional_to_identity(m, tol):
+    """m = c I with |c| > tol, for a block of a unit-scale pair."""
     n = m.shape[0]
     mean = np.trace(m) / n
     dev = np.linalg.norm(m - mean * np.eye(n), 2)
-    return dev <= tol * scale and abs(mean) > tol * scale, complex(mean)
+    return dev <= tol and abs(mean) > tol
 
 
 def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
@@ -77,34 +78,28 @@ def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassificatio
 
     All rank and kernel decisions share one magnitude scale,
     max(sigma_max(B), sigma_max(B')), so that "zero block" means small
-    against the pair and not against itself. The verdict is cross-checked
-    against the numerical Jordan blocks of the assembled Hamiltonian;
-    disagreement raises CrossCheckMismatchError (a tolerance pathology,
-    not a physics answer).
+    against the pair and not against itself, and the pair is divided by it
+    so that no product can underflow or overflow. The verdict is
+    cross-checked against the numerical Jordan blocks of the assembled
+    Hamiltonian; disagreement raises CrossCheckMismatchError (a tolerance
+    pathology, not a physics answer).
     """
     b = cmatrix.as_square_matrix(b)
     bp = cmatrix.as_square_matrix(bprime)
     if b.shape != (2, 2) or bp.shape != (2, 2):
         raise ValueError("classify_zero_energy handles N = 2; see check_ep2n")
-    scale = max(np.linalg.norm(b, 2), np.linalg.norm(bp, 2), cmatrix._ABS_FLOOR)
+    fb, fbp, scale = factor_blocks(b, bp, tol)
+    b, bp = b / scale, bp / scale
 
-    rank_b = cmatrix.svd_rank(b, tol, scale=scale)
-    rank_bp = cmatrix.svd_rank(bp, tol, scale=scale)
-    ker_b = cmatrix.kernel_basis(b, tol, scale=scale)
-    ker_bp = cmatrix.kernel_basis(bp, tol, scale=scale)
-    im_b = cmatrix.image_basis(b, tol, scale=scale)
-    im_bp = cmatrix.image_basis(bp, tol, scale=scale)
+    ker_b, ker_bp = fb.kernel, fbp.kernel
+    im_b, im_bp = fb.image, fbp.image
+    b_is_zero = fb.rank == 0
+    bp_is_zero = fbp.rank == 0
+    bp_prop_id = _proportional_to_identity(bp, tol)
+    b_prop_id = _proportional_to_identity(b, tol)
 
-    b_is_zero = np.linalg.norm(b, 2) <= tol * scale
-    bp_is_zero = np.linalg.norm(bp, 2) <= tol * scale
-    bp_prop_id, bp_coeff = _proportional_to_identity(bp, tol, scale)
-    b_prop_id, b_coeff = _proportional_to_identity(b, tol, scale)
-
-    product = b @ bp
-    prod_scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
-    ker_prod = cmatrix.kernel_basis(product, tol, scale=prod_scale)
-    im_prod = cmatrix.image_basis(product, tol, scale=prod_scale)
-    ker_im_equal = cmatrix.subspace_equal(ker_prod, im_prod, tol)
+    product = cmatrix.factorize(b @ bp, tol)
+    ker_im_equal = cmatrix.subspace_equal(product.kernel, product.image, tol)
 
     im_bp_eq_ker_b = cmatrix.subspace_equal(im_bp, ker_b, tol)
     im_b_eq_ker_bp = cmatrix.subspace_equal(im_b, ker_bp, tol)
@@ -114,8 +109,8 @@ def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassificatio
         "scale": float(scale),
         "dim_ker_b": ker_b.dim,
         "dim_ker_bprime": ker_bp.dim,
-        "rank_b": rank_b,
-        "rank_bprime": rank_bp,
+        "rank_b": fb.rank,
+        "rank_bprime": fbp.rank,
         "relations": {
             "b_zero": bool(b_is_zero),
             "bprime_zero": bool(bp_is_zero),
@@ -127,7 +122,7 @@ def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassificatio
         },
     }
 
-    if rank_b == 2 and rank_bp == 2:
+    if fb.rank == 2 and fbp.rank == 2:
         kind = EPKind.NONDEGENERATE
     elif b_is_zero and bp_prop_id:
         kind = EPKind.DOUBLET_EP2
@@ -210,23 +205,10 @@ def check_ep2n(b, bprime, tol: float = DEFAULT_TOL) -> bool:
     if b.shape != bp.shape:
         raise ValueError("B and B' must have matching shapes")
     n = b.shape[0]
-    scale = max(np.linalg.norm(b, 2), np.linalg.norm(bp, 2), cmatrix._ABS_FLOOR)
-    ker_sum = (
-        cmatrix.kernel_basis(b, tol, scale=scale).dim
-        + cmatrix.kernel_basis(bp, tol, scale=scale).dim
-    )
-    product = bp @ b
-    pnorm = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
-    clean = spectral._denoise(product, tol, pnorm)
-    nilpotent_single_block = True
-    power = np.eye(n, dtype=np.complex128)
-    for k in range(1, n + 1):
-        power = power @ clean
-        power_scale = spectral._power_scale(power, k, pnorm, tol)
-        if cmatrix.svd_rank(power, tol, scale=power_scale) != n - k:
-            nilpotent_single_block = False
-            break
-    verdict = ker_sum == 1 and nilpotent_single_block
+    fb, fbp, scale = factor_blocks(b, bp, tol)
+    b, bp = b / scale, bp / scale
+    verdict = (fb.kernel.dim + fbp.kernel.dim == 1
+               and spectral.rank_sequence(bp @ b, 0.0, tol) == list(range(n - 1, -1, -1)))
 
     blocks = _zero_blocks(assemble_blocks(b, bp), tol)
     has_full_block = blocks == [2 * n]
@@ -252,8 +234,8 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
     if n == 2:
         return classify_zero_energy(b, bp, tol)
 
-    scale = max(np.linalg.norm(b, 2), np.linalg.norm(bp, 2), cmatrix._ABS_FLOOR)
-    blocks = _zero_blocks(assemble_blocks(b, bp), tol)
+    fb, fbp, scale = factor_blocks(b, bp, tol)
+    blocks = _zero_blocks(assemble_blocks(b / scale, bp / scale), tol)
     nontrivial = [s for s in blocks if s > 1]
     trivial = [s for s in blocks if s == 1]
     if not blocks:
@@ -269,8 +251,8 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
     evidence = {
         "n": n,
         "scale": float(scale),
-        "dim_ker_b": cmatrix.kernel_basis(b, tol, scale=scale).dim,
-        "dim_ker_bprime": cmatrix.kernel_basis(bp, tol, scale=scale).dim,
+        "dim_ker_b": fb.kernel.dim,
+        "dim_ker_bprime": fbp.kernel.dim,
         "jordan_blocks_at_zero": blocks,
         "generic_n_fallback": True,
     }

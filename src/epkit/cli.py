@@ -253,10 +253,8 @@ def cmd_path_scan(raw, as_json, out_path) -> int:
         lines = [json.dumps(row, sort_keys=True, default=_json_default)
                  for row in rows]
     else:
-        header = "radius,theta,branch,re_E,im_E," + ",".join(
-            f"d2_{label}" for label in labels
-        )
-        lines = [header]
+        fields = ["radius", "theta", "branch", "re_E", "im_E"]
+        lines = [",".join(fields + [f"d2_{label}" for label in labels])]
         for row in rows:
             cells = [fmt_float(row["radius"]), fmt_float(row["theta"]),
                      str(row["branch"]), fmt_float(row["re_E"]),

@@ -1,13 +1,15 @@
 """Dense complex linear algebra for small matrices (dimension <= 16).
 
 Thin, validated wrappers around LAPACK (via numpy) that fix the tolerance
-conventions used everywhere else in the package: ranks are decided by a
-relative cutoff ``tol * sigma_max`` (optionally against a caller-supplied
-scale), kernels and images are returned as orthonormal singular-vector
-bases, and subspace comparison is done through principal angles.
+conventions used everywhere else in the package: each matrix is factorised
+once by :func:`factorize`, whose :class:`SVD` value reads rank, kernel,
+image and norm off a single SVD with the relative cutoff ``tol * sigma_max``
+(optionally against a caller-supplied scale). Kernels and images are
+orthonormal singular-vector bases; subspaces are compared through principal
+angles.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,44 +100,66 @@ def eig(m):
     return [(complex(w[i]), v[:, i].copy()) for i in range(a.shape[0])]
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values of ``m`` in descending order."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
+@dataclass(frozen=True, eq=False)
+class SVD:
+    """One full SVD ``u @ diag(s) @ vh``; singular values above ``cutoff``
+    make up the rank, and rank, kernel, image and norm are read from it."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    cutoff: float
+
+    @property
+    def norm(self) -> float:
+        return float(self.s[0])
+
+    @property
+    def rank(self) -> int:
+        return int(np.sum(self.s > self.cutoff))
+
+    @property
+    def kernel(self) -> SubspaceBasis:
+        return SubspaceBasis(self.vh.shape[1], self.vh[self.rank:].conj().T)
+
+    @property
+    def image(self) -> SubspaceBasis:
+        return SubspaceBasis(self.u.shape[0], self.u[:, : self.rank])
+
+    def recut(self, tol: float, scale: float) -> "SVD":
+        """The same factorisation cut at ``tol * scale``; a matrix or scale
+        below the absolute floor makes everything count as zero."""
+        if tol < 0:
+            raise ValueError("tol must be nonnegative")
+        zero = min(self.norm, scale) <= _ABS_FLOOR
+        return replace(self, cutoff=np.inf if zero else tol * scale)
 
 
-def svd_rank(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> int:
-    """Numerical rank: number of singular values above ``tol * scale``.
+def factorize(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> SVD:
+    """Factorise ``m`` once, cutting at ``tol * scale``.
 
     ``scale`` defaults to the largest singular value of ``m`` itself, which
     makes the decision scale-invariant; callers comparing several matrices
     against a common magnitude (e.g. the assembled Hamiltonian norm) pass
     that magnitude explicitly.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    s = singular_values(m)
-    smax = s[0] if s.size else 0.0
-    if scale is None:
-        scale = smax
-    if smax <= _ABS_FLOOR or scale <= _ABS_FLOOR:
-        return 0
-    return int(np.sum(s > tol * scale))
+    u, s, vh = np.linalg.svd(as_matrix(m))
+    return SVD(u, s, vh, 0.0).recut(tol, s[0] if scale is None else scale)
+
+
+def svd_rank(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> int:
+    """Numerical rank: number of singular values above ``tol * scale``."""
+    return factorize(m, tol, scale).rank
 
 
 def kernel_basis(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> SubspaceBasis:
     """Orthonormal basis of the numerical kernel (right null space) of ``m``."""
-    a = as_matrix(m)
-    r = svd_rank(a, tol, scale)
-    _, _, vh = np.linalg.svd(a)
-    return SubspaceBasis(a.shape[1], vh[r:].conj().T)
+    return factorize(m, tol, scale).kernel
 
 
 def image_basis(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> SubspaceBasis:
     """Orthonormal basis of the numerical image (column space) of ``m``."""
-    a = as_matrix(m)
-    r = svd_rank(a, tol, scale)
-    u, _, _ = np.linalg.svd(a)
-    return SubspaceBasis(a.shape[0], u[:, :r])
+    return factorize(m, tol, scale).image
 
 
 def subspace_equal(u: SubspaceBasis, v: SubspaceBasis, tol: float = DEFAULT_TOL) -> bool:

@@ -61,10 +61,6 @@ class ZeroVectorError(EpkitError):
     """A state vector with (numerically) zero norm was supplied."""
 
 
-class DegenerateAtSampleError(EpkitError):
-    """Two branches were indistinguishable at a sample radius."""
-
-
 class NoiseFloorReachedError(EpkitError):
     """Too few branch energies above the noise floor to fit an exponent."""
 

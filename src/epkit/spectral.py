@@ -1,8 +1,11 @@
 """Eigenvalue clustering, Jordan block detection, and chain construction.
 
 Block sizes are read off the rank sequence r_k = rank((H - E)^k): the number
-of blocks of size >= k equals r_{k-1} - r_k. Powers get a fresh SVD each,
-with the rank cutoff scaled as tol * ||H - E||^k to counteract norm growth.
+of blocks of size >= k equals r_{k-1} - r_k. (H - E) is factorised once; that
+one SVD gives its kernel, its norm, and a unit-norm, denoised copy whose
+powers are each factorised once more, with the rank cutoff
+tol * max(sigma_max, 100 eps / tol). No overall magnitude of H can then
+underflow or overflow a power.
 
 Chains are built bottom-up from a kernel seed, but each solve is restricted
 to the image of the appropriate power of (H - E) so the chain is guaranteed
@@ -27,35 +30,65 @@ DEFAULT_CLUSTER_FRACTION = 1e-7
 #: Chain residual bound as a fraction of ||H||.
 DEFAULT_CHAIN_FRACTION = 1e-6
 
-#: Floating-point noise accumulated by k matrix products stays below
-#: 100 eps * ||H - E||^k; singular values under that floor are fp debris.
-_NOISE_FLOOR_FACTOR = 100 * np.finfo(float).eps
+#: Floating-point noise accumulated by k products of a unit-norm matrix
+#: stays below 100 eps; singular values under that floor are fp debris.
+_NOISE_FLOOR = 100 * np.finfo(float).eps
 
 
-def _denoise(shifted: np.ndarray, tol: float, base_norm: float) -> np.ndarray:
-    """Zero out the singular directions below tol * ||H - E||.
+class _PowerLadder:
+    """Powers of the unit-norm, denoised (H - E), each factorised once.
 
-    Rank sequences are computed on powers of this canonical representative:
-    directions the working tolerance declares to be zero (e.g. the residual
-    coupling at a refined-but-inexact degeneracy point) are removed exactly
-    before any power can amplify or smear them, while genuinely small but
-    above-tolerance entries of badly scale-mixed matrices survive.
+    One SVD of (H - E) gives its kernel and norm; the singular directions
+    below tol * ||H - E|| are zeroed in it before it is divided by its norm,
+    so directions the working tolerance declares zero (e.g. the residual
+    coupling at a refined-but-inexact degeneracy point) are removed before
+    any power can amplify or smear them. The k-th power is cut at
+    tol * max(sigma_max, 100 eps / tol): self-relative, so that small but
+    genuine powers of badly scale-mixed matrices keep their rank, and never
+    below the rounding noise of k products, so that powers which vanish
+    exactly count as zero.
     """
-    u, s, vh = np.linalg.svd(shifted)
-    s = np.where(s > tol * base_norm, s, 0.0)
-    return (u * s) @ vh
 
+    def __init__(self, a: np.ndarray, e: complex, tol: float):
+        self.n = a.shape[0]
+        self.tol = tol
+        self.shifted = a - complex(e) * np.eye(self.n)
+        base = cmatrix.factorize(self.shifted, tol)
+        self.norm = base.norm
+        self.kernel = base.kernel
+        kept = np.where(base.s > base.cutoff,
+                        base.s / max(base.norm, cmatrix._ABS_FLOOR), 0.0)
+        self._powers = [np.eye(self.n, dtype=np.complex128), (base.u * kept) @ base.vh]
+        self._factors = {1: self._cut(cmatrix.SVD(base.u, kept, base.vh, 0.0))}
 
-def _power_scale(power: np.ndarray, k: int, base_norm: float, tol: float) -> float:
-    """Rank-decision scale for the k-th power of the denoised (H - E).
+    def _cut(self, f: cmatrix.SVD) -> cmatrix.SVD:
+        return f.recut(self.tol, max(f.norm, _NOISE_FLOOR / self.tol))
 
-    The cutoff tol * scale combines a self-relative term (so genuinely
-    small but nonzero powers of badly scale-mixed matrices keep their
-    rank) with a noise floor ~ eps * ||H - E||^k (so powers that vanish
-    exactly, up to accumulated rounding, are treated as zero).
-    """
-    smax = float(np.linalg.norm(power, 2))
-    return max(smax, _NOISE_FLOOR_FACTOR * base_norm**k / tol)
+    def factor(self, k: int) -> cmatrix.SVD:
+        """Factorisation of the k-th power (k >= 1), computed once."""
+        while len(self._powers) <= k:
+            self._powers.append(self._powers[-1] @ self._powers[1])
+        if k not in self._factors:
+            self._factors[k] = self._cut(cmatrix.factorize(self._powers[k], self.tol))
+        return self._factors[k]
+
+    def image(self, k: int) -> np.ndarray:
+        """Orthonormal columns spanning im((H - E)^k); k = 0 gives I."""
+        if k == 0:
+            return np.eye(self.n, dtype=np.complex128)
+        return self.factor(k).image.vectors
+
+    def ranks(self) -> list[int]:
+        """Ranks [r_1, r_2, ...] of the powers until the plateau."""
+        ranks = []
+        prev = self.n
+        for k in range(1, self.n + 1):
+            r = self.factor(k).rank
+            ranks.append(r)
+            if r == prev:
+                break
+            prev = r
+        return ranks
 
 
 @dataclass
@@ -147,22 +180,7 @@ def cluster_eigenvalues(eigenpairs, cluster_tol: float) -> list[EigenvalueCluste
 
 def rank_sequence(h, e: complex, tol: float = DEFAULT_TOL) -> list[int]:
     """Ranks [r_1, r_2, ...] of powers (H - E)^k until the plateau."""
-    a = as_square_matrix(h)
-    n = a.shape[0]
-    shifted = a - complex(e) * np.eye(n)
-    base_norm = max(np.linalg.norm(shifted, 2), cmatrix._ABS_FLOOR)
-    clean = _denoise(shifted, tol, base_norm)
-    ranks = []
-    power = np.eye(n, dtype=np.complex128)
-    prev = n
-    for k in range(1, n + 1):
-        power = power @ clean
-        r = cmatrix.svd_rank(power, tol, scale=_power_scale(power, k, base_norm, tol))
-        ranks.append(r)
-        if r == prev:
-            break
-        prev = r
-    return ranks
+    return _PowerLadder(as_square_matrix(h), e, tol).ranks()
 
 
 def _block_sizes_from_ranks(n: int, ranks: list[int]) -> list[int]:
@@ -216,6 +234,10 @@ def _restricted_minnorm_solve(op: np.ndarray, rhs: np.ndarray, basis: np.ndarray
     return x, residual
 
 
+def _default_chain_tol(a: np.ndarray) -> float:
+    return DEFAULT_CHAIN_FRACTION * max(np.linalg.norm(a, 2), cmatrix._ABS_FLOOR)
+
+
 def jordan_chain(
     h,
     e: complex,
@@ -236,42 +258,29 @@ def jordan_chain(
     n = a.shape[0]
     if not 1 <= length <= n:
         raise ChainSolveFailedError(f"chain length {length} out of range for n={n}")
-    shifted = a - complex(e) * np.eye(n)
-    hnorm = max(np.linalg.norm(a, 2), cmatrix._ABS_FLOOR)
-    if chain_tol is None:
-        chain_tol = DEFAULT_CHAIN_FRACTION * hnorm
-    base_norm = max(np.linalg.norm(shifted, 2), cmatrix._ABS_FLOOR)
-
-    kern = cmatrix.kernel_basis(shifted, tol, scale=base_norm)
-    if kern.dim == 0:
+    ladder = _PowerLadder(a, e, tol)
+    if ladder.kernel.dim == 0:
         raise NotAnEigenvalueError(f"{e} is not an eigenvalue at tol={tol}")
+    if chain_tol is None:
+        chain_tol = _default_chain_tol(a)
+    return _chain(ladder, length, seed_vector, chain_tol)
 
-    # Orthonormal image bases of the powers needed for restriction.
-    clean = _denoise(shifted, tol, base_norm)
-    powers = [np.eye(n, dtype=np.complex128)]
-    for _ in range(length - 1):
-        powers.append(powers[-1] @ clean)
-    images = []
-    for k, p in enumerate(powers):
-        if k == 0:
-            images.append(np.eye(n, dtype=np.complex128))
-        else:
-            scale = _power_scale(p, k, base_norm, tol)
-            images.append(cmatrix.image_basis(p, tol, scale=scale).vectors)
 
+def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
+    n = ladder.n
     if seed_vector is not None:
         seed = np.asarray(seed_vector, dtype=np.complex128).reshape(n)
         nrm = np.linalg.norm(seed)
         if nrm < 1e-14:
             raise SeedNotInKernelError("seed vector has zero norm")
         seed = seed / nrm
-        resid = np.linalg.norm(shifted @ seed)
-        if resid > max(chain_tol, 10 * tol * base_norm):
+        resid = np.linalg.norm(ladder.shifted @ seed)
+        if resid > max(chain_tol, 10 * ladder.tol * ladder.norm):
             raise SeedNotInKernelError(
                 f"seed is not in ker(H - E): residual {resid:.3e}"
             )
     else:
-        inter = _subspace_intersection(kern.vectors, images[length - 1])
+        inter = _subspace_intersection(ladder.kernel.vectors, ladder.image(length - 1))
         if inter.shape[1] == 0:
             raise ChainSolveFailedError(
                 f"no kernel direction admits a chain of length {length}"
@@ -280,8 +289,8 @@ def jordan_chain(
 
     chain = [seed]
     for j in range(2, length + 1):
-        basis = images[length - j]
-        x, residual = _restricted_minnorm_solve(shifted, chain[-1], basis)
+        x, residual = _restricted_minnorm_solve(
+            ladder.shifted, chain[-1], ladder.image(length - j))
         if residual > chain_tol:
             raise ChainSolveFailedError(
                 f"chain equation at level {j} has residual {residual:.3e} "
@@ -301,7 +310,8 @@ def jordan_structure(
     """Block sizes and chains of the generalized eigenspace at ``e``."""
     a = as_square_matrix(h)
     n = a.shape[0]
-    ranks = rank_sequence(a, e, tol)
+    ladder = _PowerLadder(a, e, tol)
+    ranks = ladder.ranks()
     if ranks[0] == n:
         raise NotAnEigenvalueError(f"{e} is not an eigenvalue at tol={tol}")
     sizes = _block_sizes_from_ranks(n, ranks)
@@ -309,19 +319,15 @@ def jordan_structure(
     if not with_chains:
         return structure
 
-    shifted = a - complex(e) * np.eye(n)
-    base_norm = max(np.linalg.norm(shifted, 2), cmatrix._ABS_FLOOR)
-    clean = _denoise(shifted, tol, base_norm)
-    kern = cmatrix.kernel_basis(shifted, tol, scale=base_norm).vectors
+    if chain_tol is None:
+        chain_tol = _default_chain_tol(a)
+    kern = ladder.kernel.vectors
     used_seeds = np.zeros((n, 0), dtype=np.complex128)
     for size in sizes:
         if size == 1:
             candidates = kern
         else:
-            power = np.linalg.matrix_power(clean, size - 1)
-            scale = _power_scale(power, size - 1, base_norm, tol)
-            img = cmatrix.image_basis(power, tol, scale=scale).vectors
-            candidates = _subspace_intersection(kern, img)
+            candidates = _subspace_intersection(kern, ladder.image(size - 1))
         # Remove directions already consumed by earlier (larger) blocks.
         if used_seeds.shape[1]:
             candidates = candidates - used_seeds @ (used_seeds.conj().T @ candidates)
@@ -331,8 +337,7 @@ def jordan_structure(
                 f"could not find an independent seed for a block of size {size}"
             )
         seed = candidates[:, 0]
-        chain = jordan_chain(a, e, size, seed_vector=seed, tol=tol, chain_tol=chain_tol)
-        structure.chains.append(chain)
+        structure.chains.append(_chain(ladder, size, seed, chain_tol))
         used_seeds = _orth_columns(np.hstack([used_seeds, seed.reshape(-1, 1)]))
     return structure
 

@@ -127,23 +127,33 @@ def partner_state(s: SublatticeState) -> SublatticeState:
     return SublatticeState(s.psi.copy(), -s.chi, -s.energy)
 
 
-def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL, scale=None):
+def factor_blocks(b, bprime, tol: float = DEFAULT_TOL):
+    """One factorisation of each block, both cut against the pair.
+
+    The cutoff is tol * scale with scale = max(||B||, ||B'||), the common
+    magnitude of the pair, so a block that is tiny against its partner
+    counts as zero even when it is not exactly zero. Returns
+    ``(svd_b, svd_bprime, scale)``.
+    """
+    fb = cmatrix.factorize(b, tol)
+    fbp = cmatrix.factorize(bprime, tol)
+    scale = max(fb.norm, fbp.norm, cmatrix._ABS_FLOOR)
+    return fb.recut(tol, scale), fbp.recut(tol, scale), scale
+
+
+def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL):
     """Zero modes from the kernels: (0, chi) for chi in ker B, then
     (psi, 0) for psi in ker B'.
 
-    Kernel decisions default to the common magnitude of the pair, so a
-    block that is tiny against its partner counts as zero even when it is
-    not exactly zero."""
+    Kernel decisions are taken against the common magnitude of the pair
+    (see :func:`factor_blocks`)."""
     b = cmatrix.as_square_matrix(b)
-    bp = cmatrix.as_square_matrix(bprime)
-    if scale is None:
-        scale = max(np.linalg.norm(b, 2), np.linalg.norm(bp, 2),
-                    cmatrix._ABS_FLOOR)
+    fb, fbp, _ = factor_blocks(b, bprime, tol)
     n = b.shape[0]
     states = []
-    for chi in cmatrix.kernel_basis(b, tol, scale=scale).vectors.T:
+    for chi in fb.kernel.vectors.T:
         states.append(_make_state(np.zeros(n), chi, 0.0))
-    for psi in cmatrix.kernel_basis(bp, tol, scale=scale).vectors.T:
+    for psi in fbp.kernel.vectors.T:
         states.append(_make_state(psi, np.zeros(n), 0.0))
     return states
 
@@ -173,7 +183,5 @@ def reduced_spectrum(bh: BlockHamiltonian, q, tol: float = DEFAULT_TOL):
             psi = 1j * (b @ chi) / e
             states.append(_make_state(psi, chi, e))
     if n_zero:
-        block_scale = max(np.linalg.norm(b, 2), np.linalg.norm(bp, 2),
-                          cmatrix._ABS_FLOOR)
-        states.extend(zero_energy_states(b, bp, tol, scale=block_scale))
+        states.extend(zero_energy_states(b, bp, tol))
     return states

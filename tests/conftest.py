@@ -60,3 +60,17 @@ def random_block_hamiltonian(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """List that grows by one entry per numpy.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls

@@ -214,13 +214,3 @@ class TestBZScan:
         bh = kitaev_model(3.0, 1.0, 1.0, 0.0, 0.0)
         bounds = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
         assert bz_scan(bh, (32, 32), bounds) == []
-
-    def test_threaded_grid_matches_serial(self):
-        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
-        bounds = ((-np.pi, np.pi), (-np.pi, np.pi))
-        serial = bz_scan(bh, (24, 24), bounds, threads=1)
-        threaded = bz_scan(bh, (24, 24), bounds, threads=4)
-        assert len(serial) == len(threaded)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.q_refined, b.q_refined)
-            assert a.sigma_min == b.sigma_min

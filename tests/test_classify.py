@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from epkit.classify import (
     EPKind,
@@ -14,6 +16,10 @@ from epkit.spectral import ep_report, jordan_structure
 from epkit.sublattice import assemble_blocks
 
 from conftest import block_diag, jordan_block, random_conditioned
+
+#: Few, reproducible examples: the property tests share Tier-1's time budget.
+PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True,
+                             database=None)
 
 CANONICAL = {
     EPKind.DOUBLET_EP2: (np.zeros((2, 2)), 2.0 * np.eye(2)),
@@ -126,6 +132,65 @@ class TestZeroEnergyTaxonomy:
             kinds_seen.add(result.kind)
         assert EPKind.EP4 in kinds_seen
         assert EPKind.NONDEGENERATE in kinds_seen
+
+
+def verdict(b, bp):
+    result = classify_zero_energy(b, bp)
+    return result.kind, result.evidence["jordan_blocks_at_zero"]
+
+
+KINDS = st.sampled_from(list(CANONICAL))
+SCALES = st.floats(-250.0, 300.0)
+PHASES = st.floats(0.0, 2 * np.pi)
+ENTRIES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8)
+
+
+def conditioned(entries, cond_cap=10.0):
+    """2 x 2 complex matrix from 8 reals, or None when badly conditioned."""
+    m = np.array(entries[:4]).reshape(2, 2) + 1j * np.array(entries[4:]).reshape(2, 2)
+    return m if np.linalg.cond(m) < cond_cap else None
+
+
+class TestInvariances:
+    """Invariances the taxonomy relies on: overall scale, basis change and
+    mirror swap keep the kind and the Jordan blocks at zero."""
+
+    @PROPERTY_SETTINGS
+    @given(kind=KINDS, x=SCALES, phase=PHASES)
+    @example(kind=EPKind.EP3_MIXED, x=-200.0, phase=0.0)
+    @example(kind=EPKind.EP3_MIXED, x=160.0, phase=0.0)
+    def test_overall_scale(self, kind, x, phase):
+        b, bp = CANONICAL[kind]
+        c = 10.0 ** x * np.exp(1j * phase)
+        assert verdict(c * b, c * bp) == verdict(b, bp)
+
+    @PROPERTY_SETTINGS
+    @given(kind=KINDS, u=ENTRIES, v=ENTRIES)
+    def test_basis_change(self, kind, u, v):
+        # B -> U B V^-1, B' -> V B' U^-1 conjugates H by diag(U, V); the
+        # doublet's B' = 2I stays proportional to I only for U = V
+        u, v = conditioned(u), conditioned(v)
+        if kind is EPKind.DOUBLET_EP2:
+            v = u
+        assume(u is not None and v is not None)
+        b, bp = CANONICAL[kind]
+        b2 = u @ b @ np.linalg.inv(v)
+        bp2 = v @ bp @ np.linalg.inv(u)
+        assert verdict(b2, bp2) == verdict(b, bp)
+
+    @PROPERTY_SETTINGS
+    @given(kind=KINDS, x=SCALES, phase=PHASES)
+    def test_mirror_swap(self, kind, x, phase):
+        b, bp = CANONICAL[kind]
+        c = 10.0 ** x * np.exp(1j * phase)
+        assert verdict(c * bp, c * b) == verdict(b, bp)
+
+
+@pytest.mark.parametrize("kind", list(CANONICAL))
+def test_svd_budget(kind, svd_calls):
+    # each block, the product and each power of H are factorised once
+    classify_zero_energy(*CANONICAL[kind])
+    assert 0 < len(svd_calls) <= 8
 
 
 class TestNonzeroEnergy:

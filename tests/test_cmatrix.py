@@ -88,6 +88,35 @@ class TestRank:
             assert err <= 1e-12 * np.linalg.norm(m, 2)
 
 
+class TestFactorize:
+    def test_one_factorisation_gives_rank_kernel_image_norm(self, rng):
+        for _ in range(50):
+            m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+            m[:, 2] = m[:, 0] - 2j * m[:, 1]
+            f = cmatrix.factorize(m, 1e-10)
+            assert f.rank == 2
+            assert (f.kernel.dim, f.image.dim) == (1, 2)
+            assert f.norm == pytest.approx(np.linalg.norm(m, 2), rel=1e-14)
+            assert np.linalg.norm(m @ f.kernel.vectors) <= 1e-12 * f.norm
+            im = f.image.vectors
+            assert np.linalg.norm(m - im @ (im.conj().T @ m)) <= 1e-12 * f.norm
+
+    def test_recut_against_common_scale(self):
+        f = cmatrix.factorize(np.diag([1e-12, 0.0]))
+        assert f.rank == 1
+        assert f.recut(1e-9, 1.0).rank == 0
+        assert f.recut(1e-9, 1e-12).rank == 1
+
+    def test_below_absolute_floor_is_zero(self):
+        assert cmatrix.factorize(np.diag([1e-305, 0.0])).rank == 0
+        assert svd_rank(np.eye(2), scale=0.0) == 0
+
+    @pytest.mark.parametrize("view", [svd_rank, kernel_basis, image_basis])
+    def test_each_view_factorises_once(self, view, svd_calls):
+        view(jordan_block(3))
+        assert len(svd_calls) == 1
+
+
 class TestKernelImage:
     def test_kernel_of_shift(self):
         basis = kernel_basis(jordan_block(2))

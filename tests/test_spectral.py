@@ -115,6 +115,14 @@ class TestJordanStructure:
         assert st.block_sizes == [4]
 
 
+    @pytest.mark.parametrize("scale", [1e-250, 1e-200, 1e160, 1e300])
+    def test_extreme_overall_scale(self, scale):
+        # powers of the unit-norm (H - E) cannot underflow or overflow
+        m = scale * block_diag(jordan_block(3), [[0.0]])
+        assert rank_sequence(m, 0.0) == [2, 1, 0, 0]
+        assert jordan_structure(m, 0.0, with_chains=False).block_sizes == [3, 1]
+
+
 class TestJordanChain:
     def test_shift_block_from_seed(self):
         chain = jordan_chain(jordan_block(2), 0.0, 2, seed_vector=[1.0, 0.0])
