@@ -10,17 +10,24 @@ assignment problem maximizing total |overlap|.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
 from . import classify as _classify
 from . import cmatrix
 from .cmatrix import DEFAULT_TOL
-from .errors import NoiseFloorReachedError, ZeroVectorError
+from .errors import EpkitError, NoiseFloorReachedError, ZeroVectorError
 from .sublattice import BlockHamiltonian, assemble, reduced_spectrum
 
 #: 12 log-spaced radii across the asymptotic window. Below ~1e-6 the
 #: conditioning of near-defective eigenproblems starts eating the signal.
 DEFAULT_RADII = np.geomspace(1e-2, 1e-6, 12)
+
+#: Settings of :func:`bz_scan`, described there; 2**22 complex128 entries
+#: of H take 64 MiB.
+COARSE_FRACTION = 0.5
+MAX_EVALS = 200
+GRID_CHUNK_ENTRIES = 2 ** 22
 
 CONVERGES = "ConvergesToZero"
 BOUNDED = "BoundedAway"
@@ -95,18 +102,20 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     (e.g. an accidental degeneracy crossing the ray) are flagged and
     skipped. Adjacent radii are linked by maximal-overlap assignment; a
     matched overlap below 0.9 is recorded as a branch-switch diagnostic.
+    The blocks are evaluated once for the whole ray.
     """
     qs = np.asarray(q_star, dtype=float).reshape(2)
     r_all = _validate_radii(DEFAULT_RADII if radii is None else radii)
     direction = np.array([np.cos(theta), np.sin(theta)])
     two_n = 2 * bh.n
+    ray = qs + r_all[:, None] * direction
 
     kept_radii = []
     kept_energies = []
     kept_states = []
     skipped = []
-    for r in r_all:
-        states = reduced_spectrum(bh, qs + r * direction, tol)
+    for r, b, bp in zip(r_all, bh.b(ray), bh.b_prime(ray)):
+        states = reduced_spectrum(b, bp, tol)
         if len(states) != two_n:
             skipped.append(float(r))
             continue
@@ -215,17 +224,6 @@ class BZCandidate:
     classification: _classify.EPClassification
 
 
-def _sigma_grid(bh, qx, qy):
-    """Smallest/largest singular values of H on the grid (batched SVD)."""
-    nx, ny = len(qx), len(qy)
-    hs = np.empty((nx * ny, 2 * bh.n, 2 * bh.n), dtype=np.complex128)
-    for idx in range(nx * ny):
-        i, j = divmod(idx, ny)
-        hs[idx] = assemble(bh, (qx[i], qy[j]))
-    svals = np.linalg.svd(hs, compute_uv=False)
-    return svals[:, -1].reshape(nx, ny), float(np.max(svals[:, 0]))
-
-
 def _coordinate_search(objective, start, step, max_evals, lo, hi):
     """Derivative-free minimization: axis moves with shrinking steps,
     constrained to the box [lo, hi]."""
@@ -252,16 +250,26 @@ def _coordinate_search(objective, start, step, max_evals, lo, hi):
     return best_q, best_f
 
 
-def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6,
-            coarse_fraction: float = 0.5, max_evals: int = 200):
+def _grid_minima(sig, threshold):
+    """Indices (i, j), in row-major order, of the points of ``sig`` that are
+    at most ``threshold`` and no larger than any of their (up to eight)
+    neighbours."""
+    padded = np.pad(sig, 1, constant_values=np.inf)
+    neighbourhood = sliding_window_view(padded, (3, 3)).min(axis=(-2, -1))
+    return np.argwhere((sig <= threshold) & (sig <= neighbourhood))
+
+
+def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     """Locate and classify degeneracy points of H(q) over a momentum window.
 
     The objective is the smallest singular value of H(q), which vanishes
-    exactly at zero-energy degeneracies. Grid local minima below
-    coarse_fraction * scale are refined by coordinate search (at most
-    ``max_evals`` objective evaluations each); refined points are kept when
+    exactly at zero-energy degeneracies; the grid is evaluated in row
+    chunks of at most GRID_CHUNK_ENTRIES entries of H. Grid local minima
+    below COARSE_FRACTION * scale are refined by coordinate search (at most
+    MAX_EVALS objective evaluations each); refined points are kept when
     sigma_min <= tol * scale, deduplicated, classified, and returned sorted
-    by (qx, qy).
+    by (qx, qy). A classification that raises an EpkitError is kept as
+    Unclassified with the message in ``evidence["error"]``.
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 16 or ny < 16:
@@ -272,18 +280,16 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6,
 
     qx = np.linspace(qx_min, qx_max, nx)
     qy = np.linspace(qy_min, qy_max, ny)
-    sig, scale = _sigma_grid(bh, qx, qy)
-    scale = max(scale, cmatrix._ABS_FLOOR)
-
-    minima = []
-    for i in range(nx):
-        for j in range(ny):
-            v = sig[i, j]
-            if v > coarse_fraction * scale:
-                continue
-            neighborhood = sig[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
-            if v <= np.min(neighborhood):
-                minima.append((i, j))
+    rows = max(1, GRID_CHUNK_ENTRIES // (ny * (2 * bh.n) ** 2))
+    sig = np.empty((nx, ny))
+    scale = cmatrix._ABS_FLOOR
+    for start in range(0, nx, rows):
+        chunk = np.stack(np.meshgrid(qx[start:start + rows], qy, indexing="ij"),
+                         axis=-1)
+        svals = np.linalg.svd(assemble(bh, chunk), compute_uv=False)
+        sig[start:start + rows] = svals[..., -1]
+        scale = max(scale, float(np.max(svals[..., 0])))
+    minima = _grid_minima(sig, COARSE_FRACTION * scale)
 
     def objective(q):
         h = assemble(bh, q)
@@ -295,7 +301,7 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6,
     candidates = []
     for i, j in minima:
         q0 = np.array([qx[i], qy[j]])
-        q_ref, f_ref = _coordinate_search(objective, q0, step0, max_evals, lo, hi)
+        q_ref, f_ref = _coordinate_search(objective, q0, step0, MAX_EVALS, lo, hi)
         if f_ref > tol * scale:
             continue
         if any(np.max(np.abs(q_ref - c.q_refined)) < 1e-6 for c in candidates):
@@ -309,7 +315,7 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6,
 def _classify_candidate(bh, q, tol):
     try:
         return _classify.classify_point(bh.b(q), bh.b_prime(q), tol)
-    except Exception as exc:  # tolerance pathology at an inexact point
+    except EpkitError as exc:  # tolerance pathology at an inexact point
         return _classify.EPClassification(
             _classify.EPKind.UNCLASSIFIED, {"error": str(exc)}
         )

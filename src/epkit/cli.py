@@ -323,16 +323,22 @@ def cmd_bz_scan(raw, as_json, out_path) -> int:
         bounds = _default_bounds(bh)
     ep_tol = _get_float(raw, "ep_tol", 1e-6, positive=True)
     candidates = analysis.bz_scan(bh, (nx, ny), bounds, tol=ep_tol)
-    if as_json:
-        lines = [json.dumps({
-            "qx": c.q_refined[0], "qy": c.q_refined[1],
-            "sigma_min": c.sigma_min, "kind": c.classification.kind.value,
-        }, sort_keys=True, default=_json_default) for c in candidates]
-    else:
-        lines = ["qx,qy,sigma_min,kind"]
-        lines += [",".join([fmt_float(c.q_refined[0]), fmt_float(c.q_refined[1]),
-                            fmt_float(c.sigma_min), c.classification.kind.value])
-                  for c in candidates]
+    lines = [] if as_json else ["qx,qy,sigma_min,kind"]
+    for c in candidates:
+        kind = c.classification.kind.value
+        error = c.classification.evidence.get("error")
+        if as_json:
+            row = {"qx": c.q_refined[0], "qy": c.q_refined[1],
+                   "sigma_min": c.sigma_min, "kind": kind}
+            if error is not None:
+                row["error"] = error
+            lines.append(json.dumps(row, sort_keys=True, default=_json_default))
+            continue
+        qx, qy = fmt_float(c.q_refined[0]), fmt_float(c.q_refined[1])
+        lines.append(",".join([qx, qy, fmt_float(c.sigma_min), kind]))
+        if error is not None:
+            print(f"warning: candidate ({qx}, {qy}) not classified: {error}",
+                  file=sys.stderr)
     _write_lines(lines, out_path)
     return EXIT_OK
 

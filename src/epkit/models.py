@@ -4,8 +4,9 @@ The abstract four-band models (doublet, square-root and quartic-root
 four-fold coalescence, anisotropic mixed three-fold) are their leading-order
 forms, taken as exact definitions at all deviations from the degeneracy
 point. Angle dependence of a velocity coefficient v is v(theta) = v_x cos
-theta + i v_y sin theta; catalog models carrying a single scalar v use
-v_x = v_y = v, i.e. v * exp(i theta).
+theta + i v_y sin theta, so v(theta) r = v_x dq_x + i v_y dq_y at the
+deviation dq = r (cos theta, sin theta); catalog models carrying a single
+scalar v use v_x = v_y = v, i.e. v (dq_x + i dq_y).
 
 The lattice models live on the triangular Bravais lattice with unit vectors
 r1 = (1, 0) and r2 = (1/2, sqrt(3)/2); momenta are Cartesian, and
@@ -40,8 +41,9 @@ def reciprocal_to_cartesian(q_tilde) -> np.ndarray:
 
 
 def cartesian_to_reciprocal(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(2)
-    return np.array([q @ R1, q @ R2])
+    """Phases (q.r1, q.r2) of Cartesian momenta of shape (..., 2)."""
+    q = np.asarray(q, dtype=float)
+    return np.stack([q @ R1, q @ R2], axis=-1)
 
 
 def _wrap_angle(a: float) -> float:
@@ -49,11 +51,19 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2 * math.pi) - math.pi
 
 
-def _polar(q, q_star):
-    dq = np.asarray(q, dtype=float).reshape(2) - np.asarray(q_star, dtype=float).reshape(2)
-    r = float(np.hypot(dq[0], dq[1]))
-    theta = math.atan2(dq[1], dq[0]) if r > 0 else 0.0
-    return r, theta
+def _matrix(rows) -> np.ndarray:
+    """Stack scalar or batched entries, given row by row, into an array of
+    shape (..., n, n)."""
+    entries = np.broadcast_arrays(
+        *(np.asarray(e, dtype=np.complex128) for row in rows for e in row))
+    n = len(rows)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
+
+
+def _complex_offset(q, q_star):
+    """dq_x + i dq_y for the deviation dq = q - q_star."""
+    dq = q - q_star
+    return dq[..., 0] + 1j * dq[..., 1]
 
 
 def _require(cond: bool, message: str):
@@ -73,14 +83,14 @@ def doublet_ep2_model(v_x=1.0, v_y=1.0, c=1.0, q_star=(0.0, 0.0)) -> BlockHamilt
     _require(c != 0, "doublet model needs c != 0")
     _require(v_x != 0 or v_y != 0, "doublet model needs (v_x, v_y) != (0, 0)")
     qs = np.asarray(q_star, dtype=float).reshape(2)
-    eye = np.eye(2, dtype=np.complex128)
 
     def block(q):
-        r, theta = _polar(q, qs)
-        return (v_x * math.cos(theta) + 1j * v_y * math.sin(theta)) * r * eye
+        dq = q - qs
+        v = v_x * dq[..., 0] + 1j * v_y * dq[..., 1]
+        return _matrix([[v, 0.0], [0.0, v]])
 
     def block_prime(q):
-        return (c / -1j) * eye
+        return (c / -1j) * np.eye(2)
 
     return BlockHamiltonian(
         2, block, block_prime, name="doublet-ep2", q_star=qs,
@@ -96,14 +106,12 @@ def ep4_sqrt_model(b2=1.0, bp1=1.0, bp4=1.0, v1=0.9, v4=0.7, vp3=0.8,
     qs = np.asarray(q_star, dtype=float).reshape(2)
 
     def block(q):
-        r, theta = _polar(q, qs)
-        v = cmath.exp(1j * theta) * r
-        return np.array([[v1 * v, b2], [0.0, v4 * v]], dtype=np.complex128)
+        v = _complex_offset(q, qs)
+        return _matrix([[v1 * v, b2], [0.0, v4 * v]])
 
     def block_prime(q):
-        r, theta = _polar(q, qs)
-        v = cmath.exp(1j * theta) * r
-        return np.array([[bp1, 0.0], [vp3 * v, bp4]], dtype=np.complex128)
+        v = _complex_offset(q, qs)
+        return _matrix([[bp1, 0.0], [vp3 * v, bp4]])
 
     return BlockHamiltonian(
         2, block, block_prime, name="ep4-sqrt", q_star=qs,
@@ -124,9 +132,8 @@ def ep4_quartic_model(b2=1.0, bp1=1.0, bp4=1.0, v3=0.9,
     qs = np.asarray(q_star, dtype=float).reshape(2)
 
     def block(q):
-        r, theta = _polar(q, qs)
-        v = cmath.exp(1j * theta) * r
-        return np.array([[0.0, b2], [v3 * v, 0.0]], dtype=np.complex128)
+        v = _complex_offset(q, qs)
+        return _matrix([[0.0, b2], [v3 * v, 0.0]])
 
     def block_prime(q):
         return np.diag([bp1, bp4]).astype(np.complex128)
@@ -145,7 +152,8 @@ def ep3_model(b2=1.0, bp1=1.0, bp2=2.0, v1=1.0, v3=0.4, v4=0.6,
     The lower row of B' interpolates between a linear deviation along
     theta = 0 and a quadratic one along theta = pi/2:
 
-        w_j(dq) = vp_j cos(theta) |dq| + rp_j sin^2(theta) |dq|^2,
+        w_j(dq) = vp_j cos(theta) |dq| + rp_j sin^2(theta) |dq|^2
+                = vp_j dq_x + rp_j dq_y^2,
 
     the minimal smooth form matching both axis limits. Along theta = 0 all
     four eigenvectors collapse onto (0, 0, 1, 0); along theta = pi/2 only
@@ -156,19 +164,13 @@ def ep3_model(b2=1.0, bp1=1.0, bp2=2.0, v1=1.0, v3=0.4, v4=0.6,
     qs = np.asarray(q_star, dtype=float).reshape(2)
 
     def block(q):
-        r, theta = _polar(q, qs)
-        v = cmath.exp(1j * theta) * r
-        return np.array(
-            [[v1 * v, b2], [v3 * v, v4 * v]], dtype=np.complex128
-        )
+        v = _complex_offset(q, qs)
+        return _matrix([[v1 * v, b2], [v3 * v, v4 * v]])
 
     def block_prime(q):
-        r, theta = _polar(q, qs)
-        lin = math.cos(theta) * r
-        quad = math.sin(theta) ** 2 * r * r
-        return np.array(
-            [[bp1, bp2], [vp3 * lin + rp3 * quad, vp4 * lin + rp4 * quad]],
-            dtype=np.complex128,
+        lin, quad = q[..., 0] - qs[0], (q[..., 1] - qs[1]) ** 2
+        return _matrix(
+            [[bp1, bp2], [vp3 * lin + rp3 * quad, vp4 * lin + rp4 * quad]]
         )
 
     return BlockHamiltonian(
@@ -184,8 +186,8 @@ def ep3_model(b2=1.0, bp1=1.0, bp2=2.0, v1=1.0, v3=0.4, v4=0.6,
 def _a_tilde(q, j1, j2, j3, phi1, phi2):
     qt = cartesian_to_reciprocal(q)
     return 2.0 * (
-        j1 * cmath.exp(1j * (qt[0] + phi1))
-        + j2 * cmath.exp(1j * (qt[1] + phi2))
+        j1 * np.exp(1j * (qt[..., 0] + phi1))
+        + j2 * np.exp(1j * (qt[..., 1] + phi2))
         + j3
     )
 
@@ -194,7 +196,7 @@ def kitaev_bloch(q, j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> np.ndarray:
     """2 x 2 Majorana Bloch matrix [[0, i A(q)], [-i A(-q), 0]]."""
     a = _a_tilde(q, j1, j2, j3, phi1, phi2)
     am = _a_tilde(-np.asarray(q, dtype=float), j1, j2, j3, phi1, phi2)
-    return np.array([[0.0, 1j * a], [-1j * am, 0.0]], dtype=np.complex128)
+    return _matrix([[0.0, 1j * a], [-1j * am, 0.0]])
 
 
 def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
@@ -237,10 +239,10 @@ def kitaev_model(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> BlockHamiltonian
     q_star = locations[0] if locations else None
 
     def block(q):
-        return np.array([[_a_tilde(q, j1, j2, j3, phi1, phi2)]])
+        return _matrix([[_a_tilde(q, j1, j2, j3, phi1, phi2)]])
 
     def block_prime(q):
-        return np.array([[_a_tilde(-q, j1, j2, j3, phi1, phi2)]])
+        return _matrix([[_a_tilde(-q, j1, j2, j3, phi1, phi2)]])
 
     return BlockHamiltonian(
         1, block, block_prime, name="kitaev", q_star=q_star,
@@ -253,7 +255,8 @@ def _yao_lee_pieces(jt, phi):
 
     The degeneracy point is pinned to the arccos branch
     q~* = (2 pi / 3 - phi, -2 pi / 3) of the complexified couplings
-    J1 = jt e^{i phi}, J2 = J3 = jt. The helper hoppings
+    J1 = jt e^{i phi}, J2 = J3 = jt, the zero of
+    A~(q) = _a_tilde(q, jt, jt, jt, phi, 0). The helper hoppings
 
         g(q) = e^{i q.r1 + i phi} + e^{i q~*_2} + 1,
         h(q) = e^{-i (q~*_1 + phi)} + e^{i q.r2} + 1
@@ -261,64 +264,50 @@ def _yao_lee_pieces(jt, phi):
     satisfy g(q*) = h(-q*) = 0 for every phi, which is what pins the
     required matrix entries at the degeneracy point.
     """
+    _require(jt > 0, "yao-lee model needs jt > 0")
+    _require(phi != 0, "yao-lee model needs phi != 0 for non-Hermiticity")
     qt_star = np.array([2 * math.pi / 3 - phi, -2 * math.pi / 3])
     q_star = reciprocal_to_cartesian(qt_star)
     g2 = cmath.exp(1j * qt_star[1])
     h1 = cmath.exp(-1j * (qt_star[0] + phi))
 
-    def a_tilde(q):
-        qt = cartesian_to_reciprocal(q)
-        return 2.0 * jt * (
-            cmath.exp(1j * (qt[0] + phi)) + cmath.exp(1j * qt[1]) + 1.0
-        )
-
     def g(q):
-        qt = cartesian_to_reciprocal(q)
-        return cmath.exp(1j * (qt[0] + phi)) + g2 + 1.0
+        return np.exp(1j * (cartesian_to_reciprocal(q)[..., 0] + phi)) + g2 + 1.0
 
     def h(q):
-        qt = cartesian_to_reciprocal(q)
-        return h1 + cmath.exp(1j * qt[1]) + 1.0
+        return h1 + np.exp(1j * cartesian_to_reciprocal(q)[..., 1]) + 1.0
 
-    return q_star, a_tilde, g, h
-
-
-def _a0(q, j01, j02, j03):
-    return _a_tilde(q, j01, j02, j03, 0.0, 0.0)
+    return q_star, g, h
 
 
-def _yao_lee_block_hamiltonian(name, params, upper_2x2):
-    """Assemble diag(B2(q), A0(q)) with the particle-hole pairing
-    B'(q) = A(-q)^T."""
+def _yao_lee_model(name, expected_kind, upper, q_star, public):
+    """diag(upper(q), A0(q)) with the particle-hole pairing B'(q) = A(-q)^T.
 
-    j01, j02, j03 = params["j01"], params["j02"], params["j03"]
-
-    def a_full(q):
-        out = np.zeros((3, 3), dtype=np.complex128)
-        out[:2, :2] = upper_2x2(q)
-        out[2, 2] = _a0(q, j01, j02, j03)
-        return out
+    ``upper(q)`` gives the 2-flavour block as rows of entries; A0 is the
+    real-coupling honeycomb band of (j01, j02, j03). The 2-flavour
+    sub-block at q* must classify as ``expected_kind``.
+    """
+    j01, j02, j03 = public["j01"], public["j02"], public["j03"]
 
     def block(q):
-        return a_full(q)
+        (a, b), (c, d) = upper(q)
+        a0 = _a_tilde(q, j01, j02, j03, 0.0, 0.0)
+        return _matrix([[a, b, 0.0], [c, d, 0.0], [0.0, 0.0, a0]])
 
     def block_prime(q):
-        return a_full(-np.asarray(q, dtype=float)).T
+        return np.swapaxes(block(-q), -1, -2)
 
-    return BlockHamiltonian(3, block, block_prime, name=name,
-                            q_star=params["q_star"], params=params["public"])
-
-
-def _verify_lattice_kind(bh, expected_kind, tol=1e-8):
-    b2 = bh.b(bh.q_star)[:2, :2]
-    bp2 = bh.b_prime(bh.q_star)[:2, :2]
-    result = classify.classify_zero_energy(b2, bp2, tol)
+    bh = BlockHamiltonian(3, block, block_prime, name=name, q_star=q_star,
+                          params=public)
+    result = classify.classify_zero_energy(
+        bh.b(q_star)[:2, :2], bh.b_prime(q_star)[:2, :2], 1e-8)
     if result.kind is not expected_kind:
         raise ParamViolationError(
-            f"{bh.name}: 2-flavour sub-block at q* classifies as "
+            f"{name}: 2-flavour sub-block at q* classifies as "
             f"{result.kind.value}, expected {expected_kind.value}; "
             "adjust the coupling constants"
         )
+    return bh
 
 
 def yao_lee_ep4_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
@@ -332,25 +321,18 @@ def yao_lee_ep4_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
     band is an independent real-coupling honeycomb block (gapped for the
     default couplings) and never mixes.
     """
-    _require(jt > 0, "yao-lee model needs jt > 0")
-    _require(phi != 0, "yao-lee model needs phi != 0 for non-Hermiticity")
-    q_star, a_tilde, g, h = _yao_lee_pieces(jt, phi)
+    q_star, g, h = _yao_lee_pieces(jt, phi)
 
     def upper(q):
-        qm = -np.asarray(q, dtype=float)
-        w = z1 * g(qm) + z2 * h(q)
-        a_prime = a_tilde(q) + zp1 * g(q) + zp2 * h(qm)
-        return np.array([[a_tilde(q), w], [0.0, a_prime]], dtype=np.complex128)
+        a = _a_tilde(q, jt, jt, jt, phi, 0.0)
+        w = z1 * g(-q) + z2 * h(q)
+        a_prime = a + zp1 * g(q) + zp2 * h(-q)
+        return [[a, w], [0.0, a_prime]]
 
     public = {"jt": jt, "phi": phi, "z1": z1, "z2": z2, "zp1": zp1, "zp2": zp2,
               "j01": j01, "j02": j02, "j03": j03}
-    bh = _yao_lee_block_hamiltonian(
-        "yao-lee-ep4",
-        {"j01": j01, "j02": j02, "j03": j03, "q_star": q_star, "public": public},
-        upper,
-    )
-    _verify_lattice_kind(bh, classify.EPKind.EP4)
-    return bh
+    return _yao_lee_model("yao-lee-ep4", classify.EPKind.EP4, upper, q_star,
+                          public)
 
 
 def yao_lee_ep3_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
@@ -365,33 +347,22 @@ def yao_lee_ep3_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
     single mirrored honeycomb hopping does. z2 must stay 0 here for the
     same reason (checked at construction).
     """
-    _require(jt > 0, "yao-lee model needs jt > 0")
-    _require(phi != 0, "yao-lee model needs phi != 0 for non-Hermiticity")
-    q_star, a_tilde, g, h = _yao_lee_pieces(jt, phi)
+    q_star, g, h = _yao_lee_pieces(jt, phi)
     qsy = q_star[1]
 
     def f1(q):
-        q = np.asarray(q, dtype=float)
         return z1 * g(-q) + z2 * h(q)
 
     def upper(q):
-        q = np.asarray(q, dtype=float).reshape(2)
-        mirrored = np.array([q[0], 2 * qsy - q[1]])
+        mirrored = np.stack([q[..., 0], 2 * qsy - q[..., 1]], axis=-1)
         w_top = f1(q) + f1(mirrored)
         w_bottom = zp1 * g(q) + zp2 * h(-q)
-        return np.array(
-            [[a_tilde(q), w_top], [w_bottom, 0.0]], dtype=np.complex128
-        )
+        return [[_a_tilde(q, jt, jt, jt, phi, 0.0), w_top], [w_bottom, 0.0]]
 
     public = {"jt": jt, "phi": phi, "z1": z1, "z2": z2, "zp1": zp1, "zp2": zp2,
               "j01": j01, "j02": j02, "j03": j03}
-    bh = _yao_lee_block_hamiltonian(
-        "yao-lee-ep3",
-        {"j01": j01, "j02": j02, "j03": j03, "q_star": q_star, "public": public},
-        upper,
-    )
-    _verify_lattice_kind(bh, classify.EPKind.EP3_MIXED)
-    return bh
+    return _yao_lee_model("yao-lee-ep3", classify.EPKind.EP3_MIXED, upper,
+                          q_star, public)
 
 
 def zero_targets(bh: BlockHamiltonian, tol: float = DEFAULT_TOL):

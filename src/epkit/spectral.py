@@ -291,7 +291,7 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
     for j in range(2, length + 1):
         x, residual = _restricted_minnorm_solve(
             ladder.shifted, chain[-1], ladder.image(length - j))
-        if residual > chain_tol:
+        if not residual <= chain_tol:  # a NaN residual fails too
             raise ChainSolveFailedError(
                 f"chain equation at level {j} has residual {residual:.3e} "
                 f"(chain_tol {chain_tol:.3e})"

@@ -25,8 +25,10 @@ from .errors import GeneratorFailureError, OddDimensionError
 class BlockHamiltonian:
     """Pair of momentum-dependent N x N block generators.
 
-    Generators must be pure functions of q (no internal mutable state);
-    all operations on the result are then thread-safe.
+    A generator maps momenta ``q`` of shape ``(..., 2)`` to blocks of shape
+    ``(..., N, N)``; a single point is the case ``q.shape == (2,)``. Output
+    that broadcasts to that shape is accepted, so a constant generator may
+    return one N x N matrix for any ``q``.
     """
 
     n: int
@@ -44,15 +46,28 @@ class BlockHamiltonian:
 
 
 def _eval_generator(fn, q, n, label) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(2)
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 0 or q.shape[-1] != 2:
+        raise ValueError(f"momenta must have shape (..., 2), got {q.shape}")
+    shape = q.shape[:-1] + (n, n)
     out = np.asarray(fn(q), dtype=np.complex128)
-    if out.shape != (n, n):
+    try:
+        out = np.broadcast_to(out, shape)
+    except ValueError:
         raise GeneratorFailureError(
-            f"{label}(q) returned shape {out.shape}, expected ({n}, {n})"
-        )
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+            f"{label}(q) returned shape {out.shape}, expected {shape}"
+        ) from None
+    if not np.all(np.isfinite(out)):
         raise GeneratorFailureError(f"{label}(q) returned non-finite entries")
     return out
+
+
+def _fill(b, bp) -> np.ndarray:
+    n = b.shape[-1]
+    h = np.zeros(b.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
+    h[..., :n, n:] = 1j * b
+    h[..., n:, :n] = -1j * bp
+    return h
 
 
 def assemble_blocks(b, bprime) -> np.ndarray:
@@ -61,16 +76,13 @@ def assemble_blocks(b, bprime) -> np.ndarray:
     bp = cmatrix.as_square_matrix(bprime)
     if b.shape != bp.shape:
         raise GeneratorFailureError("B and B' must have the same shape")
-    n = b.shape[0]
-    h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    h[:n, n:] = 1j * b
-    h[n:, :n] = -1j * bp
-    return h
+    return _fill(b, bp)
 
 
 def assemble(bh: BlockHamiltonian, q) -> np.ndarray:
-    """Assembled Hamiltonian H(q) of a BlockHamiltonian."""
-    return assemble_blocks(bh.b(q), bh.b_prime(q))
+    """Assembled Hamiltonian H(q) of a BlockHamiltonian, shape
+    ``(..., 2N, 2N)`` for momenta of shape ``(..., 2)``."""
+    return _fill(bh.b(q), bh.b_prime(q))
 
 
 def symmetry_residual(h) -> float:
@@ -158,17 +170,18 @@ def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL):
     return states
 
 
-def reduced_spectrum(bh: BlockHamiltonian, q, tol: float = DEFAULT_TOL):
-    """Full set of sublattice states of H(q) via the reduced N x N problem.
+def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
+    """Full set of sublattice states of H = [[0, iB], [-iB', 0]] via the
+    reduced N x N problem.
 
-    Eigenpairs (lambda, chi) of B'(q) B(q) with |lambda| above tol * ||B'B||
+    Eigenpairs (lambda, chi) of B' B with |lambda| above tol * ||B'B||
     produce the pair E = +-sqrt(lambda) (principal branch) with
     psi = i B chi / E; eigenvalues below the cutoff are replaced by the
     kernel-built zero modes. The zero detection happens on lambda rather
     than on E because sqrt amplifies noise near zero.
     """
-    b = bh.b(q)
-    bp = bh.b_prime(q)
+    b = cmatrix.as_square_matrix(b)
+    bp = cmatrix.as_square_matrix(bprime)
     product = bp @ b
     scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
     states = []

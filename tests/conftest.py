@@ -46,7 +46,8 @@ def random_block_hamiltonian(rng, n):
 
     def poly(coeffs):
         def fn(q):
-            monomials = [1.0, q[0], q[1], q[0] ** 2, q[0] * q[1], q[1] ** 2]
+            x, y = q[..., 0, None, None], q[..., 1, None, None]
+            monomials = [1.0, x, y, x ** 2, x * y, y ** 2]
             return sum(c * m for c, m in zip(coeffs, monomials))
         return fn
 

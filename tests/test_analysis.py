@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,11 @@ from epkit.analysis import (
     scaling_exponent,
 )
 from epkit.classify import EPKind
-from epkit.errors import NoiseFloorReachedError, ZeroVectorError
+from epkit.errors import (
+    CrossCheckMismatchError,
+    NoiseFloorReachedError,
+    ZeroVectorError,
+)
 from epkit.models import (
     build_model,
     ep4_sqrt_model,
@@ -22,6 +28,36 @@ from epkit.models import (
     zero_targets,
 )
 from epkit.sublattice import partner_state, reduced_spectrum
+
+
+def counting_generators(bh):
+    """Copy of bh whose generators record the shape of every q passed in."""
+    shapes = {"B": [], "B'": []}
+
+    def counted(fn, label):
+        def wrapper(q):
+            shapes[label].append(q.shape)
+            return fn(q)
+        return wrapper
+
+    return replace(bh, block=counted(bh.block, "B"),
+                   block_prime=counted(bh.block_prime, "B'")), shapes
+
+
+def loop_minima(sig, threshold):
+    """Grid local minima by the per-point double loop bz_scan used before
+    it was vectorised; kept as the reference."""
+    nx, ny = sig.shape
+    minima = []
+    for i in range(nx):
+        for j in range(ny):
+            v = sig[i, j]
+            if v > threshold:
+                continue
+            neighborhood = sig[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
+            if v <= np.min(neighborhood):
+                minima.append((i, j))
+    return minima
 
 
 class TestQuantumDistance:
@@ -56,7 +92,8 @@ class TestQuantumDistance:
         bh = build_model("ep3")
         targets = zero_targets(bh)
         for r in (1e-3, 1e-5):
-            for s in reduced_spectrum(bh, bh.q_star + np.array([r, 0.0])):
+            q = bh.q_star + np.array([r, 0.0])
+            for s in reduced_spectrum(bh.b(q), bh.b_prime(q)):
                 p = partner_state(s)
                 for _, t in targets:
                     d1 = quantum_distance(s.vector, t)
@@ -91,6 +128,11 @@ class TestPathScan:
             bwd, _ = match_branches(scan.states[:, k], scan.states[:, k - 1])
             assert list(fwd) == list(range(scan.n_branches))
             assert list(bwd) == list(range(scan.n_branches))
+
+    def test_generators_called_once_per_ray(self):
+        bh, shapes = counting_generators(ep4_sqrt_model())
+        path_scan(bh, bh.q_star, 0.7)
+        assert shapes == {"B": [(12, 2)], "B'": [(12, 2)]}
 
     def test_overlap_quality(self):
         bh = ep4_sqrt_model()
@@ -214,3 +256,57 @@ class TestBZScan:
         bh = kitaev_model(3.0, 1.0, 1.0, 0.0, 0.0)
         bounds = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
         assert bz_scan(bh, (32, 32), bounds) == []
+
+    def test_vectorised_minima_match_loop(self, rng):
+        for trial in range(300):
+            nx, ny = (int(n) for n in rng.integers(1, 13, 2))
+            if trial % 3:
+                # few levels: ties and plateaus, plus planted edge minima
+                sig = rng.integers(0, 4, (nx, ny)).astype(float)
+                sig[int(rng.integers(nx)), 0] = -1.0
+                sig[-1, int(rng.integers(ny))] = -1.0
+            else:
+                sig = rng.random((nx, ny))
+            threshold = float(rng.choice([-1.0, 0.5, 1.0, 2.0, np.inf]))
+            got = [tuple(int(k) for k in ij)
+                   for ij in analysis._grid_minima(sig, threshold)]
+            assert got == loop_minima(sig, threshold)
+
+    def test_chunked_grid_matches_one_chunk(self, monkeypatch):
+        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
+        bounds = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
+        whole = bz_scan(bh, (64, 64), bounds)
+        # five grid rows of 4 x 4 matrices per chunk; the last chunk is short
+        monkeypatch.setattr(analysis, "GRID_CHUNK_ENTRIES", 5 * 64 * 16)
+        chunked = bz_scan(bh, (64, 64), bounds)
+        assert len(chunked) == len(whole) > 0
+        for a, b in zip(whole, chunked):
+            np.testing.assert_array_equal(a.q_refined, b.q_refined)
+            assert a.classification.kind is b.classification.kind
+
+    def test_grid_stage_calls_generators_once_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(analysis, "GRID_CHUNK_ENTRIES", 7 * 24 * 16)
+        bh, shapes = counting_generators(ep4_sqrt_model(q_star=(0.3, 0.7)))
+        bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))
+        for label in ("B", "B'"):
+            batched = [s for s in shapes[label] if s != (2,)]
+            assert batched == [(7, 24, 2)] * 3 + [(3, 24, 2)]
+
+    def test_classification_error_is_kept(self, monkeypatch):
+        def mismatch(*args, **kwargs):
+            raise CrossCheckMismatchError("planted mismatch")
+
+        monkeypatch.setattr(analysis._classify, "classify_point", mismatch)
+        bh = ep4_sqrt_model(q_star=(0.3, 0.7))
+        [candidate] = bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))
+        assert candidate.classification.kind is EPKind.UNCLASSIFIED
+        assert candidate.classification.evidence == {"error": "planted mismatch"}
+
+    def test_other_classification_errors_propagate(self, monkeypatch):
+        def bug(*args, **kwargs):
+            raise RuntimeError("planted bug")
+
+        monkeypatch.setattr(analysis._classify, "classify_point", bug)
+        bh = ep4_sqrt_model(q_star=(0.3, 0.7))
+        with pytest.raises(RuntimeError, match="planted bug"):
+            bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))

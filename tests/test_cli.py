@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epkit import cli
+from epkit.errors import CrossCheckMismatchError
 from epkit.models import kitaev_ep_locations
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -183,6 +185,26 @@ class TestBZScanCommand:
         rows = read_csv(out.read_text())
         assert len(rows) == 1
         assert rows[0]["kind"] == "EP4"
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_classification_error_reported(self, fail, monkeypatch, capsys):
+        def mismatch(*args, **kwargs):
+            raise CrossCheckMismatchError("planted mismatch")
+
+        if fail:
+            monkeypatch.setattr("epkit.classify.classify_point", mismatch)
+        argv = ["bz-scan", "--model", "ep4-sqrt", "grid_nx=24", "grid_ny=24"]
+        assert cli.main(argv + ["--json"]) == 0
+        [row] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert row.get("error") == ("planted mismatch" if fail else None)
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        warnings = captured.err.splitlines()
+        assert len(warnings) == (1 if fail else 0)
+        if fail:
+            assert warnings[0].startswith("warning: candidate (")
+            assert warnings[0].endswith("not classified: planted mismatch")
 
     def test_gapped_kitaev_empty(self):
         proc = run_epkit("bz-scan", "--model", "kitaev", "j1=3", "grid_nx=24",

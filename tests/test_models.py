@@ -33,6 +33,20 @@ EXPECTED_KIND = {
     "yao-lee-ep3": EPKind.EP3_MIXED,
 }
 
+ABSTRACT = ("doublet-ep2", "ep4-sqrt", "ep4-quartic", "ep3")
+
+
+def _assert_matches_points(name, batch, points):
+    """Batched generator output against one call per point: identical for
+    the abstract models, which are pure arithmetic; within 1e-14 ||B|| for
+    the lattice models, whose batched q . r_j (a matrix product) may round
+    differently from the single-point dot product."""
+    if name in ABSTRACT:
+        np.testing.assert_array_equal(batch, points)
+    else:
+        scale = np.max(np.linalg.norm(points, 2, axis=(-2, -1)))
+        assert np.max(np.abs(batch - points)) <= 1e-14 * scale
+
 
 class TestCatalogInvariants:
     def test_every_model_classifies_as_named(self):
@@ -52,6 +66,27 @@ class TestCatalogInvariants:
             q = rng.uniform(-1.0, 1.0, 2)
             assert symmetry_residual(assemble(bh, q)) == 0.0
 
+    @pytest.mark.parametrize("name", sorted(MODEL_CATALOG))
+    def test_batch_matches_single_points(self, name, rng):
+        bh = build_model(name)
+        qs = np.vstack([rng.uniform(-2.0, 2.0, (9, 2)), bh.q_star])
+        for generator in (bh.b, bh.b_prime):
+            batch = generator(qs)
+            assert batch.shape == (len(qs), bh.n, bh.n)
+            _assert_matches_points(name, batch,
+                                   np.array([generator(q) for q in qs]))
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CATALOG))
+    def test_assemble_on_grid_matches_single_points(self, name):
+        bh = build_model(name)
+        qx, qy = np.meshgrid(np.linspace(-1.0, 1.5, 5), np.linspace(-2.0, 0.5, 4),
+                             indexing="ij")
+        grid = np.stack([qx, qy], axis=-1)
+        h = assemble(bh, grid)
+        assert h.shape == (5, 4, 2 * bh.n, 2 * bh.n)
+        points = np.array([[assemble(bh, q) for q in row] for row in grid])
+        _assert_matches_points(name, h, points)
+
     def test_build_model_rejects_unknowns(self):
         with pytest.raises(ParamViolationError):
             build_model("no-such-model")
@@ -62,7 +97,7 @@ class TestCatalogInvariants:
 class TestDoubletModel:
     def test_spectrum_at_small_radius(self):
         bh = doublet_ep2_model(v_x=1.0, v_y=1.0, c=1.0)
-        states = reduced_spectrum(bh, (1e-4, 0.0))
+        states = reduced_spectrum(bh.b((1e-4, 0.0)), bh.b_prime((1e-4, 0.0)))
         energies = np.array(sorted((s.energy for s in states),
                                    key=lambda z: (z.real, z.imag)))
         # E^2 = i c v |dq|: pairs +-sqrt(i) * 1e-2, each doubly degenerate
@@ -88,7 +123,8 @@ class TestFourfoldModels:
         bh = ep4_sqrt_model()
         e1 = np.array([0, 0, 1.0, 0])
         for r in (1e-4, 1e-6):
-            for s in reduced_spectrum(bh, bh.q_star + np.array([r, 0.0])):
+            q = bh.q_star + np.array([r, 0.0])
+            for s in reduced_spectrum(bh.b(q), bh.b_prime(q)):
                 assert direction_mismatch(s.vector, e1) < 20 * np.sqrt(r)
 
     def test_quartic_lambda_formula(self):

@@ -158,6 +158,20 @@ class TestJordanChain:
         with pytest.raises(ChainSolveFailedError):
             jordan_chain(block_diag(jordan_block(2), jordan_block(2)), 0.0, 3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-250, 1e-200, 1.0, 1e160, 1e300])
+    def test_chains_are_finite_or_refused(self, scale):
+        # at tiny scales the third chain vector is not representable; the
+        # solve then has a NaN residual and must be refused, not returned
+        m = scale * block_diag(jordan_block(3), [[0.0]])
+        for get_chains in (lambda: jordan_structure(m, 0.0).chains,
+                           lambda: [jordan_chain(m, 0.0, 3)]):
+            try:
+                chains = get_chains()
+            except ChainSolveFailedError:
+                continue
+            assert all(np.all(np.isfinite(v)) for c in chains for v in c)
+
 
 class TestEpReport:
     def test_doublet_is_compound(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epkit.errors import OddDimensionError
+from epkit.errors import GeneratorFailureError, OddDimensionError
 from epkit.models import doublet_ep2_model, ep3_model
 from epkit.sublattice import (
     BlockHamiltonian,
@@ -40,6 +40,27 @@ class TestAssemble:
         assert np.linalg.norm(h @ e1) < 1e-14
 
 
+class TestGeneratorContract:
+    def test_constant_generator_broadcasts(self):
+        bh = BlockHamiltonian(1, _constant([[2.0]]), _constant([[3.0]]))
+        assert bh.b((0.1, 0.2)).shape == (1, 1)
+        np.testing.assert_array_equal(bh.b_prime(np.zeros((4, 5, 2))),
+                                      np.full((4, 5, 1, 1), 3.0))
+
+    def test_misshaped_or_non_finite_output_rejected(self):
+        for n, bad in ((2, np.eye(3)), (1, [[np.nan]])):
+            bh = BlockHamiltonian(n, _constant(bad), _constant(np.eye(n)))
+            for q in ((0.0, 0.0), np.zeros((3, 2))):
+                with pytest.raises(GeneratorFailureError):
+                    bh.b(q)
+
+    def test_momenta_need_a_trailing_pair(self):
+        bh = BlockHamiltonian(1, _constant([[1.0]]), _constant([[1.0]]))
+        for q in (0.0, (0.0, 0.0, 0.0), np.zeros((2, 3))):
+            with pytest.raises(ValueError):
+                bh.b(q)
+
+
 class TestSymmetryResidual:
     def test_assembled_is_exact(self, rng):
         bh = random_block_hamiltonian(rng, 2)
@@ -61,7 +82,7 @@ class TestSymmetryResidual:
 class TestReducedSpectrum:
     def test_single_flavour_identity(self):
         bh = BlockHamiltonian(1, _constant([[1.0]]), _constant([[1.0]]))
-        states = reduced_spectrum(bh, (0.0, 0.0))
+        states = reduced_spectrum(bh.b((0.0, 0.0)), bh.b_prime((0.0, 0.0)))
         by_energy = {round(s.energy.real): s for s in states}
         np.testing.assert_allclose(by_energy[1].vector,
                                    np.array([1.0, -1j]) / np.sqrt(2), atol=1e-12)
@@ -71,7 +92,7 @@ class TestReducedSpectrum:
     def test_doublet_states_near_point(self):
         bh = doublet_ep2_model()
         q = bh.q_star + np.array([1e-4, 0.0])
-        states = reduced_spectrum(bh, q)
+        states = reduced_spectrum(bh.b(q), bh.b_prime(q))
         assert len(states) == 4
         # energies square to i * c * v * |dq|, each branch twice
         for s in states:
@@ -94,7 +115,7 @@ class TestReducedSpectrum:
 
     def test_mixed_threefold_zero_modes(self):
         bh = ep3_model()  # b2 = 1, bp1 = 1, bp2 = 2
-        states = reduced_spectrum(bh, bh.q_star)
+        states = reduced_spectrum(bh.b(bh.q_star), bh.b_prime(bh.q_star))
         assert len(states) == 2
         np.testing.assert_allclose(states[0].vector, [0, 0, 1.0, 0], atol=1e-14)
         np.testing.assert_allclose(states[1].vector,
@@ -108,7 +129,7 @@ class TestReducedSpectrum:
             h = assemble(bh, q)
             hnorm = np.linalg.norm(h, 2)
             from_states = sorted(
-                (s.energy for s in reduced_spectrum(bh, q)),
+                (s.energy for s in reduced_spectrum(bh.b(q), bh.b_prime(q))),
                 key=lambda z: (z.real, z.imag),
             )
             direct = sorted(np.linalg.eigvals(h), key=lambda z: (z.real, z.imag))
@@ -118,7 +139,7 @@ class TestReducedSpectrum:
 class TestPairing:
     def test_partner_involution(self, rng):
         bh = random_block_hamiltonian(rng, 2)
-        s = reduced_spectrum(bh, (0.2, 0.4))[0]
+        s = reduced_spectrum(bh.b((0.2, 0.4)), bh.b_prime((0.2, 0.4)))[0]
         twice = partner_state(partner_state(s))
         np.testing.assert_allclose(twice.vector, s.vector, atol=1e-15)
         assert twice.energy == s.energy
@@ -129,7 +150,7 @@ class TestPairing:
             q = rng.uniform(-1, 1, 2)
             h = assemble(bh, q)
             hnorm = np.linalg.norm(h, 2)
-            for s in reduced_spectrum(bh, q):
+            for s in reduced_spectrum(bh.b(q), bh.b_prime(q)):
                 p = partner_state(s)
                 assert np.linalg.norm(h @ p.vector - p.energy * p.vector) <= 1e-8 * hnorm
 
