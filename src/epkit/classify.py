@@ -25,7 +25,7 @@ import numpy as np
 from . import cmatrix, spectral
 from .cmatrix import DEFAULT_TOL
 from .errors import CrossCheckMismatchError, NotAnEigenvalueError, ZeroEigenvaluePresentError
-from .sublattice import assemble_blocks, factor_blocks
+from .sublattice import assemble_blocks, factor_blocks, pow2_scale
 
 
 class EPKind(str, Enum):
@@ -50,19 +50,38 @@ class EPClassification:
         return f"{self.kind.value}{extra}"
 
 
-_EXPECTED_BLOCKS = {
-    EPKind.DOUBLET_EP2: [2, 2],
-    EPKind.EP4: [4],
-    EPKind.EP3_MIXED: [3, 1],
-}
+def _kind_of_blocks(blocks, n):
+    """The kind that the Jordan blocks at E = 0 of the assembled 2N x 2N
+    Hamiltonian name: no zero mode is Nondegenerate, a single 4-block EP4, a
+    3-block beside a trivial zero mode EP3Mixed and N 2-blocks DoubletEP2."""
+    nontrivial = [s for s in blocks if s > 1]
+    if not blocks:
+        return EPKind.NONDEGENERATE
+    if nontrivial == [4]:
+        return EPKind.EP4
+    if nontrivial == [3] and 1 in blocks:
+        return EPKind.EP3_MIXED
+    if nontrivial == [2] * n:
+        return EPKind.DOUBLET_EP2
+    return EPKind.UNCLASSIFIED
 
 
-def _zero_blocks(h, tol):
-    """Jordan block sizes of H at E = 0, or [] when H is nonsingular."""
+def _unit_pair(b, bprime, tol):
+    """``(b, bprime, svd_b, svd_bprime, scale, blocks)``: the validated
+    pair divided by its scale, each block factorised once against the pair,
+    and the Jordan block sizes at E = 0 of the assembled H ([] if none)."""
+    b = cmatrix.as_square_matrix(b)
+    bp = cmatrix.as_square_matrix(bprime)
+    if b.shape != bp.shape:
+        raise ValueError("B and B' must have matching shapes")
+    fb, fbp, scale = factor_blocks(b, bp, tol)
+    b, bp = b / scale, bp / scale
     try:
-        return spectral.jordan_structure(h, 0.0, tol, with_chains=False).block_sizes
+        blocks = spectral.jordan_structure(
+            assemble_blocks(b, bp), 0.0, tol, with_chains=False).block_sizes
     except NotAnEigenvalueError:
-        return []
+        blocks = []
+    return b, bp, fb, fbp, scale, blocks
 
 
 def _proportional_to_identity(m, tol):
@@ -84,12 +103,9 @@ def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassificatio
     Hamiltonian; disagreement raises CrossCheckMismatchError (a tolerance
     pathology, not a physics answer).
     """
-    b = cmatrix.as_square_matrix(b)
-    bp = cmatrix.as_square_matrix(bprime)
-    if b.shape != (2, 2) or bp.shape != (2, 2):
+    b, bp, fb, fbp, scale, blocks = _unit_pair(b, bprime, tol)
+    if b.shape != (2, 2):
         raise ValueError("classify_zero_energy handles N = 2; see check_ep2n")
-    fb, fbp, scale = factor_blocks(b, bp, tol)
-    b, bp = b / scale, bp / scale
 
     ker_b, ker_bp = fb.kernel, fbp.kernel
     im_b, im_bp = fb.image, fbp.image
@@ -120,6 +136,7 @@ def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassificatio
             "im_bprime_eq_ker_b": bool(im_bp_eq_ker_b),
             "im_b_eq_ker_bprime": bool(im_b_eq_ker_bp),
         },
+        "jordan_blocks_at_zero": blocks,
     }
 
     if fb.rank == 2 and fbp.rank == 2:
@@ -141,19 +158,11 @@ def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassificatio
     else:
         kind = EPKind.UNCLASSIFIED
 
-    h = assemble_blocks(b, bp)
-    blocks = _zero_blocks(h, tol)
-    evidence["jordan_blocks_at_zero"] = blocks
-
-    if kind is EPKind.NONDEGENERATE and blocks:
-        raise CrossCheckMismatchError(
-            f"full-rank blocks but H has zero-energy blocks {blocks}"
-        )
-    expected = _EXPECTED_BLOCKS.get(kind)
-    if expected is not None and blocks != expected:
+    named = _kind_of_blocks(blocks, 2)
+    if kind not in (EPKind.UNCLASSIFIED, named):
         raise CrossCheckMismatchError(
             f"{kind.value} verdict but H has zero-energy blocks {blocks}, "
-            f"expected {expected}"
+            f"which name {named.value}"
         )
     return EPClassification(kind, evidence)
 
@@ -163,11 +172,13 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
 
     Defectiveness of B B' at some eigenvalue lambda != 0 forces identical
     defectiveness at both energies +-sqrt(lambda) of the assembled H, so the
-    verdict is always a pair.
+    verdict is always a pair. The product is formed from the blocks divided
+    by :func:`sublattice.pow2_scale` and its eigenvalues are scaled back.
     """
     b = cmatrix.as_square_matrix(b)
     bp = cmatrix.as_square_matrix(bprime)
-    product = b @ bp
+    s = pow2_scale(b, bp)
+    product = (b / s) @ (bp / s)
     scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
     pairs = cmatrix.eig(product)
     if any(abs(lam) <= tol * scale for lam, _ in pairs):
@@ -176,16 +187,19 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
         )
     report = spectral.ep_report(product, tol)
     defective = [
-        (cl.center, st.block_sizes)
-        for cl, st in report.entries
-        if any(s > 1 for s in st.block_sizes)
+        cl.center for cl, st in report.entries if any(k > 1 for k in st.block_sizes)
     ]
+
+    def unscaled(lam):
+        # real and imaginary parts apart: an overflow gives inf, never nan
+        return complex(lam.real * s * s, lam.imag * s * s)
+
     evidence = {
         "n": b.shape[0],
-        "eigenvalues": [complex(lam) for lam, _ in pairs],
-        "defective_lambdas": [lam for lam, _ in defective],
+        "eigenvalues": [unscaled(lam) for lam, _ in pairs],
+        "defective_lambdas": [unscaled(lam) for lam in defective],
         "doublet_energies": [
-            (np.sqrt(lam), -np.sqrt(lam)) for lam, _ in defective
+            (np.sqrt(lam) * s, -np.sqrt(lam) * s) for lam in defective
         ],
     }
     kind = EPKind.NONZERO_EP2_PAIR if defective else EPKind.NONDEGENERATE
@@ -200,19 +214,11 @@ def check_ep2n(b, bprime, tol: float = DEFAULT_TOL) -> bool:
     The answer is cross-checked against the Jordan structure of the
     assembled 2N x 2N Hamiltonian.
     """
-    b = cmatrix.as_square_matrix(b)
-    bp = cmatrix.as_square_matrix(bprime)
-    if b.shape != bp.shape:
-        raise ValueError("B and B' must have matching shapes")
+    b, bp, fb, fbp, _, blocks = _unit_pair(b, bprime, tol)
     n = b.shape[0]
-    fb, fbp, scale = factor_blocks(b, bp, tol)
-    b, bp = b / scale, bp / scale
     verdict = (fb.kernel.dim + fbp.kernel.dim == 1
                and spectral.rank_sequence(bp @ b, 0.0, tol) == list(range(n - 1, -1, -1)))
-
-    blocks = _zero_blocks(assemble_blocks(b, bp), tol)
-    has_full_block = blocks == [2 * n]
-    if verdict != has_full_block:
+    if verdict != (blocks == [2 * n]):
         raise CrossCheckMismatchError(
             f"EP2N algebra says {verdict} but assembled H has blocks {blocks}"
         )
@@ -223,31 +229,15 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
     """Classification entry point for arbitrary N (used by the BZ scanner).
 
     N = 2 goes through the Table-style procedure. Other N fall back to the
-    Jordan blocks of the assembled Hamiltonian at E = 0: a single 4-block
-    maps to EP4, a 3-block beside a trivial zero mode to EP3Mixed, and N
-    2-blocks to DoubletEP2 (for N = 1 this is the single EP2 of that
-    family). Evidence carries the kernel dimensions and block sizes.
+    kind that the Jordan blocks of the assembled Hamiltonian at E = 0 name
+    (for N = 1 a single 2-block is the EP2 of the doublet family). Evidence
+    carries the kernel dimensions and block sizes.
     """
-    b = cmatrix.as_square_matrix(b)
-    bp = cmatrix.as_square_matrix(bprime)
-    n = b.shape[0]
+    n = cmatrix.as_square_matrix(b).shape[0]
     if n == 2:
-        return classify_zero_energy(b, bp, tol)
+        return classify_zero_energy(b, bprime, tol)
 
-    fb, fbp, scale = factor_blocks(b, bp, tol)
-    blocks = _zero_blocks(assemble_blocks(b / scale, bp / scale), tol)
-    nontrivial = [s for s in blocks if s > 1]
-    trivial = [s for s in blocks if s == 1]
-    if not blocks:
-        kind = EPKind.NONDEGENERATE
-    elif nontrivial == [4]:
-        kind = EPKind.EP4
-    elif nontrivial == [3] and trivial:
-        kind = EPKind.EP3_MIXED
-    elif nontrivial and nontrivial == [2] * n:
-        kind = EPKind.DOUBLET_EP2
-    else:
-        kind = EPKind.UNCLASSIFIED
+    _, _, fb, fbp, scale, blocks = _unit_pair(b, bprime, tol)
     evidence = {
         "n": n,
         "scale": float(scale),
@@ -256,7 +246,7 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
         "jordan_blocks_at_zero": blocks,
         "generic_n_fallback": True,
     }
-    return EPClassification(kind, evidence)
+    return EPClassification(_kind_of_blocks(blocks, n), evidence)
 
 
 def mixed_limit_family(kind: str, epsilon: float) -> np.ndarray:

@@ -27,14 +27,13 @@ EXIT_CONFIG = 2
 EXIT_CROSSCHECK = 3
 EXIT_DEGRADED = 4
 
-_COMMON_KEYS = {"model", "tol"}
+_COMMON_KEYS = {"model"}
 _COMMAND_KEYS = {
-    "classify": {"qx", "qy"},
-    "path-scan": {"theta", "radii_min", "radii_max", "radii_count", "qx", "qy"},
-    "fit": {"theta", "radii_min", "radii_max", "radii_count", "qx", "qy"},
+    "classify": {"qx", "qy", "tol"},
+    "path-scan": {"theta", "radii_min", "radii_max", "radii_count", "qx", "qy", "tol"},
+    "fit": {"theta", "radii_min", "radii_max", "radii_count", "qx", "qy", "tol"},
     "bz-scan": {"grid_nx", "grid_ny", "qx_min", "qx_max", "qy_min", "qy_max",
                 "ep_tol"},
-    "models": set(),
 }
 
 
@@ -384,12 +383,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        if args.command == "models":
+            if args.config or args.model or args.overrides or args.at_qstar:
+                raise ConfigError("models takes no configuration")
+            return cmd_models(args.json, args.out)
         raw = load_config(args.config) if args.config else {}
         raw = merge_overrides(raw, args.overrides)
         if args.model:
             raw["model"] = args.model
-        if args.command == "models":
-            return cmd_models(args.json, args.out)
         if args.command == "classify":
             return cmd_classify(raw, args.json, args.out)
         if args.command == "path-scan":

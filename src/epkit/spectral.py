@@ -12,7 +12,10 @@ to the image of the appropriate power of (H - E) so the chain is guaranteed
 to extend to its full length; within that restriction the minimum-norm
 solution is taken. This is the deterministic gauge all chain output carries:
 generalized eigenvectors are defined only up to kernel additions, and the
-image-restricted minimum-norm representative pins them down.
+image-restricted minimum-norm representative pins them down. Seeds come from
+ker(H - E) ∩ im((H - E)^(k-1)), less the seeds of earlier blocks; each of
+these subspace operations is one SVD whose singular values are
+principal-angle sines, cut at the caller's ``tol``.
 """
 
 from dataclasses import dataclass, field
@@ -197,38 +200,24 @@ def _block_sizes_from_ranks(n: int, ranks: list[int]) -> list[int]:
     return sorted(sizes, reverse=True)
 
 
-def _orth_columns(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormalize the columns of v, dropping near-dependent ones.
+def _subspace_intersection(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of span(a) ∩ span(b); a, b have orthonormal columns.
 
-    SVD-based: unlike QR this keeps only directions actually present in the
-    input span when some columns are (numerically) zero.
+    The singular values of (I - b b^H) a are the principal-angle sines
+    between span(a) and span(b), so a direction of span(a) is shared when
+    its sine is at most ``tol``, as in :func:`cmatrix.subspace_equal`.
     """
-    if v.size == 0:
-        return v.reshape(v.shape[0], 0)
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if s.size else 0.0)
-    return u[:, keep]
-
-
-def _subspace_intersection(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of span(a) ∩ span(b); a, b have orthonormal columns."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    # x = a @ alpha = b @ beta -> [a, -b] @ [alpha; beta] = 0.
-    stacked = np.hstack([a, -b])
-    _, s, vh = np.linalg.svd(stacked)
-    cutoff = tol * s[0] if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    ns = vh[rank:].conj().T
-    if ns.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    vecs = a @ ns[: a.shape[1], :]
-    return _orth_columns(vecs)
+    if a.shape[1] == 0:
+        return a
+    outside = a - b @ (b.conj().T @ a)
+    return a @ cmatrix.factorize(outside, tol, 1.0).kernel.vectors
 
 
 def _restricted_minnorm_solve(op: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
     """Minimum-norm x in span(basis) with op @ x ~= rhs (least squares)."""
     coeff, _, _, _ = np.linalg.lstsq(op @ basis, rhs, rcond=None)
+    if not np.all(np.isfinite(coeff)):
+        raise ChainSolveFailedError("chain vector is not representable")
     x = basis @ coeff
     residual = float(np.linalg.norm(op @ x - rhs))
     return x, residual
@@ -280,7 +269,8 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
                 f"seed is not in ker(H - E): residual {resid:.3e}"
             )
     else:
-        inter = _subspace_intersection(ladder.kernel.vectors, ladder.image(length - 1))
+        inter = _subspace_intersection(
+            ladder.kernel.vectors, ladder.image(length - 1), ladder.tol)
         if inter.shape[1] == 0:
             raise ChainSolveFailedError(
                 f"no kernel direction admits a chain of length {length}"
@@ -327,18 +317,18 @@ def jordan_structure(
         if size == 1:
             candidates = kern
         else:
-            candidates = _subspace_intersection(kern, ladder.image(size - 1))
+            candidates = _subspace_intersection(kern, ladder.image(size - 1), tol)
         # Remove directions already consumed by earlier (larger) blocks.
-        if used_seeds.shape[1]:
-            candidates = candidates - used_seeds @ (used_seeds.conj().T @ candidates)
-            candidates = _orth_columns(candidates)
+        if used_seeds.shape[1] and candidates.shape[1]:
+            rest = candidates - used_seeds @ (used_seeds.conj().T @ candidates)
+            candidates = cmatrix.factorize(rest, tol, 1.0).image.vectors
         if candidates.shape[1] == 0:
             raise ChainSolveFailedError(
                 f"could not find an independent seed for a block of size {size}"
             )
         seed = candidates[:, 0]
         structure.chains.append(_chain(ladder, size, seed, chain_tol))
-        used_seeds = _orth_columns(np.hstack([used_seeds, seed.reshape(-1, 1)]))
+        used_seeds = np.hstack([used_seeds, seed.reshape(-1, 1)])
     return structure
 
 

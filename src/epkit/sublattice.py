@@ -11,6 +11,7 @@ energy pair E = +-sqrt(lambda) with upper component psi = i B chi / E, and
 the zero modes come straight from the kernels of B and B'.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -153,6 +154,14 @@ def factor_blocks(b, bprime, tol: float = DEFAULT_TOL):
     return fb.recut(tol, scale), fbp.recut(tol, scale), scale
 
 
+def pow2_scale(b, bprime) -> float:
+    """The power of two just above the largest entry of the pair, kept
+    within the normal range; dividing by it is exact, and products of the
+    divided blocks can neither underflow nor overflow."""
+    peak = np.abs(np.concatenate((b, bprime))).max()
+    return math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))
+
+
 def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL):
     """Zero modes from the kernels: (0, chi) for chi in ker B, then
     (psi, 0) for psi in ker B'.
@@ -178,11 +187,14 @@ def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
     produce the pair E = +-sqrt(lambda) (principal branch) with
     psi = i B chi / E; eigenvalues below the cutoff are replaced by the
     kernel-built zero modes. The zero detection happens on lambda rather
-    than on E because sqrt amplifies noise near zero.
+    than on E because sqrt amplifies noise near zero. The product is formed
+    from the blocks divided by :func:`pow2_scale`, so no magnitude of the
+    pair can underflow or overflow it.
     """
     b = cmatrix.as_square_matrix(b)
     bp = cmatrix.as_square_matrix(bprime)
-    product = bp @ b
+    s = pow2_scale(b, bp)
+    product = (bp / s) @ (b / s)
     scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
     states = []
     n_zero = 0
@@ -190,7 +202,7 @@ def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
         if abs(lam) <= tol * scale:
             n_zero += 1
             continue
-        energy = np.sqrt(complex(lam))
+        energy = np.sqrt(complex(lam)) * s
         for sign in (1.0, -1.0):
             e = sign * energy
             psi = 1j * (b @ chi) / e

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from epkit import spectral
 from epkit.classify import (
     EPKind,
     check_ep2n,
@@ -11,8 +12,12 @@ from epkit.classify import (
     classify_zero_energy,
     mixed_limit_family,
 )
-from epkit.errors import ZeroEigenvaluePresentError
-from epkit.spectral import ep_report, jordan_structure
+from epkit.errors import (
+    CrossCheckMismatchError,
+    NotAnEigenvalueError,
+    ZeroEigenvaluePresentError,
+)
+from epkit.spectral import JordanStructure, ep_report, jordan_structure
 from epkit.sublattice import assemble_blocks
 
 from conftest import block_diag, jordan_block, random_conditioned
@@ -193,6 +198,40 @@ def test_svd_budget(kind, svd_calls):
     assert 0 < len(svd_calls) <= 8
 
 
+def plant_blocks(monkeypatch, blocks):
+    """Make the classifier's Jordan cross-check see ``blocks`` at E = 0."""
+    def planted(h, e, tol, chain_tol=None, with_chains=True):
+        if not blocks:
+            raise NotAnEigenvalueError("planted: no zero mode")
+        return JordanStructure(complex(e), list(blocks))
+
+    monkeypatch.setattr(spectral, "jordan_structure", planted)
+
+
+class TestCrossCheckMismatch:
+    @pytest.mark.parametrize("kind,planted", [
+        (EPKind.DOUBLET_EP2, [4]),
+        (EPKind.EP4, [3, 1]),
+        (EPKind.EP3_MIXED, [2, 2]),
+        (EPKind.NONDEGENERATE, [2]),
+    ])
+    def test_disagreeing_blocks_raise(self, kind, planted, monkeypatch):
+        plant_blocks(monkeypatch, planted)
+        with pytest.raises(CrossCheckMismatchError):
+            classify_zero_energy(*CANONICAL[kind])
+
+    def test_unclassified_is_never_a_mismatch(self, monkeypatch):
+        plant_blocks(monkeypatch, [4])
+        result = classify_zero_energy(np.diag([0.0, 1.0]), np.eye(2))
+        assert result.kind is EPKind.UNCLASSIFIED
+
+    @pytest.mark.parametrize("planted", [[4, 2], []])
+    def test_check_ep2n(self, planted, monkeypatch):
+        plant_blocks(monkeypatch, planted)
+        with pytest.raises(CrossCheckMismatchError):
+            check_ep2n(np.eye(3), jordan_block(3))
+
+
 class TestNonzeroEnergy:
     def test_defective_product(self):
         result = classify_nonzero_energy(jordan_block(2, 1.0), np.eye(2))
@@ -215,6 +254,16 @@ class TestNonzeroEnergy:
         for e in (np.sqrt(lam), -np.sqrt(lam)):
             st = jordan_structure(h, e, with_chains=False)
             assert st.block_sizes == [2]
+
+    @pytest.mark.parametrize("c", [1e160, 1e-170])
+    def test_extreme_scale(self, c):
+        # B B' = c^2 J2(1) overflows at 1e160 and underflows to zero at
+        # 1e-170 unless it is formed from the divided blocks
+        ref = classify_nonzero_energy(jordan_block(2, 1.0), np.eye(2))
+        result = classify_nonzero_energy(c * jordan_block(2, 1.0), c * np.eye(2))
+        assert result.kind is EPKind.NONZERO_EP2_PAIR
+        np.testing.assert_allclose(np.array(result.evidence["doublet_energies"]) / c,
+                                   ref.evidence["doublet_energies"], rtol=1e-7)
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(ZeroEigenvaluePresentError):

@@ -238,3 +238,28 @@ class TestModelsCommand:
         proc = run_epkit("models", "--json")
         payload = json.loads(proc.stdout)
         assert payload["ep3"]["params"]["bp2"] == 2.0
+
+    @pytest.mark.parametrize("args", [
+        ["j1=1"],
+        ["--model", "ep3"],
+        ["--config", str(CONFIG_DIR / "classify-ep3.cfg")],
+        ["--at-qstar"],
+    ])
+    def test_configuration_rejected(self, args, capsys):
+        assert cli.main(["models", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "models takes no configuration" in err
+
+
+class TestKeysPerCommand:
+    def test_bz_scan_rejects_tol(self, capsys):
+        # bz-scan reads ep_tol only; tol would be accepted and ignored
+        assert cli.main(["bz-scan", "--model", "kitaev", "tol=0.5"]) == 2
+        assert "unknown configuration keys: tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "path-scan", "fit"])
+    def test_tol_accepted(self, command, tmp_path):
+        out = tmp_path / "out.txt"
+        assert cli.main([command, "--model", "doublet-ep2", "tol=1e-8",
+                         "--out", str(out)]) == 0

@@ -7,6 +7,7 @@ from epkit.errors import (
     SeedNotInKernelError,
 )
 from epkit.spectral import (
+    _subspace_intersection,
     cluster_eigenvalues,
     ep_report,
     jordan_chain,
@@ -122,6 +123,37 @@ class TestJordanStructure:
         assert rank_sequence(m, 0.0) == [2, 1, 0, 0]
         assert jordan_structure(m, 0.0, with_chains=False).block_sizes == [3, 1]
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-13])
+    def test_chain_seeds_at_tolerance(self, tol, rng):
+        # the seed of a k-block lies in ker M ∩ im M^(k-1), exactly known
+        # here through the basis change, and every chain equation holds
+        j = block_diag(jordan_block(3), jordan_block(2), [[0.0]], [[0.7]])
+        for _ in range(10):
+            v = random_conditioned(rng, 7, 10.0)
+            m = v @ j @ np.linalg.inv(v)
+            chain_tol = 1e-6 * np.linalg.norm(m, 2)
+            st = jordan_structure(m, 0.0, tol)
+            assert st.block_sizes == [3, 2, 1]
+            for chain in st.chains:
+                power = np.linalg.matrix_power(j, len(chain) - 1)
+                image, _ = np.linalg.qr(v @ power[:, np.linalg.norm(power, axis=0) > 0])
+                seed = chain[0]
+                assert np.linalg.norm(m @ seed) <= chain_tol
+                assert np.linalg.norm(seed - image @ (image.conj().T @ seed)) <= tol
+                for k in range(1, len(chain)):
+                    assert np.linalg.norm(m @ chain[k] - chain[k - 1]) <= chain_tol
+
+
+def test_intersection_cut_on_principal_angle_sines():
+    # e1 lies 1e-8 (its principal-angle sine) away from span(b)
+    a = np.eye(3, dtype=complex)[:, :2]
+    b = np.array([[1.0], [0.0], [1e-8]], dtype=complex)
+    b /= np.linalg.norm(b)
+    shared = _subspace_intersection(a, b, 1e-6)
+    assert shared.shape == (3, 1)
+    assert direction_mismatch(shared[:, 0], [1, 0, 0]) < 1e-12
+    assert _subspace_intersection(a, b, 1e-9).shape == (3, 0)
+
 
 class TestJordanChain:
     def test_shift_block_from_seed(self):
@@ -158,7 +190,6 @@ class TestJordanChain:
         with pytest.raises(ChainSolveFailedError):
             jordan_chain(block_diag(jordan_block(2), jordan_block(2)), 0.0, 3)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-250, 1e-200, 1.0, 1e160, 1e300])
     def test_chains_are_finite_or_refused(self, scale):
         # at tiny scales the third chain vector is not representable; the

@@ -9,12 +9,13 @@ from epkit.sublattice import (
     assemble_blocks,
     partner_state,
     phase_gauge,
+    pow2_scale,
     reduced_spectrum,
     symmetry_residual,
     zero_energy_states,
 )
 
-from conftest import direction_mismatch, random_block_hamiltonian
+from conftest import direction_mismatch, jordan_block, random_block_hamiltonian
 
 
 def _constant(matrix):
@@ -134,6 +135,36 @@ class TestReducedSpectrum:
             )
             direct = sorted(np.linalg.eigvals(h), key=lambda z: (z.real, z.imag))
             np.testing.assert_allclose(from_states, direct, atol=1e-8 * hnorm)
+
+    @pytest.mark.parametrize("c", [1e160, 1e-170])
+    def test_extreme_scale_energies(self, c):
+        # B'B = c^2 J2(1) overflows at 1e160 and underflows to zero at
+        # 1e-170 unless it is formed from the divided blocks
+        def energies(c):
+            states = reduced_spectrum(c * jordan_block(2, 1.0), c * np.eye(2))
+            return sorted((s.energy for s in states), key=lambda z: (z.real, z.imag))
+
+        got = energies(c)
+        assert len(got) == 4
+        np.testing.assert_allclose(np.array(got) / c, energies(1.0), rtol=0, atol=1e-7)
+
+    def test_power_of_two_scale_is_exact(self, rng):
+        for n in (1, 2, 3):
+            b, bp = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            ref = reduced_spectrum(b, bp)
+            for k in (-600, 600):
+                got = reduced_spectrum(2.0 ** k * b, 2.0 ** k * bp)
+                assert [s.energy for s in got] == [2.0 ** k * s.energy for s in ref]
+                for g, r in zip(got, ref):
+                    assert np.array_equal(g.vector, r.vector)
+
+    def test_pow2_scale(self):
+        assert pow2_scale(np.array([[0.75]]), np.array([[0.5j]])) == 1.0
+        assert pow2_scale(np.array([[1.0]]), np.zeros((1, 1))) == 2.0
+        assert pow2_scale(np.zeros((1, 1)), np.zeros((1, 1))) == 1.0
+        # 2^e and 2^-e stay normal numbers at the ends of the range
+        assert pow2_scale(np.array([[1e308]]), np.zeros((1, 1))) == 2.0 ** 1023
+        assert pow2_scale(np.array([[1e-320]]), np.zeros((1, 1))) == 2.0 ** -1021
 
 
 class TestPairing:
