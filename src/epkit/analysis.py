@@ -4,14 +4,17 @@ power-law dispersion fits, and Brillouin-zone minimum-singular-value search.
 Branches along a ray are identified by eigenvector overlap, not by energy
 ordering: near a degeneracy the energies cross and collide, and the states
 are the only stable label. The matching between adjacent radii solves the
-assignment problem maximizing total |overlap|.
+assignment problem maximizing total |overlap|. When the row-wise maxima of
+the overlap matrix fall in distinct columns, that permutation is optimal (no
+assignment beats the sum of the row maxima) and decides the match at once;
+otherwise an O(n^3) shortest-augmenting-path solver (Kuhn-Munkres in the
+form of Jonker & Volgenant, 1987) runs on plain lists, n = 2N being small.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import linear_sum_assignment
 
 from . import classify as _classify
 from . import cmatrix
@@ -84,14 +87,66 @@ def _validate_radii(radii) -> np.ndarray:
     return r
 
 
+def _max_weight_assignment(w) -> np.ndarray:
+    """Permutation p maximizing sum_i w[i, p[i]] over a square real matrix."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("assignment weights must be a square matrix")
+    n = w.shape[0]
+    if not np.isfinite(w).all():
+        raise ValueError("assignment weights must be finite")
+    best = w.argmax(axis=1)
+    if len(set(best.tolist())) == n:
+        return best
+    # Shortest augmenting paths on the cost -w, one row at a time, keeping
+    # reduced costs cost[i][j] - u[i] - v[j] >= 0. Column n is the virtual
+    # start of each path; row_of[j] is the row assigned to column j.
+    cost = (-w).tolist()
+    inf = float("inf")
+    u = [0.0] * n
+    v = [0.0] * (n + 1)
+    row_of = [-1] * (n + 1)
+    for i in range(n):
+        row_of[n] = i
+        dist = [inf] * n
+        prev = [n] * n
+        used = [False] * (n + 1)
+        j0 = n
+        while True:
+            used[j0] = True
+            i0 = row_of[j0]
+            row, ui = cost[i0], u[i0]
+            delta, j1 = inf, -1
+            for j in range(n):
+                if not used[j]:
+                    reduced = row[j] - ui - v[j]
+                    if reduced < dist[j]:
+                        dist[j], prev[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+            if row_of[j0] < 0:
+                break
+        while j0 != n:
+            row_of[j0] = row_of[prev[j0]]
+            j0 = prev[j0]
+    perm = np.empty(n, dtype=int)
+    perm[row_of[:n]] = np.arange(n)
+    return perm
+
+
 def match_branches(prev_states: np.ndarray, new_states: np.ndarray):
-    """Permutation p maximizing sum_b |<prev[b] | new[p[b]]>|."""
+    """Permutation p maximizing sum_b |<prev[b] | new[p[b]]>|, and the
+    smallest matched overlap."""
     overlap = np.abs(prev_states.conj() @ new_states.T)
-    rows, cols = linear_sum_assignment(-overlap)
-    perm = np.empty(len(cols), dtype=int)
-    perm[rows] = cols
-    matched = overlap[rows, cols]
-    return perm, float(np.min(matched))
+    perm = _max_weight_assignment(overlap)
+    return perm, float(overlap[np.arange(len(perm)), perm].min())
 
 
 def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,

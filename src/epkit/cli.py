@@ -144,6 +144,16 @@ def _scan_point(raw, bh):
     return bh.q_star
 
 
+def _check_at_qstar(command, raw):
+    """``--at-qstar`` names the model's degeneracy point, the default of the
+    point commands; an explicit point or a scan window contradicts it."""
+    if command == "bz-scan":
+        raise ConfigError("bz-scan scans a window; --at-qstar does not apply")
+    given = sorted({"qx", "qy"} & set(raw))
+    if given:
+        raise ConfigError(f"--at-qstar conflicts with {' and '.join(given)}")
+
+
 def _radii(raw):
     r_min = _get_float(raw, "radii_min", 1e-6, positive=True)
     r_max = _get_float(raw, "radii_max", 1e-2, positive=True)
@@ -372,7 +382,8 @@ def _parser():
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--model", help="model identifier (same as model=NAME)")
         p.add_argument("--at-qstar", action="store_true",
-                       help="evaluate at the model's degeneracy point (default)")
+                       help="evaluate at the model's degeneracy point (the "
+                            "default; excludes qx and qy)")
         p.add_argument("overrides", nargs="*", metavar="key=value")
     return parser
 
@@ -391,6 +402,8 @@ def main(argv=None) -> int:
         raw = merge_overrides(raw, args.overrides)
         if args.model:
             raw["model"] = args.model
+        if args.at_qstar:
+            _check_at_qstar(args.command, raw)
         if args.command == "classify":
             return cmd_classify(raw, args.json, args.out)
         if args.command == "path-scan":

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from epkit import analysis
 from epkit.analysis import (
     BOUNDED,
     CONVERGES,
+    _max_weight_assignment,
     bz_scan,
     coalescence_profile,
     match_branches,
@@ -99,6 +101,102 @@ class TestQuantumDistance:
                     d1 = quantum_distance(s.vector, t)
                     d2 = quantum_distance(p.vector, t)
                     assert abs(d1 - d2) <= 1e-10
+
+
+def assignment_value(w, perm):
+    return float(np.sum(w[np.arange(len(perm)), perm]))
+
+
+def assert_permutation(perm, n):
+    assert sorted(np.asarray(perm).tolist()) == list(range(n))
+
+
+def weight_matrices(rng, n):
+    """Random weights of size n: continuous, small integers (many exact
+    ties), identical rows (every row maximum in one column) and constant."""
+    yield rng.random((n, n))
+    yield rng.integers(0, 3, (n, n)).astype(float)
+    yield np.tile(rng.random(n), (n, 1))
+    yield np.full((n, n), 0.5)
+
+
+def random_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def scipy_match_branches(prev_states, new_states):
+    """match_branches as it was with scipy's solver; the reference."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    overlap = np.abs(prev_states.conj() @ new_states.T)
+    rows, cols = linear_sum_assignment(-overlap)
+    perm = np.empty(len(cols), dtype=int)
+    perm[rows] = cols
+    return perm, float(np.min(overlap[rows, cols]))
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_against_brute_force(self, rng, n):
+        perms = [list(p) for p in itertools.permutations(range(n))]
+        for _ in range(5):
+            for w in weight_matrices(rng, n):
+                perm = _max_weight_assignment(w)
+                assert_permutation(perm, n)
+                best = max(assignment_value(w, p) for p in perms)
+                assert assignment_value(w, perm) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 24, 31, 32])
+    def test_against_scipy(self, rng, n):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        for _ in range(3):
+            for w in weight_matrices(rng, n):
+                perm = _max_weight_assignment(w)
+                assert_permutation(perm, n)
+                rows, cols = linear_sum_assignment(-w)
+                assert assignment_value(w, perm) == pytest.approx(
+                    float(np.sum(w[rows, cols])), abs=1e-12 * n)
+
+    def test_distinct_row_maxima_are_the_answer(self, rng):
+        target = rng.permutation(8)
+        w = rng.random((8, 8))
+        w[np.arange(8), target] += 1.0
+        assert list(_max_weight_assignment(w)) == list(target)
+
+    @pytest.mark.parametrize("w,expected", [
+        ([[10.0, 9.0], [10.0, 1.0]], [1, 0]),
+        ([[5.0, 4.0, 0.0], [5.0, 0.0, 3.0], [5.0, 1.0, 1.0]], [1, 2, 0]),
+        ([[1.0, 0.9, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 1.0, 0.9], [0.0, 0.0, 1.0, 0.0]], [1, 0, 3, 2]),
+    ])
+    def test_colliding_row_maxima_are_solved(self, w, expected):
+        w = np.array(w)
+        assert len(set(np.argmax(w, axis=1).tolist())) < len(w)
+        assert list(_max_weight_assignment(w)) == expected
+
+    @pytest.mark.parametrize("w", [
+        np.ones((2, 3)),
+        np.ones(4),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    ])
+    def test_rejects_bad_weights(self, w):
+        with pytest.raises(ValueError):
+            _max_weight_assignment(w)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 12, 16, 32])
+    def test_match_branches_as_with_scipy(self, rng, n):
+        for _ in range(5):
+            prev = random_unitary(rng, n)
+            # a nearby rotated basis (row maxima distinct) and an unrelated
+            # one (row maxima collide for n > 2 in most draws)
+            near = prev + 1e-2 * random_unitary(rng, n)
+            for new in (near[rng.permutation(n)], random_unitary(rng, n)):
+                perm, worst = match_branches(prev, new)
+                ref_perm, ref_worst = scipy_match_branches(prev, new)
+                assert list(perm) == list(ref_perm)
+                assert worst == ref_worst
 
 
 class TestPathScan:

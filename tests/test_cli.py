@@ -252,6 +252,36 @@ class TestModelsCommand:
         assert "models takes no configuration" in err
 
 
+class TestAtQstar:
+    @pytest.mark.parametrize("command", ["classify", "path-scan", "fit"])
+    @pytest.mark.parametrize("point", [["qx=0.3", "qy=0.1"], ["qx=0.3"], ["qy=0.1"]])
+    def test_rejects_explicit_point(self, command, point, capsys):
+        assert cli.main([command, "--model", "ep3", "--at-qstar", *point]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--at-qstar conflicts with" in err
+
+    def test_rejects_point_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("model = ep3\nqx = 0.3\nqy = 0.1\n")
+        assert cli.main(["classify", "--config", str(cfg), "--at-qstar"]) == 2
+        assert "--at-qstar conflicts with qx and qy" in capsys.readouterr().err
+
+    def test_bz_scan_rejects_flag(self, capsys):
+        assert cli.main(["bz-scan", "--model", "kitaev", "--at-qstar"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--at-qstar does not apply" in err
+
+    @pytest.mark.parametrize("command", ["classify", "path-scan", "fit"])
+    def test_flag_alone_is_the_default(self, command, tmp_path):
+        with_flag, without = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert cli.main([command, "--model", "ep4-sqrt", "--at-qstar",
+                         "--out", str(with_flag)]) == 0
+        assert cli.main([command, "--model", "ep4-sqrt", "--out", str(without)]) == 0
+        assert with_flag.read_bytes() == without.read_bytes()
+
+
 class TestKeysPerCommand:
     def test_bz_scan_rejects_tol(self, capsys):
         # bz-scan reads ep_tol only; tol would be accepted and ignored
