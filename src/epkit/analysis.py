@@ -279,30 +279,44 @@ class BZCandidate:
     classification: _classify.EPClassification
 
 
-def _coordinate_search(objective, start, step, max_evals, lo, hi):
-    """Derivative-free minimization: axis moves with shrinking steps,
-    constrained to the box [lo, hi]."""
-    best_q = np.asarray(start, dtype=float).copy()
-    best_f = objective(best_q)
-    evals = 1
-    while evals < max_evals and step > 1e-10:
-        improved = False
+def _coordinate_search(objective, starts, step, max_evals, lo, hi):
+    """Derivative-free minimization from each of ``starts`` (shape (K, 2)):
+    axis moves with shrinking steps, constrained to the box [lo, hi].
+
+    The starts run in lockstep. Each sweep tries the slots (axis, sign) in
+    order, and ``objective`` maps the (k, 2) trial points of one slot to k
+    values in one call. A start moves exactly as it would alone: it stops
+    after ``max_evals`` evaluations or once its step is at most 1e-10, skips
+    trials outside the box, accepts a trial that lowers its value and halves
+    its step after a sweep without improvement. Returns the best points,
+    their values and each start's evaluation count.
+    """
+    best_q = np.array(starts, dtype=float)
+    best_f = np.asarray(objective(best_q), dtype=float)
+    steps = np.full(len(best_q), float(step))
+    evals = np.ones(len(best_q), dtype=int)
+    active = (evals < max_evals) & (steps > 1e-10)
+    while np.any(active):
+        improved = np.zeros(len(best_q), dtype=bool)
         for axis in (0, 1):
             for sign in (1.0, -1.0):
-                if evals >= max_evals:
-                    break
                 trial = best_q.copy()
-                trial[axis] += sign * step
-                if trial[axis] < lo[axis] or trial[axis] > hi[axis]:
+                trial[:, axis] += sign * steps
+                t = trial[:, axis]
+                idx = np.flatnonzero(active & (evals < max_evals)
+                                     & ~((t < lo[axis]) | (t > hi[axis])))
+                if not len(idx):
                     continue
-                f = objective(trial)
-                evals += 1
-                if f < best_f:
-                    best_f, best_q = f, trial
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return best_q, best_f
+                f = np.asarray(objective(trial[idx]), dtype=float)
+                evals[idx] += 1
+                better = f < best_f[idx]
+                moved = idx[better]
+                best_f[moved] = f[better]
+                best_q[moved] = trial[moved]
+                improved[moved] = True
+        steps[active & ~improved] *= 0.5
+        active = (evals < max_evals) & (steps > 1e-10)
+    return best_q, best_f, evals
 
 
 def _grid_minima(sig, threshold):
@@ -320,8 +334,11 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     The objective is the smallest singular value of H(q), which vanishes
     exactly at zero-energy degeneracies; the grid is evaluated in row
     chunks of at most GRID_CHUNK_ENTRIES entries of H. Grid local minima
-    below COARSE_FRACTION * scale are refined by coordinate search (at most
-    MAX_EVALS objective evaluations each); refined points are kept when
+    below COARSE_FRACTION * scale are refined together by a lockstep
+    coordinate search: each trial move is one batched sigma_min evaluation
+    over every minimum that makes it, and each minimum takes at most
+    MAX_EVALS evaluations and follows the moves it would take alone.
+    Refined points, in grid row-major order, are kept when
     sigma_min <= tol * scale, deduplicated, classified, and returned sorted
     by (qx, qy). A classification that raises an EpkitError is kept as
     Unclassified with the message in ``evidence["error"]``.
@@ -345,24 +362,26 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
         sig[start:start + rows] = svals[..., -1]
         scale = max(scale, float(np.max(svals[..., 0])))
     minima = _grid_minima(sig, COARSE_FRACTION * scale)
+    if not len(minima):
+        return []
 
-    def objective(q):
-        h = assemble(bh, q)
-        return float(np.linalg.svd(h, compute_uv=False)[-1])
+    def sigma_min(q):
+        return np.linalg.svd(assemble(bh, q), compute_uv=False)[..., -1]
 
+    starts = np.stack([qx[minima[:, 0]], qy[minima[:, 1]]], axis=-1)
     step0 = max(qx[1] - qx[0], qy[1] - qy[0])
     lo = np.array([qx_min, qy_min])
     hi = np.array([qx_max, qy_max])
+    refined, values, _ = _coordinate_search(sigma_min, starts, step0,
+                                            MAX_EVALS, lo, hi)
     candidates = []
-    for i, j in minima:
-        q0 = np.array([qx[i], qy[j]])
-        q_ref, f_ref = _coordinate_search(objective, q0, step0, MAX_EVALS, lo, hi)
+    for q0, q_ref, f_ref in zip(starts, refined, values):
         if f_ref > tol * scale:
             continue
         if any(np.max(np.abs(q_ref - c.q_refined)) < 1e-6 for c in candidates):
             continue
         result = _classify_candidate(bh, q_ref, tol)
-        candidates.append(BZCandidate(q0, q_ref, f_ref, result))
+        candidates.append(BZCandidate(q0, q_ref, float(f_ref), result))
     candidates.sort(key=lambda c: (c.q_refined[0], c.q_refined[1]))
     return candidates
 

@@ -41,9 +41,15 @@ def reciprocal_to_cartesian(q_tilde) -> np.ndarray:
 
 
 def cartesian_to_reciprocal(q) -> np.ndarray:
-    """Phases (q.r1, q.r2) of Cartesian momenta of shape (..., 2)."""
+    """Phases (q.r1, q.r2) of Cartesian momenta of shape (..., 2).
+
+    Each dot product is written out elementwise, so a point's phases do not
+    depend on the batch it is passed in (``q @ r`` rounds differently for
+    one row than for three or more).
+    """
     q = np.asarray(q, dtype=float)
-    return np.stack([q @ R1, q @ R2], axis=-1)
+    return np.stack([q[..., 0] * r[0] + q[..., 1] * r[1] for r in (R1, R2)],
+                    axis=-1)
 
 
 def _wrap_angle(a: float) -> float:

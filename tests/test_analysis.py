@@ -29,7 +29,12 @@ from epkit.models import (
     kitaev_model,
     zero_targets,
 )
-from epkit.sublattice import partner_state, reduced_spectrum
+from epkit.sublattice import (
+    BlockHamiltonian,
+    assemble,
+    partner_state,
+    reduced_spectrum,
+)
 
 
 def counting_generators(bh):
@@ -60,6 +65,55 @@ def loop_minima(sig, threshold):
             if v <= np.min(neighborhood):
                 minima.append((i, j))
     return minima
+
+
+def scalar_coordinate_search(objective, start, step, max_evals, lo, hi):
+    """The one-start coordinate search bz_scan ran before refinement was
+    batched; kept as the reference."""
+    best_q = np.asarray(start, dtype=float).copy()
+    best_f = objective(best_q)
+    evals = 1
+    while evals < max_evals and step > 1e-10:
+        improved = False
+        for axis in (0, 1):
+            for sign in (1.0, -1.0):
+                if evals >= max_evals:
+                    break
+                trial = best_q.copy()
+                trial[axis] += sign * step
+                if trial[axis] < lo[axis] or trial[axis] > hi[axis]:
+                    continue
+                f = objective(trial)
+                evals += 1
+                if f < best_f:
+                    best_f, best_q = f, trial
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return best_q, best_f
+
+
+def sigma_min_objective(bh):
+    """The refinement objective of bz_scan: sigma_min(H) at (..., 2) momenta."""
+    def objective(q):
+        return np.linalg.svd(assemble(bh, q), compute_uv=False)[..., -1]
+    return objective
+
+
+def scalar_results(objective, starts, step, max_evals, lo, hi):
+    """(q, f, evals) of the reference search run on each start alone."""
+    out = []
+    for start in starts:
+        calls = []
+
+        def counted(q):
+            calls.append(q.shape)
+            return objective(q)
+
+        q, f = scalar_coordinate_search(counted, start, step, max_evals, lo, hi)
+        assert set(calls) <= {(2,)}
+        out.append((q, f, len(calls)))
+    return out
 
 
 class TestQuantumDistance:
@@ -327,6 +381,82 @@ class TestScalingExponent:
                 assert min(abs(exponent - e) for e in expected) < 0.05
 
 
+class TestCoordinateSearch:
+    BOX_LO = np.array([-np.pi, -np.sqrt(3) * np.pi])
+    BOX_HI = np.array([np.pi, np.sqrt(3) * np.pi])
+
+    def assert_matches_scalar(self, objective, starts, step, max_evals, lo, hi):
+        q, f, evals = analysis._coordinate_search(objective, starts, step,
+                                                  max_evals, lo, hi)
+        expected = scalar_results(objective, starts, step, max_evals, lo, hi)
+        assert q.shape == (len(starts), 2)
+        for k, (q_ref, f_ref, evals_ref) in enumerate(expected):
+            np.testing.assert_array_equal(q[k], q_ref)
+            assert f[k] == f_ref
+            assert evals[k] == evals_ref
+        return evals
+
+    def test_random_kitaev_starts(self, rng):
+        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
+        starts = rng.uniform(self.BOX_LO, self.BOX_HI, (24, 2))
+        evals = self.assert_matches_scalar(
+            sigma_min_objective(bh), starts, 0.1, analysis.MAX_EVALS,
+            self.BOX_LO, self.BOX_HI)
+        assert len(set(evals)) > 1
+
+    def test_starts_on_the_box_edge(self):
+        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
+        lo, hi = np.array([-1.0, -1.5]), np.array([0.5, 1.0])
+        starts = np.array([lo, hi, [lo[0], 0.2], [0.1, hi[1]], [0.0, 0.0]])
+        outside = []
+        objective = sigma_min_objective(bh)
+
+        def checked(q):
+            outside.append(np.any((q < lo) | (q > hi)))
+            return objective(q)
+
+        self.assert_matches_scalar(checked, starts, 0.3, analysis.MAX_EVALS,
+                                   lo, hi)
+        assert not any(outside)
+
+    @pytest.mark.parametrize("max_evals", [1, 2, 7, analysis.MAX_EVALS])
+    def test_objective_improving_until_the_budget(self, max_evals):
+        def downhill(q):
+            return -(q[..., 0] + 2.0 * q[..., 1])
+
+        starts = np.array([[0.0, 0.0], [1.0, -3.0], [-2.0, 5.0]])
+        lo, hi = np.array([-1e9, -1e9]), np.array([1e9, 1e9])
+        evals = self.assert_matches_scalar(downhill, starts, 0.25, max_evals,
+                                           lo, hi)
+        assert list(evals) == [max_evals] * len(starts)
+
+    def test_step_shrinks_below_the_floor(self):
+        centre = np.array([0.3, -0.2])
+
+        def bowl(q):
+            return np.sum((q - centre) ** 2, axis=-1)
+
+        # the first start sits on the minimum, so every sweep halves its
+        # step; the second walks first, the third is cut by the budget
+        starts = np.array([centre, centre + [0.5, 0.0], [3.0, 3.0]])
+        lo, hi = np.array([-10.0, -10.0]), np.array([10.0, 10.0])
+        evals = self.assert_matches_scalar(bowl, starts, 0.5, 150, lo, hi)
+        assert evals[0] < 150 and evals[2] == 150
+
+    def test_each_start_as_alone(self, rng):
+        bh = build_model("yao-lee-ep4")
+        objective = sigma_min_objective(bh)
+        lo, hi = bh.q_star - 0.4, bh.q_star + 0.4
+        starts = rng.uniform(lo, hi, (9, 2))
+        q, f, evals = analysis._coordinate_search(objective, starts, 0.02,
+                                                  analysis.MAX_EVALS, lo, hi)
+        for k in range(len(starts)):
+            q1, f1, evals1 = analysis._coordinate_search(
+                objective, starts[k:k + 1], 0.02, analysis.MAX_EVALS, lo, hi)
+            np.testing.assert_array_equal(q1[0], q[k])
+            assert f1[0] == f[k] and evals1[0] == evals[k]
+
+
 class TestBZScan:
     def test_grid_validation(self):
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
@@ -387,8 +517,48 @@ class TestBZScan:
         bh, shapes = counting_generators(ep4_sqrt_model(q_star=(0.3, 0.7)))
         bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))
         for label in ("B", "B'"):
-            batched = [s for s in shapes[label] if s != (2,)]
-            assert batched == [(7, 24, 2)] * 3 + [(3, 24, 2)]
+            grid_calls = [s for s in shapes[label] if len(s) == 3]
+            assert grid_calls == [(7, 24, 2)] * 3 + [(3, 24, 2)]
+
+    def test_refinement_calls_generators_in_batches(self, monkeypatch):
+        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
+        bounds = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
+        counted, shapes = counting_generators(bh)
+        searches = []
+        search = analysis._coordinate_search
+
+        def recorded(objective, starts, step, max_evals, lo, hi):
+            first = {label: len(calls) for label, calls in shapes.items()}
+            result = search(objective, starts, step, max_evals, lo, hi)
+            refine_calls = {label: calls[first[label]:]
+                            for label, calls in shapes.items()}
+            searches.append((starts.copy(), step, max_evals, lo, hi,
+                             refine_calls))
+            return result
+
+        monkeypatch.setattr(analysis, "_coordinate_search", recorded)
+        bz_scan(counted, (64, 64), bounds)
+        [(starts, step, max_evals, lo, hi, calls_by_label)] = searches
+        assert len(starts) >= 4
+        scalar_evals = sum(
+            evals for _, _, evals in
+            scalar_results(sigma_min_objective(bh), starts, step, max_evals,
+                           lo, hi))
+        for label in ("B", "B'"):
+            refine_calls = calls_by_label[label]
+            assert all(len(s) == 2 and s[1] == 2 and 1 <= s[0] <= len(starts)
+                       for s in refine_calls)
+            assert refine_calls[0] == (len(starts), 2)
+            assert len(refine_calls) < scalar_evals
+
+    def test_no_minimum_below_threshold_skips_refinement(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("refinement ran without a grid minimum")
+
+        monkeypatch.setattr(analysis, "_coordinate_search", refused)
+        eye = np.eye(2, dtype=complex)
+        bh = BlockHamiltonian(2, lambda q: eye, lambda q: eye, name="constant")
+        assert bz_scan(bh, (16, 16), ((-1.0, 1.0), (-1.0, 1.0))) == []
 
     def test_classification_error_is_kept(self, monkeypatch):
         def mismatch(*args, **kwargs):

@@ -94,6 +94,25 @@ class TestCatalogInvariants:
             build_model("ep3", {"bogus": 1.0})
 
 
+class TestReciprocalCoordinates:
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 1000])
+    def test_phases_do_not_depend_on_batch_size(self, k, rng):
+        qs = rng.uniform(-5.0, 5.0, (k, 2))
+        batch = cartesian_to_reciprocal(qs)
+        assert batch.shape == (k, 2)
+        for q, row in zip(qs, batch):
+            np.testing.assert_array_equal(row, cartesian_to_reciprocal(q))
+
+    @pytest.mark.parametrize("name", ["kitaev", "yao-lee-ep4"])
+    def test_assemble_rows_match_points_bitwise(self, name, rng):
+        bh = (kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1) if name == "kitaev"
+              else build_model(name))
+        qs = rng.uniform(-5.0, 5.0, (200, 2))
+        h = assemble(bh, qs)
+        for q, row in zip(qs, h):
+            np.testing.assert_array_equal(row, assemble(bh, q))
+
+
 class TestDoubletModel:
     def test_spectrum_at_small_radius(self):
         bh = doublet_ep2_model(v_x=1.0, v_y=1.0, c=1.0)
