@@ -54,10 +54,8 @@ from .spectral import (
 )
 from .sublattice import (
     BlockHamiltonian,
-    SublatticeState,
     assemble,
     assemble_blocks,
-    partner_state,
     reduced_spectrum,
     symmetry_residual,
     zero_energy_states,

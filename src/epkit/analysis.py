@@ -37,19 +37,29 @@ BOUNDED = "BoundedAway"
 INDETERMINATE = "Indeterminate"
 
 
+def _distances(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """D^2 of every row of ``states`` (m, n) to every row of ``targets``
+    (t, n), shape (m, t), from one overlap product; see
+    :func:`quantum_distance`."""
+    ns, nt = cmatrix.row_norms(states), cmatrix.row_norms(targets)
+    if np.any(ns < 1e-150) or np.any(nt < 1e-150):
+        raise ZeroVectorError("quantum distance of a zero vector is undefined")
+    # one dot product per pair, as np.vdot rounds it (a matrix product
+    # rounds differently)
+    overlap = (states.conj()[:, None, None, :] @ targets[:, :, None])[..., 0, 0]
+    overlap = np.hypot(overlap.real, overlap.imag) / (ns[:, None] * nt)
+    return np.clip(2.0 - 2.0 * overlap, 0.0, 2.0)
+
+
 def quantum_distance(u, v) -> float:
     """Squared quantum distance 2 - 2 |<u|v>|, clamped to [0, 2].
 
     Gauge-invariant: insensitive to the phases of both states. Inputs are
     normalized internally; zero vectors are rejected.
     """
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < 1e-150 or nv < 1e-150:
-        raise ZeroVectorError("quantum distance of a zero vector is undefined")
-    overlap = abs(np.vdot(u, v)) / (nu * nv)
-    return float(min(2.0, max(0.0, 2.0 - 2.0 * overlap)))
+    u = np.asarray(u, dtype=np.complex128).reshape(1, -1)
+    v = np.asarray(v, dtype=np.complex128).reshape(1, -1)
+    return float(_distances(u, v)[0, 0])
 
 
 @dataclass
@@ -170,13 +180,13 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     kept_states = []
     skipped = []
     for r, b, bp in zip(r_all, bh.b(ray), bh.b_prime(ray)):
-        states = reduced_spectrum(b, bp, tol)
-        if len(states) != two_n:
+        energies, states = reduced_spectrum(b, bp, tol)
+        if len(energies) != two_n:
             skipped.append(float(r))
             continue
         kept_radii.append(float(r))
-        kept_energies.append(np.array([s.energy for s in states]))
-        kept_states.append(np.array([s.vector for s in states]))
+        kept_energies.append(energies)
+        kept_states.append(states)
     if len(kept_radii) < 2:
         raise NoiseFloorReachedError("fewer than two usable radii in the scan")
 
@@ -223,25 +233,16 @@ def coalescence_profile(scan: PathScan, targets,
                         bounded_threshold: float = 0.05) -> CoalescenceProfile:
     """Profile how each branch approaches each labeled target vector."""
     labels = [label for label, _ in targets]
-    tvecs = np.array([np.asarray(v, dtype=np.complex128) for _, v in targets])
-    nb, nr = scan.energies.shape
-    nt = len(labels)
-    dist = np.empty((nb, nr, nt))
-    for b in range(nb):
-        for k in range(nr):
-            for t in range(nt):
-                dist[b, k, t] = quantum_distance(scan.states[b, k], tvecs[t])
-    verdicts = np.empty((nb, nt), dtype=object)
-    for b in range(nb):
-        for t in range(nt):
-            tail = dist[b, -3:, t]
-            final = dist[b, -1, t]
-            if final < converge_threshold and np.all(np.diff(tail) <= 0):
-                verdicts[b, t] = CONVERGES
-            elif final > bounded_threshold:
-                verdicts[b, t] = BOUNDED
-            else:
-                verdicts[b, t] = INDETERMINATE
+    nb, nr, two_n = scan.states.shape
+    tvecs = np.array([v for _, v in targets], dtype=np.complex128)
+    tvecs = tvecs.reshape(len(labels), two_n)
+    dist = _distances(scan.states.reshape(nb * nr, two_n), tvecs)
+    dist = dist.reshape(nb, nr, len(labels))
+    final = dist[:, -1]
+    converges = (final < converge_threshold) & np.all(
+        np.diff(dist[:, -3:], axis=1) <= 0, axis=1)
+    verdicts = np.select([converges, final > bounded_threshold],
+                         [CONVERGES, BOUNDED], INDETERMINATE).astype(object)
     return CoalescenceProfile(labels, tvecs, dist, verdicts,
                               converge_threshold, bounded_threshold)
 

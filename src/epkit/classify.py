@@ -180,8 +180,8 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
     s = pow2_scale(b, bp)
     product = (b / s) @ (bp / s)
     scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
-    pairs = cmatrix.eig(product)
-    if any(abs(lam) <= tol * scale for lam, _ in pairs):
+    lams, _ = cmatrix.eig(product)
+    if any(abs(lam) <= tol * scale for lam in lams):
         raise ZeroEigenvaluePresentError(
             "B B' has a (near-)zero eigenvalue; use classify_zero_energy"
         )
@@ -196,7 +196,7 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
 
     evidence = {
         "n": b.shape[0],
-        "eigenvalues": [unscaled(lam) for lam, _ in pairs],
+        "eigenvalues": [unscaled(lam) for lam in lams.tolist()],
         "defective_lambdas": [unscaled(lam) for lam in defective],
         "doublet_energies": [
             (np.sqrt(lam) * s, -np.sqrt(lam) * s) for lam in defective

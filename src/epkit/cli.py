@@ -224,19 +224,26 @@ def cmd_classify(raw, as_json, out_path) -> int:
     return EXIT_OK
 
 
+def _scans(bh, raw, q_star):
+    """``(theta, scan)`` for each requested theta, and whether any scan
+    skipped more than a quarter of its radii."""
+    radii = _radii(raw)
+    tol = _get_float(raw, "tol", 1e-9, positive=True)
+    scans = [(theta, analysis.path_scan(bh, q_star, theta, radii, tol=tol))
+             for theta in _thetas(raw)]
+    degraded = any(
+        len(scan.skipped_radii) > 0.25 * (len(scan.radii) + len(scan.skipped_radii))
+        for _, scan in scans)
+    return scans, degraded
+
+
 def _scan_rows(bh, raw):
     """(targets, rows, degraded) across all requested thetas."""
     q_star = _scan_point(raw, bh)
     targets = zero_targets(bh)
-    radii = _radii(raw)
-    tol = _get_float(raw, "tol", 1e-9, positive=True)
+    scans, degraded = _scans(bh, raw, q_star)
     rows = []
-    degraded = False
-    for theta in _thetas(raw):
-        scan = analysis.path_scan(bh, q_star, theta, radii, tol=tol)
-        n_total = len(scan.radii) + len(scan.skipped_radii)
-        if len(scan.skipped_radii) > 0.25 * n_total:
-            degraded = True
+    for theta, scan in scans:
         profile = analysis.coalescence_profile(scan, targets)
         for k, r in enumerate(scan.radii):
             for b in range(scan.n_branches):
@@ -277,16 +284,9 @@ def cmd_path_scan(raw, as_json, out_path) -> int:
 def cmd_fit(raw, as_json, out_path) -> int:
     bh = _build_from_config(raw)
     _validate_keys("fit", raw, MODEL_CATALOG[bh.name].params)
-    q_star = _scan_point(raw, bh)
-    radii = _radii(raw)
-    tol = _get_float(raw, "tol", 1e-9, positive=True)
+    scans, degraded = _scans(bh, raw, _scan_point(raw, bh))
     records = []
-    degraded = False
-    for theta in _thetas(raw):
-        scan = analysis.path_scan(bh, q_star, theta, radii, tol=tol)
-        n_total = len(scan.radii) + len(scan.skipped_radii)
-        if len(scan.skipped_radii) > 0.25 * n_total:
-            degraded = True
+    for theta, scan in scans:
         for b in range(scan.n_branches):
             exponent, r2 = analysis.scaling_exponent(scan, b)
             records.append({"theta": theta, "branch": b + 1,

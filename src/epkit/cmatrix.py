@@ -88,16 +88,22 @@ class SubspaceBasis:
 def eig(m):
     """Eigendecomposition of a small square complex matrix.
 
-    Returns a list of ``(eigenvalue, right_eigenvector)`` pairs, counted with
-    algebraic multiplicity, each eigenvector unit-norm. Residuals are at the
-    1e-10 * ||M|| level for well-separated eigenvalues; near-defective
-    eigenvalues can degrade to about 1e-6 * ||M||, which is why defective
-    structure must be read off with the `spectral` module and never from raw
-    eig output.
+    Returns ``(w, v)``: the eigenvalues ``w``, counted with algebraic
+    multiplicity, and unit-norm right eigenvectors as the columns of ``v``.
+    Residuals are at the 1e-10 * ||M|| level for well-separated eigenvalues;
+    near-defective eigenvalues can degrade to about 1e-6 * ||M||, which is
+    why defective structure must be read off with the `spectral` module and
+    never from raw eig output.
     """
-    a = as_square_matrix(m)
-    w, v = np.linalg.eig(a)
-    return [(complex(w[i]), v[:, i].copy()) for i in range(a.shape[0])]
+    return np.linalg.eig(as_square_matrix(m))
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d complex array, rounded as
+    ``np.linalg.norm`` rounds each row alone."""
+    re, im = rows.real, rows.imag
+    return np.sqrt(re[:, None, :] @ re[:, :, None]
+                   + im[:, None, :] @ im[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -380,7 +380,7 @@ def zero_targets(bh: BlockHamiltonian, tol: float = DEFAULT_TOL):
     if bh.q_star is None:
         raise ParamViolationError(f"model {bh.name!r} has no degeneracy point")
     states = zero_energy_states(bh.b(bh.q_star), bh.b_prime(bh.q_star), tol)
-    return [(f"e{i + 1}", s.vector) for i, s in enumerate(states)]
+    return [(f"e{i + 1}", row) for i, row in enumerate(states)]
 
 
 class ModelSpec(NamedTuple):

@@ -139,21 +139,15 @@ class EPReport:
     flag: str
 
 
-def cluster_eigenvalues(eigenpairs, cluster_tol: float) -> list[EigenvalueCluster]:
+def cluster_eigenvalues(eigenvalues, cluster_tol: float) -> list[EigenvalueCluster]:
     """Single-linkage clustering of eigenvalues in the complex plane.
 
-    ``eigenpairs`` may be a list of (eigenvalue, eigenvector) pairs or plain
-    eigenvalues. Deterministic given input order: clusters are reported in
-    order of their smallest member index, ties in linkage broken by index.
+    Deterministic given input order: clusters are reported in order of
+    their smallest member index, ties in linkage broken by index.
     """
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
-    values = []
-    for item in eigenpairs:
-        if isinstance(item, tuple):
-            values.append(complex(item[0]))
-        else:
-            values.append(complex(item))
+    values = [complex(x) for x in eigenvalues]
     n = len(values)
     parent = list(range(n))
 
@@ -227,21 +221,16 @@ def _default_chain_tol(a: np.ndarray) -> float:
     return DEFAULT_CHAIN_FRACTION * max(np.linalg.norm(a, 2), cmatrix._ABS_FLOOR)
 
 
-def jordan_chain(
-    h,
-    e: complex,
-    length: int,
-    seed_vector=None,
-    tol: float = DEFAULT_TOL,
-    chain_tol: float | None = None,
-):
+def jordan_chain(h, e: complex, length: int, seed_vector=None,
+                 tol: float = DEFAULT_TOL):
     """Generalized-eigenvector chain e_1..e_length at eigenvalue ``e``.
 
     The seed e_1 must lie in ker(H - E); if omitted it is chosen from
     ker(H - E) ∩ im((H - E)^(length-1)), the directions that admit a chain
     of the requested length. Each later vector is the minimum-norm solution
     of (H - E) x = e_{j-1} restricted to im((H - E)^(length-j)), so the
-    chain equations hold to ``chain_tol`` and the result is deterministic.
+    chain equations hold to DEFAULT_CHAIN_FRACTION * ||H|| and the result
+    is deterministic.
     """
     a = as_square_matrix(h)
     n = a.shape[0]
@@ -250,9 +239,7 @@ def jordan_chain(
     ladder = _PowerLadder(a, e, tol)
     if ladder.kernel.dim == 0:
         raise NotAnEigenvalueError(f"{e} is not an eigenvalue at tol={tol}")
-    if chain_tol is None:
-        chain_tol = _default_chain_tol(a)
-    return _chain(ladder, length, seed_vector, chain_tol)
+    return _chain(ladder, length, seed_vector, _default_chain_tol(a))
 
 
 def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
@@ -290,13 +277,8 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
     return chain
 
 
-def jordan_structure(
-    h,
-    e: complex,
-    tol: float = DEFAULT_TOL,
-    chain_tol: float | None = None,
-    with_chains: bool = True,
-) -> JordanStructure:
+def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
+                     with_chains: bool = True) -> JordanStructure:
     """Block sizes and chains of the generalized eigenspace at ``e``."""
     a = as_square_matrix(h)
     n = a.shape[0]
@@ -309,8 +291,7 @@ def jordan_structure(
     if not with_chains:
         return structure
 
-    if chain_tol is None:
-        chain_tol = _default_chain_tol(a)
+    chain_tol = _default_chain_tol(a)
     kern = ladder.kernel.vectors
     used_seeds = np.zeros((n, 0), dtype=np.complex128)
     for size in sizes:
@@ -332,20 +313,19 @@ def jordan_structure(
     return structure
 
 
-def ep_report(h, tol: float = DEFAULT_TOL, cluster_tol: float | None = None) -> EPReport:
-    """Cluster the spectrum and report the Jordan structure per cluster."""
+def ep_report(h, tol: float = DEFAULT_TOL) -> EPReport:
+    """Cluster the spectrum within DEFAULT_CLUSTER_FRACTION * ||H|| and
+    report the Jordan structure per cluster."""
     a = as_square_matrix(h)
     hnorm = max(np.linalg.norm(a, 2), cmatrix._ABS_FLOOR)
-    if cluster_tol is None:
-        cluster_tol = DEFAULT_CLUSTER_FRACTION * hnorm
-    pairs = cmatrix.eig(a)
-    clusters = cluster_eigenvalues(pairs, cluster_tol)
+    w, v = cmatrix.eig(a)
+    clusters = cluster_eigenvalues(w, DEFAULT_CLUSTER_FRACTION * hnorm)
     entries = []
     nontrivial_blocks = 0
     for cl in clusters:
         if cl.algebraic_multiplicity == 1:
             idx = cl.member_indices[0]
-            structure = JordanStructure(cl.center, [1], [[pairs[idx][1]]])
+            structure = JordanStructure(cl.center, [1], [[v[:, idx]]])
         else:
             structure = jordan_structure(a, cl.center, tol)
         entries.append((cl, structure))

@@ -97,47 +97,24 @@ def symmetry_residual(h) -> float:
 
 
 def phase_gauge(v: np.ndarray) -> np.ndarray:
-    """Rotate v so its largest-magnitude component is real and positive.
+    """Rotate each vector along the last axis so its largest-magnitude
+    component is real and positive; an all-zero vector is left as it is.
 
     Ties go to the first component of largest magnitude. This is the
     deterministic representative used for CSV output and continuation;
     quantum distances are gauge-invariant anyway.
     """
     v = np.asarray(v, dtype=np.complex128)
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if abs(pivot) == 0.0:
-        return v.copy()
-    return v * (pivot.conjugate() / abs(pivot))
+    idx = np.argmax(np.abs(v), axis=-1)[..., None]
+    pivot = np.take_along_axis(v, idx, axis=-1)
+    size = np.hypot(pivot.real, pivot.imag)
+    zero = size == 0.0
+    return np.where(zero, v, v * (pivot.conj() / np.where(zero, 1.0, size)))
 
 
-@dataclass
-class SublatticeState:
-    """Eigenstate split into sublattice components (psi, chi) at energy E."""
-
-    psi: np.ndarray
-    chi: np.ndarray
-    energy: complex
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.psi, self.chi])
-
-
-def _make_state(psi, chi, energy) -> SublatticeState:
-    full = np.concatenate([np.asarray(psi, dtype=np.complex128),
-                           np.asarray(chi, dtype=np.complex128)])
-    nrm = np.linalg.norm(full)
-    if nrm == 0.0:
-        raise GeneratorFailureError("attempted to build a zero state")
-    full = phase_gauge(full / nrm)
-    n = full.size // 2
-    return SublatticeState(full[:n], full[n:], complex(energy))
-
-
-def partner_state(s: SublatticeState) -> SublatticeState:
-    """Sublattice partner (psi, -chi) at energy -E; an involution."""
-    return SublatticeState(s.psi.copy(), -s.chi, -s.energy)
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows divided by their norms, then phase-fixed."""
+    return phase_gauge(rows / cmatrix.row_norms(rows)[:, None])
 
 
 def factor_blocks(b, bprime, tol: float = DEFAULT_TOL):
@@ -162,31 +139,33 @@ def pow2_scale(b, bprime) -> float:
     return math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))
 
 
-def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL):
-    """Zero modes from the kernels: (0, chi) for chi in ker B, then
-    (psi, 0) for psi in ker B'.
+def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Zero modes from the kernels, as unit 2N-vector rows: (0, chi) for
+    chi in ker B, then (psi, 0) for psi in ker B'.
 
     Kernel decisions are taken against the common magnitude of the pair
     (see :func:`factor_blocks`)."""
     b = cmatrix.as_square_matrix(b)
     fb, fbp, _ = factor_blocks(b, bprime, tol)
     n = b.shape[0]
-    states = []
-    for chi in fb.kernel.vectors.T:
-        states.append(_make_state(np.zeros(n), chi, 0.0))
-    for psi in fbp.kernel.vectors.T:
-        states.append(_make_state(psi, np.zeros(n), 0.0))
-    return states
+    ker_b, ker_bp = fb.kernel.vectors.T, fbp.kernel.vectors.T
+    rows = np.zeros((len(ker_b) + len(ker_bp), 2 * n), dtype=np.complex128)
+    rows[:len(ker_b), n:] = ker_b
+    rows[len(ker_b):, :n] = ker_bp
+    return _unit_rows(rows)
 
 
 def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
-    """Full set of sublattice states of H = [[0, iB], [-iB', 0]] via the
-    reduced N x N problem.
+    """All sublattice states of H = [[0, iB], [-iB', 0]] via the reduced
+    N x N problem, as ``(energies, states)``: ``energies`` of shape (m,)
+    and ``states`` of shape (m, 2N), each row a unit, phase-fixed
+    (psi, chi).
 
     Eigenpairs (lambda, chi) of B' B with |lambda| above tol * ||B'B||
     produce the pair E = +-sqrt(lambda) (principal branch) with
-    psi = i B chi / E; eigenvalues below the cutoff are replaced by the
-    kernel-built zero modes. The zero detection happens on lambda rather
+    psi = i B chi / E, in that order and in LAPACK's order of lambda;
+    eigenvalues below the cutoff are replaced by the kernel-built zero
+    modes, which come last. The zero detection happens on lambda rather
     than on E because sqrt amplifies noise near zero. The product is formed
     from the blocks divided by :func:`pow2_scale`, so no magnitude of the
     pair can underflow or overflow it.
@@ -196,17 +175,17 @@ def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
     s = pow2_scale(b, bp)
     product = (bp / s) @ (b / s)
     scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
-    states = []
-    n_zero = 0
-    for lam, chi in cmatrix.eig(product):
-        if abs(lam) <= tol * scale:
-            n_zero += 1
-            continue
-        energy = np.sqrt(complex(lam)) * s
-        for sign in (1.0, -1.0):
-            e = sign * energy
-            psi = 1j * (b @ chi) / e
-            states.append(_make_state(psi, chi, e))
-    if n_zero:
-        states.extend(zero_energy_states(b, bp, tol))
-    return states
+    lam, vecs = cmatrix.eig(product)
+    kept = np.hypot(lam.real, lam.imag) > tol * scale
+    chi = np.repeat(vecs.T[kept], 2, axis=0)
+    # -E as the complex product E * -1.0 (negation would flip signed zeros),
+    # and B chi as one matrix-vector product per row (a matrix-matrix
+    # product rounds differently)
+    energies = (np.sqrt(lam[kept])[:, None] * s * (1.0, -1.0)).ravel()
+    psi = 1j * (b @ chi[:, :, None])[..., 0] / energies[:, None]
+    states = _unit_rows(np.concatenate([psi, chi], axis=1))
+    if np.all(kept):
+        return energies, states
+    zero_modes = zero_energy_states(b, bp, tol)
+    return (np.concatenate([energies, np.zeros(len(zero_modes))]),
+            np.concatenate([states, zero_modes]))

@@ -29,12 +29,7 @@ from epkit.models import (
     kitaev_model,
     zero_targets,
 )
-from epkit.sublattice import (
-    BlockHamiltonian,
-    assemble,
-    partner_state,
-    reduced_spectrum,
-)
+from epkit.sublattice import BlockHamiltonian, assemble, reduced_spectrum
 
 
 def counting_generators(bh):
@@ -143,17 +138,19 @@ class TestQuantumDistance:
             quantum_distance([0.0, 0.0], [1.0, 0.0])
 
     def test_partner_pair_equidistant_from_zero_modes(self, rng):
-        # (psi, chi) and its sublattice partner see any zero mode (which has
-        # support on only one sublattice) at identical distance
+        # (psi, chi) and its sublattice partner (psi, -chi) see any zero
+        # mode (which has support on only one sublattice) at identical
+        # distance
         bh = build_model("ep3")
         targets = zero_targets(bh)
         for r in (1e-3, 1e-5):
             q = bh.q_star + np.array([r, 0.0])
-            for s in reduced_spectrum(bh.b(q), bh.b_prime(q)):
-                p = partner_state(s)
+            _, states = reduced_spectrum(bh.b(q), bh.b_prime(q))
+            for row in states:
+                partner = np.concatenate([row[:2], -row[2:]])
                 for _, t in targets:
-                    d1 = quantum_distance(s.vector, t)
-                    d2 = quantum_distance(p.vector, t)
+                    d1 = quantum_distance(row, t)
+                    d2 = quantum_distance(partner, t)
                     assert abs(d1 - d2) <= 1e-10
 
 
@@ -346,6 +343,110 @@ class TestCoalescence:
         profile = coalescence_profile(scan, zero_targets(bh))
         assert profile.distances.shape == (4, len(scan.radii), 2)
         assert np.all(profile.distances >= 0) and np.all(profile.distances <= 2)
+
+
+    def test_zero_target_raises(self):
+        bh = build_model("ep3")
+        scan = path_scan(bh, bh.q_star, 0.0)
+        with pytest.raises(ZeroVectorError):
+            coalescence_profile(scan, zero_targets(bh) + [("zero", np.zeros(4))])
+
+
+def reference_quantum_distance(u, v):
+    """quantum_distance as it was, one pair of vectors at a time."""
+    u = np.asarray(u, dtype=np.complex128).reshape(-1)
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < 1e-150 or nv < 1e-150:
+        raise ZeroVectorError("quantum distance of a zero vector is undefined")
+    overlap = abs(np.vdot(u, v)) / (nu * nv)
+    return float(min(2.0, max(0.0, 2.0 - 2.0 * overlap)))
+
+
+def reference_coalescence_profile(scan, targets, converge_threshold=1e-3,
+                                  bounded_threshold=0.05):
+    """coalescence_profile as it was: a loop over branches, radii and
+    targets, then over the verdicts; kept as the bitwise reference.
+    Returns (distances, verdicts)."""
+    tvecs = np.array([np.asarray(v, dtype=np.complex128) for _, v in targets])
+    nb, nr = scan.energies.shape
+    nt = len(targets)
+    dist = np.empty((nb, nr, nt))
+    for b in range(nb):
+        for k in range(nr):
+            for t in range(nt):
+                dist[b, k, t] = reference_quantum_distance(scan.states[b, k], tvecs[t])
+    verdicts = np.empty((nb, nt), dtype=object)
+    for b in range(nb):
+        for t in range(nt):
+            tail = dist[b, -3:, t]
+            final = dist[b, -1, t]
+            if final < converge_threshold and np.all(np.diff(tail) <= 0):
+                verdicts[b, t] = CONVERGES
+            elif final > bounded_threshold:
+                verdicts[b, t] = BOUNDED
+            else:
+                verdicts[b, t] = analysis.INDETERMINATE
+    return dist, verdicts
+
+
+class TestCoalescenceMatchesReference:
+    """One overlap product and array masks give the bits and verdicts of
+    the per-pair loop."""
+
+    def check(self, scan, targets, **thresholds):
+        profile = coalescence_profile(scan, targets, **thresholds)
+        dist, verdicts = reference_coalescence_profile(scan, targets, **thresholds)
+        assert profile.distances.shape == dist.shape
+        assert profile.distances.tobytes() == dist.tobytes()
+        assert profile.verdicts.tolist() == verdicts.tolist()
+        assert all(type(v) is str for v in profile.verdicts.ravel())
+
+    @pytest.mark.parametrize("name", ["doublet-ep2", "ep3", "ep4-quartic",
+                                      "ep4-sqrt", "yao-lee-ep3", "yao-lee-ep4"])
+    def test_catalog_rays(self, name):
+        bh = build_model(name)
+        for theta in (0.0, 0.7, np.pi / 2, 4.0):
+            scan = path_scan(bh, bh.q_star, theta, tol=1e-13)
+            self.check(scan, zero_targets(bh))
+            # thresholds that put many pairs in each verdict
+            self.check(scan, zero_targets(bh), converge_threshold=0.5,
+                       bounded_threshold=0.6)
+
+    def test_zero_mode_radii(self):
+        bh = build_model("ep3")
+        scan = path_scan(bh, bh.q_star, np.pi / 2, tol=1e-9)
+        assert len(scan.skipped_radii) == 5
+        self.check(scan, zero_targets(bh))
+
+    def test_hermitian_kitaev_point(self):
+        bh = kitaev_model()
+        scan = path_scan(bh, bh.q_star, 0.3)
+        assert zero_targets(bh) == []  # the known "Nondegenerate" defect
+        self.check(scan, [])
+        self.check(scan, [("a", [1.0, 0.0]), ("b", [1.0, 1j]), ("c", [0.3, -2.0])])
+
+    def test_random_tails(self, rng):
+        # states at random distances straddling both thresholds, so every
+        # verdict and every shape of the last three samples occurs
+        targets = [("e1", [1.0, 0, 0, 0]), ("e2", [0, 0.6, 0.8j, 0])]
+        noise = rng.standard_normal((60, 6, 4)) + 1j * rng.standard_normal((60, 6, 4))
+        noise *= 10.0 ** rng.uniform(-3.5, -0.5, (60, 6, 1))
+        states = np.array(targets[0][1]) + noise
+        scan = analysis.PathScan(np.zeros(2), 0.0, np.geomspace(1e-2, 1e-6, 6),
+                                 np.ones((60, 6), dtype=complex), states)
+        self.check(scan, targets)
+        verdicts = coalescence_profile(scan, targets).verdicts[:, 0]
+        assert {CONVERGES, BOUNDED, analysis.INDETERMINATE} <= set(verdicts)
+
+    def test_single_pairs(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+            for w in (v, u * (0.3 - 0.4j)):
+                got = quantum_distance(u, w)
+                assert np.float64(got).tobytes() == np.float64(
+                    reference_quantum_distance(u, w)).tobytes()
 
 
 class TestScalingExponent:

@@ -200,7 +200,7 @@ def test_svd_budget(kind, svd_calls):
 
 def plant_blocks(monkeypatch, blocks):
     """Make the classifier's Jordan cross-check see ``blocks`` at E = 0."""
-    def planted(h, e, tol, chain_tol=None, with_chains=True):
+    def planted(h, e, tol, with_chains=True):
         if not blocks:
             raise NotAnEigenvalueError("planted: no zero mode")
         return JordanStructure(complex(e), list(blocks))

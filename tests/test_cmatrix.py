@@ -22,25 +22,24 @@ from conftest import jordan_block
 
 class TestEig:
     def test_diagonal(self):
-        pairs = eig(np.diag([1.0, 2.0, 3.0]))
-        values = sorted(p[0].real for p in pairs)
-        np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-12)
-        for lam, vec in pairs:
+        w, v = eig(np.diag([1.0, 2.0, 3.0]))
+        assert w.shape == (3,) and v.shape == (3, 3)
+        np.testing.assert_allclose(sorted(w.real), [1.0, 2.0, 3.0], atol=1e-12)
+        for lam, vec in zip(w, v.T):
             idx = int(round(lam.real)) - 1
             assert abs(abs(vec[idx]) - 1.0) < 1e-12
 
     def test_nilpotent_block(self):
         # J2(0): eigenvalue 0 twice, every returned vector along (1, 0)
-        pairs = eig(jordan_block(2))
-        assert all(abs(lam) < 1e-12 for lam, _ in pairs)
-        for _, vec in pairs:
-            assert abs(vec[1]) < 1e-12
+        w, v = eig(jordan_block(2))
+        assert np.all(np.abs(w) < 1e-12)
+        assert np.all(np.abs(v[1]) < 1e-12)
 
     def test_product_matrix_at_degeneracy(self):
         # B B' of the mixed three-fold example with b2 = bp1 = 1
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        pairs = eig(m)
-        assert all(abs(lam) < 1e-14 for lam, _ in pairs)
+        w, _ = eig(m)
+        assert np.all(np.abs(w) < 1e-14)
 
     def test_errors(self):
         with pytest.raises(NonSquareError):
@@ -58,9 +57,20 @@ class TestEig:
             n = int(rng.integers(2, 9))
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             norm = np.linalg.norm(m, 2)
-            for lam, vec in eig(m):
+            w, v = eig(m)
+            for lam, vec in zip(w, v.T):
                 assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10 * norm
                 assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+
+
+class TestRowNorms:
+    def test_bits_of_the_one_dimensional_norm(self, rng):
+        for n in (1, 2, 4, 6, 12, 16):
+            rows = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+            rows[0] = 0.0
+            for layout in (rows, np.asfortranarray(rows)):
+                want = np.array([np.linalg.norm(r) for r in layout])
+                assert cmatrix.row_norms(layout).tobytes() == want.tobytes()
 
 
 class TestRank:

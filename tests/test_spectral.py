@@ -37,11 +37,6 @@ class TestClustering:
         clusters = cluster_eigenvalues([e, -e, e + 1e-12, -e - 1e-12], 1e-9)
         assert sorted(c.algebraic_multiplicity for c in clusters) == [2, 2]
 
-    def test_accepts_eigenpairs(self):
-        pairs = [(1.0, np.array([1.0, 0])), (1.0 + 1e-12, np.array([0, 1.0]))]
-        clusters = cluster_eigenvalues(pairs, 1e-9)
-        assert len(clusters) == 1
-
 
 class TestJordanStructure:
     def test_canonical_blocks(self):

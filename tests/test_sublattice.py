@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+from epkit.analysis import DEFAULT_RADII
 from epkit.errors import GeneratorFailureError, OddDimensionError
-from epkit.models import doublet_ep2_model, ep3_model
+from epkit.models import (
+    MODEL_CATALOG,
+    build_model,
+    doublet_ep2_model,
+    ep3_model,
+    kitaev_model,
+)
 from epkit.sublattice import (
     BlockHamiltonian,
     assemble,
     assemble_blocks,
-    partner_state,
+    factor_blocks,
     phase_gauge,
     pow2_scale,
     reduced_spectrum,
@@ -80,48 +87,123 @@ class TestSymmetryResidual:
             symmetry_residual(np.zeros((3, 3)))
 
 
+def reference_phase_gauge(v):
+    """phase_gauge as it was before it took stacks: one vector at a time."""
+    v = np.asarray(v, dtype=np.complex128)
+    idx = int(np.argmax(np.abs(v)))
+    pivot = v[idx]
+    if abs(pivot) == 0.0:
+        return v.copy()
+    return v * (pivot.conjugate() / abs(pivot))
+
+
+def reference_unit_state(psi, chi):
+    full = np.concatenate([np.asarray(psi, dtype=np.complex128),
+                           np.asarray(chi, dtype=np.complex128)])
+    return reference_phase_gauge(full / np.linalg.norm(full))
+
+
+def reference_zero_energy_states(b, bprime, tol=1e-9):
+    """zero_energy_states as it was, one state at a time."""
+    b = np.asarray(b, dtype=np.complex128)
+    fb, fbp, _ = factor_blocks(b, bprime, tol)
+    n = b.shape[0]
+    states = [reference_unit_state(np.zeros(n), chi) for chi in fb.kernel.vectors.T]
+    states += [reference_unit_state(psi, np.zeros(n)) for psi in fbp.kernel.vectors.T]
+    return np.array(states, dtype=np.complex128).reshape(len(states), 2 * n)
+
+
+def reference_reduced_spectrum(b, bprime, tol=1e-9):
+    """reduced_spectrum as it was, one eigenpair and one state at a time;
+    kept as the reference the array form must match bitwise. Returns
+    (energies, states) in the array form."""
+    b = np.asarray(b, dtype=np.complex128)
+    bp = np.asarray(bprime, dtype=np.complex128)
+    s = pow2_scale(b, bp)
+    product = (bp / s) @ (b / s)
+    scale = max(np.linalg.norm(product, 2), 1e-300)
+    w, v = np.linalg.eig(product)
+    energies, states = [], []
+    n_zero = 0
+    for lam, chi in [(complex(w[i]), v[:, i].copy()) for i in range(len(w))]:
+        if abs(lam) <= tol * scale:
+            n_zero += 1
+            continue
+        energy = np.sqrt(complex(lam)) * s
+        for sign in (1.0, -1.0):
+            e = sign * energy
+            energies.append(complex(e))
+            states.append(reference_unit_state(1j * (b @ chi) / e, chi))
+    if n_zero:
+        zero_modes = reference_zero_energy_states(b, bp, tol)
+        energies += [0j] * len(zero_modes)
+        states += list(zero_modes)
+    return (np.array(energies, dtype=np.complex128),
+            np.array(states, dtype=np.complex128).reshape(len(states), 2 * b.shape[0]))
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bytes: signed zeros and last bits included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def partner_rows(states):
+    """Sublattice partners (psi, -chi) of the rows (psi, chi)."""
+    n = states.shape[-1] // 2
+    return np.concatenate([states[..., :n], -states[..., n:]], axis=-1)
+
+
 class TestReducedSpectrum:
     def test_single_flavour_identity(self):
         bh = BlockHamiltonian(1, _constant([[1.0]]), _constant([[1.0]]))
-        states = reduced_spectrum(bh.b((0.0, 0.0)), bh.b_prime((0.0, 0.0)))
-        by_energy = {round(s.energy.real): s for s in states}
-        np.testing.assert_allclose(by_energy[1].vector,
+        energies, states = reduced_spectrum(bh.b((0.0, 0.0)), bh.b_prime((0.0, 0.0)))
+        by_energy = dict(zip(np.round(energies.real), states))
+        np.testing.assert_allclose(by_energy[1],
                                    np.array([1.0, -1j]) / np.sqrt(2), atol=1e-12)
-        np.testing.assert_allclose(by_energy[-1].vector,
+        np.testing.assert_allclose(by_energy[-1],
                                    np.array([1.0, 1j]) / np.sqrt(2), atol=1e-12)
 
     def test_doublet_states_near_point(self):
         bh = doublet_ep2_model()
         q = bh.q_star + np.array([1e-4, 0.0])
-        states = reduced_spectrum(bh.b(q), bh.b_prime(q))
-        assert len(states) == 4
+        energies, states = reduced_spectrum(bh.b(q), bh.b_prime(q))
+        assert states.shape == (4, 4)
         # energies square to i * c * v * |dq|, each branch twice
-        for s in states:
-            assert s.energy ** 2 == pytest.approx(1j * 1e-4, rel=1e-9)
+        for e in energies:
+            assert e ** 2 == pytest.approx(1j * 1e-4, rel=1e-9)
         # states look like (x, 0, 1, 0) and (0, x, 0, 1) with |x| = 1e-2
         h = assemble(bh, q)
         hnorm = np.linalg.norm(h, 2)
-        for s in states:
-            v = s.vector
-            assert np.linalg.norm(h @ v - s.energy * v) <= 1e-10 * hnorm
+        for e, v in zip(energies, states):
+            assert np.linalg.norm(h @ v - e * v) <= 1e-10 * hnorm
             small = sorted(np.abs(v))[:2]
             assert np.max(small) < 1e-13  # two components vanish exactly
-        flavour_one = [s for s in states if abs(s.vector[1]) < 1e-13]
+        flavour_one = states[np.abs(states[:, 1]) < 1e-13]
         assert len(flavour_one) == 2
         # psi/chi ratio is +-sqrt(i v |dq| / c) = +-e^{i pi/4} 1e-2 here
-        ratios = sorted((s.vector[0] / s.vector[2] for s in flavour_one),
-                        key=lambda z: z.real)
+        ratios = sorted(flavour_one[:, 0] / flavour_one[:, 2], key=lambda z: z.real)
         expected = np.sqrt(1j * 1e-4)
         np.testing.assert_allclose(ratios, [-expected, expected], atol=1e-12)
 
     def test_mixed_threefold_zero_modes(self):
         bh = ep3_model()  # b2 = 1, bp1 = 1, bp2 = 2
-        states = reduced_spectrum(bh.b(bh.q_star), bh.b_prime(bh.q_star))
-        assert len(states) == 2
-        np.testing.assert_allclose(states[0].vector, [0, 0, 1.0, 0], atol=1e-14)
-        np.testing.assert_allclose(states[1].vector,
-                                   np.array([2.0, -1.0, 0, 0]) / np.sqrt(5),
+        energies, states = reduced_spectrum(bh.b(bh.q_star), bh.b_prime(bh.q_star))
+        assert_same_bits(energies, np.zeros(2, dtype=complex))
+        np.testing.assert_allclose(states[0], [0, 0, 1.0, 0], atol=1e-14)
+        np.testing.assert_allclose(states[1], np.array([2.0, -1.0, 0, 0]) / np.sqrt(5),
                                    atol=1e-14)
+
+    def test_rows_are_unit_and_phase_fixed(self, rng):
+        for n in (1, 2, 3):
+            bh = random_block_hamiltonian(rng, n)
+            q = rng.uniform(-1, 1, 2)
+            energies, states = reduced_spectrum(bh.b(q), bh.b_prime(q))
+            assert energies.shape == (2 * n,) and states.shape == (2 * n, 2 * n)
+            np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-14)
+            pivots = states[np.arange(2 * n), np.argmax(np.abs(states), axis=1)]
+            assert np.all(np.abs(pivots.imag) < 1e-14) and np.all(pivots.real > 0.0)
 
     def test_reproduces_assembled_spectrum(self, rng):
         for n in (1, 2, 3):
@@ -129,10 +211,8 @@ class TestReducedSpectrum:
             q = rng.uniform(-1, 1, 2)
             h = assemble(bh, q)
             hnorm = np.linalg.norm(h, 2)
-            from_states = sorted(
-                (s.energy for s in reduced_spectrum(bh.b(q), bh.b_prime(q))),
-                key=lambda z: (z.real, z.imag),
-            )
+            energies, _ = reduced_spectrum(bh.b(q), bh.b_prime(q))
+            from_states = sorted(energies, key=lambda z: (z.real, z.imag))
             direct = sorted(np.linalg.eigvals(h), key=lambda z: (z.real, z.imag))
             np.testing.assert_allclose(from_states, direct, atol=1e-8 * hnorm)
 
@@ -141,8 +221,8 @@ class TestReducedSpectrum:
         # B'B = c^2 J2(1) overflows at 1e160 and underflows to zero at
         # 1e-170 unless it is formed from the divided blocks
         def energies(c):
-            states = reduced_spectrum(c * jordan_block(2, 1.0), c * np.eye(2))
-            return sorted((s.energy for s in states), key=lambda z: (z.real, z.imag))
+            got, _ = reduced_spectrum(c * jordan_block(2, 1.0), c * np.eye(2))
+            return sorted(got, key=lambda z: (z.real, z.imag))
 
         got = energies(c)
         assert len(got) == 4
@@ -151,12 +231,11 @@ class TestReducedSpectrum:
     def test_power_of_two_scale_is_exact(self, rng):
         for n in (1, 2, 3):
             b, bp = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-            ref = reduced_spectrum(b, bp)
+            ref_energies, ref_states = reduced_spectrum(b, bp)
             for k in (-600, 600):
-                got = reduced_spectrum(2.0 ** k * b, 2.0 ** k * bp)
-                assert [s.energy for s in got] == [2.0 ** k * s.energy for s in ref]
-                for g, r in zip(got, ref):
-                    assert np.array_equal(g.vector, r.vector)
+                energies, states = reduced_spectrum(2.0 ** k * b, 2.0 ** k * bp)
+                assert energies.tolist() == (2.0 ** k * ref_energies).tolist()
+                assert np.array_equal(states, ref_states)
 
     def test_pow2_scale(self):
         assert pow2_scale(np.array([[0.75]]), np.array([[0.5j]])) == 1.0
@@ -169,11 +248,15 @@ class TestReducedSpectrum:
 
 class TestPairing:
     def test_partner_involution(self, rng):
+        # rows 2i and 2i+1 are each other's partner (psi, -chi) at -E
         bh = random_block_hamiltonian(rng, 2)
-        s = reduced_spectrum(bh.b((0.2, 0.4)), bh.b_prime((0.2, 0.4)))[0]
-        twice = partner_state(partner_state(s))
-        np.testing.assert_allclose(twice.vector, s.vector, atol=1e-15)
-        assert twice.energy == s.energy
+        energies, states = reduced_spectrum(bh.b((0.2, 0.4)), bh.b_prime((0.2, 0.4)))
+        plus, minus = states[0::2], states[1::2]
+        assert energies[1::2].tolist() == (-energies[0::2]).tolist()
+        for row, partner in ((plus, minus), (minus, plus)):
+            for u, v in zip(partner_rows(row), partner):
+                assert direction_mismatch(u, v) < 1e-12
+        np.testing.assert_array_equal(partner_rows(partner_rows(states)), states)
 
     def test_partner_is_eigenstate(self, rng):
         for n in (1, 2, 3):
@@ -181,16 +264,14 @@ class TestPairing:
             q = rng.uniform(-1, 1, 2)
             h = assemble(bh, q)
             hnorm = np.linalg.norm(h, 2)
-            for s in reduced_spectrum(bh.b(q), bh.b_prime(q)):
-                p = partner_state(s)
-                assert np.linalg.norm(h @ p.vector - p.energy * p.vector) <= 1e-8 * hnorm
+            energies, states = reduced_spectrum(bh.b(q), bh.b_prime(q))
+            for e, p in zip(-energies, partner_rows(states)):
+                assert np.linalg.norm(h @ p - e * p) <= 1e-8 * hnorm
 
     def test_zero_mode_partner_same_ray(self):
         states = zero_energy_states([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-        s = states[0]
-        p = partner_state(s)
-        assert p.energy == 0.0
-        assert direction_mismatch(p.vector, s.vector) < 1e-14
+        assert states.shape == (1, 4)
+        assert direction_mismatch(partner_rows(states[0]), states[0]) < 1e-14
 
     def test_spectrum_negation_symmetry(self, rng):
         for _ in range(60):
@@ -233,3 +314,64 @@ class TestPhaseGauge:
             assert abs(g[idx].imag) < 1e-14
             assert g[idx].real > 0
             assert direction_mismatch(g, v) < 1e-12
+
+    def test_stack_of_rows(self, rng):
+        v = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+        g = phase_gauge(v)
+        for i, j in np.ndindex(3, 5):
+            assert_same_bits(g[i, j], reference_phase_gauge(v[i, j]))
+
+    def test_ties_go_to_the_first_component(self):
+        g = phase_gauge([[1j, -1.0, 0.5], [0.0, -2.0, 2j]])
+        np.testing.assert_allclose(g, [[1.0, 1j, -0.5j], [0.0, 2.0, -2j]], atol=1e-15)
+
+    def test_all_zero_rows_are_left_as_they_are(self):
+        v = np.array([[-0.0, complex(0.0, -0.0)], [4j, 3.0]])
+        g = phase_gauge(v)
+        assert_same_bits(g[0], v[0])
+        np.testing.assert_allclose(g[1], [4.0, -3j], atol=1e-15)
+        assert_same_bits(phase_gauge(np.zeros((0, 4))), np.zeros((0, 4), dtype=complex))
+
+
+class TestArrayFormMatchesReference:
+    """The array form gives the bits of the per-state reference."""
+
+    def check(self, b, bp, tol=1e-9):
+        energies, states = reduced_spectrum(b, bp, tol)
+        ref_energies, ref_states = reference_reduced_spectrum(b, bp, tol)
+        assert_same_bits(energies, ref_energies)
+        assert_same_bits(states, ref_states)
+        zero_modes = zero_energy_states(b, bp, tol)
+        assert_same_bits(zero_modes, reference_zero_energy_states(b, bp, tol))
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in MODEL_CATALOG if build_model(name).q_star is not None))
+    def test_catalog_rays(self, name):
+        bh = build_model(name)
+        for theta in (0.0, 0.7, np.pi / 2):
+            ray = bh.q_star + DEFAULT_RADII[:, None] * [np.cos(theta), np.sin(theta)]
+            for b, bp in zip(bh.b(ray), bh.b_prime(ray)):
+                self.check(b, bp)
+
+    def test_zero_mode_radii(self):
+        bh = ep3_model()
+        ray = bh.q_star + DEFAULT_RADII[:, None] * [0.0, 1.0]
+        kinds = set()
+        for b, bp in zip(bh.b(ray), bh.b_prime(ray)):
+            kinds.add(len(reduced_spectrum(b, bp)[0]))
+            self.check(b, bp)
+        assert kinds == {3, 4}  # both the resolved and the skipped radii
+        self.check(np.zeros((2, 2)), np.eye(2))
+        self.check(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_hermitian_kitaev_point(self):
+        bh = kitaev_model()
+        self.check(bh.b(bh.q_star), bh.b_prime(bh.q_star))
+
+    def test_random_pairs(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            b, bp = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            b[:, 0] *= rng.integers(0, 2)  # a kernel of B about half the time
+            self.check(b, bp)
+            self.check(b.T, bp[:, ::-1])  # blocks that are not C-contiguous
