@@ -20,7 +20,7 @@ from . import classify as _classify
 from . import cmatrix
 from .cmatrix import DEFAULT_TOL
 from .errors import EpkitError, NoiseFloorReachedError, ZeroVectorError
-from .sublattice import BlockHamiltonian, assemble, reduced_spectrum
+from .sublattice import BlockHamiltonian, _spectra, assemble
 
 #: 12 log-spaced radii across the asymptotic window. Below ~1e-6 the
 #: conditioning of near-defective eigenproblems starts eating the signal.
@@ -151,14 +151,6 @@ def _max_weight_assignment(w) -> np.ndarray:
     return perm
 
 
-def match_branches(prev_states: np.ndarray, new_states: np.ndarray):
-    """Permutation p maximizing sum_b |<prev[b] | new[p[b]]>|, and the
-    smallest matched overlap."""
-    overlap = np.abs(prev_states.conj() @ new_states.T)
-    perm = _max_weight_assignment(overlap)
-    return perm, float(overlap[np.arange(len(perm)), perm].min())
-
-
 def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
               tol: float = DEFAULT_TOL) -> PathScan:
     """Track all 2N branches along a ray toward q_star.
@@ -167,7 +159,13 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     (e.g. an accidental degeneracy crossing the ray) are flagged and
     skipped. Adjacent radii are linked by maximal-overlap assignment; a
     matched overlap below 0.9 is recorded as a branch-switch diagnostic.
-    The blocks are evaluated once for the whole ray.
+
+    The ray is one batched pass: the blocks are evaluated once, the reduced
+    spectra of all radii come from one kernel (see
+    :func:`epkit.sublattice.reduced_spectrum`, its one-pair case), and the
+    overlaps of all adjacent radii from one product; only the assignment
+    runs step by step. Raises NonFiniteError when an energy or a state of
+    the ray leaves the double range.
     """
     qs = np.asarray(q_star, dtype=float).reshape(2)
     r_all = _validate_radii(DEFAULT_RADII if radii is None else radii)
@@ -175,36 +173,34 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     two_n = 2 * bh.n
     ray = qs + r_all[:, None] * direction
 
-    kept_radii = []
-    kept_energies = []
-    kept_states = []
-    skipped = []
-    for r, b, bp in zip(r_all, bh.b(ray), bh.b_prime(ray)):
-        energies, states = reduced_spectrum(b, bp, tol)
-        if len(energies) != two_n:
-            skipped.append(float(r))
-            continue
-        kept_radii.append(float(r))
-        kept_energies.append(energies)
-        kept_states.append(states)
+    energies, states, owner = _spectra(bh.b(ray), bh.b_prime(ray), tol)
+    complete = np.bincount(owner, minlength=len(r_all)) == two_n
+    kept_radii = r_all[complete]
     if len(kept_radii) < 2:
         raise NoiseFloorReachedError("fewer than two usable radii in the scan")
+    rows = complete[owner]
+    energies = energies[rows].reshape(-1, two_n)
+    states = states[rows].reshape(-1, two_n, two_n)
 
-    energies = np.empty((two_n, len(kept_radii)), dtype=np.complex128)
-    vectors = np.empty((two_n, len(kept_radii), two_n), dtype=np.complex128)
-    energies[:, 0] = kept_energies[0]
-    vectors[:, 0] = kept_states[0]
+    # |<state i at radius k-1 | state j at radius k>| for every step; the
+    # rows of step k are then taken in the branch order of radius k-1
+    overlaps = np.abs(states[:-1].conj() @ states[1:].swapaxes(1, 2))
+    branches = np.arange(two_n)
+    perms = np.empty((len(kept_radii), two_n), dtype=int)
+    perms[0] = branches
     min_overlap = 1.0
     switches = []
-    for k in range(1, len(kept_radii)):
-        perm, worst = match_branches(vectors[:, k - 1], kept_states[k])
-        energies[:, k] = kept_energies[k][perm]
-        vectors[:, k] = kept_states[k][perm]
+    for k, overlap in enumerate(overlaps, start=1):
+        overlap = overlap[perms[k - 1]]
+        perms[k] = _max_weight_assignment(overlap)
+        worst = float(overlap[branches, perms[k]].min())
         min_overlap = min(min_overlap, worst)
         if worst < 0.9:
-            switches.append({"radius": kept_radii[k], "overlap": worst})
-    return PathScan(qs, float(theta), np.array(kept_radii), energies, vectors,
-                    skipped, switches, min_overlap)
+            switches.append({"radius": float(kept_radii[k]), "overlap": worst})
+    steps = np.arange(len(kept_radii))
+    return PathScan(qs, float(theta), kept_radii, energies[steps, perms.T],
+                    states[steps, perms.T], r_all[~complete].tolist(),
+                    switches, min_overlap)
 
 
 @dataclass

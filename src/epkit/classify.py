@@ -17,6 +17,7 @@ the numerical outcome reproducible. Unclassified is a first-class answer:
 generic perturbed inputs legitimately fall outside the exact taxonomy.
 """
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +27,10 @@ from . import cmatrix, spectral
 from .cmatrix import DEFAULT_TOL
 from .errors import CrossCheckMismatchError, NotAnEigenvalueError, ZeroEigenvaluePresentError
 from .sublattice import assemble_blocks, factor_blocks, pow2_scale
+
+
+#: Smallest positive normal double; below it a value has lost precision.
+_TINY = float(np.finfo(float).tiny)
 
 
 class EPKind(str, Enum):
@@ -202,6 +207,12 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
             (np.sqrt(lam) * s, -np.sqrt(lam) * s) for lam in defective
         ],
     }
+    # every lambda is nonzero here, so an unscaled value that is not finite,
+    # or whose larger part is below the normal range, has left the range;
+    # the parts are compared apart, since abs() of a finite value can overflow
+    if not all(cmath.isfinite(v) and max(abs(v.real), abs(v.imag)) >= _TINY
+               for v in evidence["eigenvalues"] + evidence["defective_lambdas"]):
+        evidence["out_of_range"] = True
     kind = EPKind.NONZERO_EP2_PAIR if defective else EPKind.NONDEGENERATE
     return EPClassification(kind, evidence)
 

@@ -11,7 +11,6 @@ energy pair E = +-sqrt(lambda) with upper component psi = i B chi / E, and
 the zero modes come straight from the kernels of B and B'.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,7 +18,12 @@ import numpy as np
 
 from . import cmatrix
 from .cmatrix import DEFAULT_TOL
-from .errors import GeneratorFailureError, OddDimensionError
+from .errors import (
+    DimensionTooLargeError,
+    GeneratorFailureError,
+    NonFiniteError,
+    OddDimensionError,
+)
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,21 @@ def factor_blocks(b, bprime, tol: float = DEFAULT_TOL):
     return fb.recut(tol, scale), fbp.recut(tol, scale), scale
 
 
+def _pow2_scales(b, bprime) -> np.ndarray:
+    """:func:`pow2_scale` of each pair of the stacks ``b``, ``bprime`` of
+    shape (..., N, N)."""
+    with np.errstate(over="ignore"):
+        peak = np.abs(np.concatenate((b, bprime), axis=-2)).max(axis=(-2, -1))
+    # a modulus beyond the double range reads inf, whose frexp exponent is 0
+    exponent = np.where(np.isinf(peak), 1023, np.frexp(peak)[1])
+    return np.ldexp(1.0, np.clip(exponent, -1021, 1023))
+
+
 def pow2_scale(b, bprime) -> float:
     """The power of two just above the largest entry of the pair, kept
     within the normal range; dividing by it is exact, and products of the
     divided blocks can neither underflow nor overflow."""
-    peak = np.abs(np.concatenate((b, bprime))).max()
-    return math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))
+    return float(_pow2_scales(b, bprime))
 
 
 def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -155,37 +168,74 @@ def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _unit_rows(rows)
 
 
+def _spectra(b, bprime, tol):
+    """The reduced spectra of R pairs in one pass, for block stacks ``b``,
+    ``bprime`` of shape (R, N, N) with finite entries.
+
+    Returns ``(energies, states, owner)``: the rows that
+    :func:`reduced_spectrum` gives for each pair, pair after pair, and
+    ``owner[i]``, the pair of row i. Each pair keeps its own power-of-two
+    scale and its own cutoff, and its eigenpairs keep LAPACK's order.
+    Raises NonFiniteError when an energy or a state leaves the double
+    range.
+    """
+    n = b.shape[-1]
+    if n > cmatrix.MAX_DIM:
+        raise DimensionTooLargeError(
+            f"dimension {n} exceeds the cap of {cmatrix.MAX_DIM}")
+    s = _pow2_scales(b, bprime)[:, None, None]
+    product = (bprime / s) @ (b / s)
+    # the spectral norm of each product, as np.linalg.norm(product, 2)
+    norms = np.linalg.svd(product, compute_uv=False)[:, 0]
+    cutoff = tol * np.maximum(norms, cmatrix._ABS_FLOOR)
+    lam, vecs = np.linalg.eig(product)
+    kept = np.hypot(lam.real, lam.imag) > cutoff[:, None]
+    pair = np.nonzero(kept)[0]
+    owner = np.repeat(pair, 2)
+    chi = np.ascontiguousarray(vecs.swapaxes(1, 2))
+    # B chi as one matrix-vector product per eigenvector (a matrix-matrix
+    # product rounds differently), broadcast over each pair's block without
+    # copying it; +E and -E share it
+    bchi = np.repeat((b[:, None] @ chi[..., None])[..., 0][kept], 2, axis=0)
+    chi = np.repeat(chi[kept], 2, axis=0)
+    # -E as the complex product E * -1.0 (negation would flip signed zeros);
+    # the range is checked once at the end
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        energies = (np.sqrt(lam[kept])[:, None] * s[pair, 0] * (1.0, -1.0)).ravel()
+        psi = 1j * bchi / energies[:, None]
+        states = _unit_rows(np.concatenate([psi, chi], axis=1))
+    if not (np.isfinite(energies).all() and np.isfinite(states).all()):
+        raise NonFiniteError("an energy or a state leaves the double range")
+    dropped = np.flatnonzero(~kept.all(axis=1))
+    if not len(dropped):
+        return energies, states, owner
+    # each dropping pair's zero modes after its own rows
+    zero_modes = [zero_energy_states(b[i], bprime[i], tol) for i in dropped]
+    owner = np.concatenate([owner, np.repeat(dropped, [len(z) for z in zero_modes])])
+    order = np.argsort(owner, kind="stable")
+    energies = np.concatenate([energies, np.zeros(len(owner) - len(energies))])
+    return (energies[order], np.concatenate([states, *zero_modes])[order],
+            owner[order])
+
+
 def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
     """All sublattice states of H = [[0, iB], [-iB', 0]] via the reduced
     N x N problem, as ``(energies, states)``: ``energies`` of shape (m,)
     and ``states`` of shape (m, 2N), each row a unit, phase-fixed
     (psi, chi).
 
-    Eigenpairs (lambda, chi) of B' B with |lambda| above tol * ||B'B||
+    Eigenpairs (lambda, chi) of B' B with |lambda| above tol * ||B'B||_2
     produce the pair E = +-sqrt(lambda) (principal branch) with
     psi = i B chi / E, in that order and in LAPACK's order of lambda;
     eigenvalues below the cutoff are replaced by the kernel-built zero
     modes, which come last. The zero detection happens on lambda rather
     than on E because sqrt amplifies noise near zero. The product is formed
     from the blocks divided by :func:`pow2_scale`, so no magnitude of the
-    pair can underflow or overflow it.
+    pair can underflow or overflow it; an energy or state that leaves the
+    double range raises NonFiniteError. This is the one-pair case of the
+    kernel that :func:`epkit.analysis.path_scan` runs on a whole ray.
     """
     b = cmatrix.as_square_matrix(b)
     bp = cmatrix.as_square_matrix(bprime)
-    s = pow2_scale(b, bp)
-    product = (bp / s) @ (b / s)
-    scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
-    lam, vecs = cmatrix.eig(product)
-    kept = np.hypot(lam.real, lam.imag) > tol * scale
-    chi = np.repeat(vecs.T[kept], 2, axis=0)
-    # -E as the complex product E * -1.0 (negation would flip signed zeros),
-    # and B chi as one matrix-vector product per row (a matrix-matrix
-    # product rounds differently)
-    energies = (np.sqrt(lam[kept])[:, None] * s * (1.0, -1.0)).ravel()
-    psi = 1j * (b @ chi[:, :, None])[..., 0] / energies[:, None]
-    states = _unit_rows(np.concatenate([psi, chi], axis=1))
-    if np.all(kept):
-        return energies, states
-    zero_modes = zero_energy_states(b, bp, tol)
-    return (np.concatenate([energies, np.zeros(len(zero_modes))]),
-            np.concatenate([states, zero_modes]))
+    energies, states, _ = _spectra(b[None], bp[None], tol)
+    return energies, states

@@ -1,28 +1,31 @@
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epkit import analysis
+from epkit import analysis, cli
 from epkit.analysis import (
     BOUNDED,
     CONVERGES,
     _max_weight_assignment,
     bz_scan,
     coalescence_profile,
-    match_branches,
     path_scan,
     quantum_distance,
     scaling_exponent,
 )
 from epkit.classify import EPKind
+from epkit.cmatrix import DEFAULT_TOL
 from epkit.errors import (
     CrossCheckMismatchError,
     NoiseFloorReachedError,
+    NonFiniteError,
     ZeroVectorError,
 )
 from epkit.models import (
+    MODEL_CATALOG,
     build_model,
     ep4_sqrt_model,
     kitaev_ep_locations,
@@ -30,6 +33,15 @@ from epkit.models import (
     zero_targets,
 )
 from epkit.sublattice import BlockHamiltonian, assemble, reduced_spectrum
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bytes: signed zeros and last bits included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
 
 
 def counting_generators(bh):
@@ -177,10 +189,15 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def overlap_matrix(prev_states, new_states):
+    """|<prev[i] | new[j]>|, as branch matching weighs the states."""
+    return np.abs(prev_states.conj() @ new_states.T)
+
+
 def scipy_match_branches(prev_states, new_states):
-    """match_branches as it was with scipy's solver; the reference."""
+    """Branch matching as it was with scipy's solver; the reference."""
     linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
-    overlap = np.abs(prev_states.conj() @ new_states.T)
+    overlap = overlap_matrix(prev_states, new_states)
     rows, cols = linear_sum_assignment(-overlap)
     perm = np.empty(len(cols), dtype=int)
     perm[rows] = cols
@@ -244,7 +261,9 @@ class TestAssignment:
             # one (row maxima collide for n > 2 in most draws)
             near = prev + 1e-2 * random_unitary(rng, n)
             for new in (near[rng.permutation(n)], random_unitary(rng, n)):
-                perm, worst = match_branches(prev, new)
+                overlap = overlap_matrix(prev, new)
+                perm = _max_weight_assignment(overlap)
+                worst = float(overlap[np.arange(n), perm].min())
                 ref_perm, ref_worst = scipy_match_branches(prev, new)
                 assert list(perm) == list(ref_perm)
                 assert worst == ref_worst
@@ -273,8 +292,9 @@ class TestPathScan:
         bh = build_model("ep3")
         scan = path_scan(bh, bh.q_star, np.pi / 2, tol=1e-13)
         for k in range(1, len(scan.radii)):
-            fwd, _ = match_branches(scan.states[:, k - 1], scan.states[:, k])
-            bwd, _ = match_branches(scan.states[:, k], scan.states[:, k - 1])
+            prev, new = scan.states[:, k - 1], scan.states[:, k]
+            fwd = _max_weight_assignment(overlap_matrix(prev, new))
+            bwd = _max_weight_assignment(overlap_matrix(new, prev))
             assert list(fwd) == list(range(scan.n_branches))
             assert list(bwd) == list(range(scan.n_branches))
 
@@ -296,6 +316,184 @@ class TestPathScan:
         scan = path_scan(bh, bh.q_star, np.pi / 2)
         assert len(scan.skipped_radii) > 0
         assert len(scan.radii) + len(scan.skipped_radii) == 12
+
+
+def reference_path_scan(bh, q_star, theta, radii=None, tol=DEFAULT_TOL):
+    """path_scan as it was before a ray became one batched pass: one
+    reduced_spectrum call per radius and one overlap product per step;
+    kept as the bitwise reference."""
+    qs = np.asarray(q_star, dtype=float).reshape(2)
+    r_all = analysis._validate_radii(analysis.DEFAULT_RADII if radii is None else radii)
+    direction = np.array([np.cos(theta), np.sin(theta)])
+    two_n = 2 * bh.n
+    ray = qs + r_all[:, None] * direction
+    kept_radii, kept_energies, kept_states, skipped = [], [], [], []
+    for r, b, bp in zip(r_all, bh.b(ray), bh.b_prime(ray)):
+        energies, states = reduced_spectrum(b, bp, tol)
+        if len(energies) != two_n:
+            skipped.append(float(r))
+            continue
+        kept_radii.append(float(r))
+        kept_energies.append(energies)
+        kept_states.append(states)
+    if len(kept_radii) < 2:
+        raise NoiseFloorReachedError("fewer than two usable radii in the scan")
+    energies = np.empty((two_n, len(kept_radii)), dtype=np.complex128)
+    vectors = np.empty((two_n, len(kept_radii), two_n), dtype=np.complex128)
+    energies[:, 0] = kept_energies[0]
+    vectors[:, 0] = kept_states[0]
+    min_overlap = 1.0
+    switches = []
+    for k in range(1, len(kept_radii)):
+        overlap = overlap_matrix(vectors[:, k - 1], kept_states[k])
+        perm = _max_weight_assignment(overlap)
+        worst = float(overlap[np.arange(len(perm)), perm].min())
+        energies[:, k] = kept_energies[k][perm]
+        vectors[:, k] = kept_states[k][perm]
+        min_overlap = min(min_overlap, worst)
+        if worst < 0.9:
+            switches.append({"radius": kept_radii[k], "overlap": worst})
+    return analysis.PathScan(qs, float(theta), np.array(kept_radii), energies,
+                             vectors, skipped, switches, min_overlap)
+
+
+def assert_same_scan(got, want):
+    """Every field of two scans equal, arrays to the last bit."""
+    for name in ("q_star", "radii", "energies", "states"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+    assert got.theta == want.theta
+    assert got.skipped_radii == want.skipped_radii
+    assert all(type(r) is float for r in got.skipped_radii)
+    assert got.branch_switches == want.branch_switches
+    assert got.min_overlap == want.min_overlap
+
+
+def scaled_model(bh, factor):
+    """bh with both generators multiplied by ``factor``."""
+    return replace(bh, block=lambda q: factor * bh.block(q),
+                   block_prime=lambda q: factor * bh.block_prime(q))
+
+
+RADIUS_GRIDS = [analysis.DEFAULT_RADII, np.geomspace(3e-2, 1e-6, 48)]
+CATALOG_WITH_POINT = sorted(
+    name for name in MODEL_CATALOG if build_model(name).q_star is not None)
+
+
+class TestPathScanMatchesReference:
+    """The batched ray gives the bits of the per-radius reference."""
+
+    def check(self, bh, q_star, theta, radii=None, tol=DEFAULT_TOL):
+        scan = path_scan(bh, q_star, theta, radii, tol=tol)
+        assert_same_scan(scan, reference_path_scan(bh, q_star, theta, radii, tol))
+        return scan
+
+    @pytest.mark.parametrize("name", CATALOG_WITH_POINT)
+    def test_catalog_rays(self, name):
+        bh = build_model(name)
+        for theta, tol, radii in itertools.product(
+                (0.0, 0.7, np.pi / 2, 2.5, 4.0), (1e-9, 1e-13), RADIUS_GRIDS):
+            self.check(bh, bh.q_star, theta, radii, tol)
+
+    def test_skipped_radii(self):
+        bh = build_model("ep3")
+        scan = self.check(bh, bh.q_star, np.pi / 2, tol=1e-9)
+        assert len(scan.skipped_radii) > 0
+
+    def test_each_radius_keeps_its_own_scale_and_cutoff(self):
+        # the blocks at radius r are 2^e(r) (I, diag(r^2, 1e-8 r^2)) with
+        # e(r) from -500 to 620: one power of two for the whole ray would
+        # underflow the products at the small radii, and one cutoff for the
+        # whole ray would drop their small eigenvalue
+        def magnitude(q):
+            e = np.rint(250 * (np.log10(q[..., 0]) + 4)).astype(int)
+            return np.ldexp(1.0, e)[..., None, None]
+
+        def block(q):
+            return magnitude(q) * np.eye(2)
+
+        def block_prime(q):
+            return magnitude(q) * q[..., 0, None, None] ** 2 * np.diag([1.0, 1e-8])
+
+        bh = BlockHamiltonian(2, block, block_prime)
+        scan = self.check(bh, (0.0, 0.0), 0.0, RADIUS_GRIDS[1])
+        assert scan.skipped_radii == [] and np.all(scan.energies != 0.0)
+
+    def test_zero_modes_alone_fill_a_radius(self):
+        # B = B' = (qx - r0) I vanishes at r0, where the four kernel-built
+        # zero modes are the whole spectrum
+        r0 = analysis.DEFAULT_RADII[5]
+
+        def block(q):
+            return (q[..., 0, None, None] - r0) * np.eye(2)
+
+        bh = BlockHamiltonian(2, block, block)
+        scan = self.check(bh, (0.0, 0.0), 0.0)
+        k0 = list(scan.radii).index(r0)
+        assert np.all(scan.energies[:, k0] == 0.0)
+        assert np.all(scan.energies[:, np.arange(len(scan.radii)) != k0] != 0.0)
+
+    def test_fewer_than_two_radii_refused(self):
+        bh = BlockHamiltonian(2, lambda q: np.zeros((2, 2)),
+                              lambda q: np.diag([1.0, 0.0]))
+        for scan in (path_scan, reference_path_scan):
+            with pytest.raises(NoiseFloorReachedError):
+                scan(bh, (0.0, 0.0), 0.0)
+
+
+class TestPathScanScale:
+    @pytest.mark.parametrize("name", ["ep4-sqrt", "doublet-ep2", "yao-lee-ep4"])
+    @pytest.mark.parametrize("k", [-900, 900])
+    def test_power_of_two_scale_is_exact(self, name, k):
+        # each radius is divided by its own power of two, so the pair
+        # (2^k B, 2^k B') neither overflows nor underflows and scales the
+        # energies exactly, keeping every state bit
+        bh = build_model(name)
+        for theta in (0.0, 0.7):
+            ref = path_scan(bh, bh.q_star, theta, RADIUS_GRIDS[1], tol=1e-13)
+            assert np.all(ref.energies != 0.0)  # no kernel-built zero modes
+            scan = path_scan(scaled_model(bh, 2.0 ** k), bh.q_star, theta,
+                             RADIUS_GRIDS[1], tol=1e-13)
+            assert np.array_equal(scan.energies, 2.0 ** k * ref.energies)
+            assert_same_bits(scan.states, ref.states)
+            assert scan.radii.tolist() == ref.radii.tolist()
+
+    def test_energies_out_of_range_raise(self):
+        # |E| overflows at the largest radius only: the scan refuses the
+        # ray instead of returning NaN rows
+        m = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+        def block(q):
+            return 1.5e308 * (q[..., 0, None, None] / 1e-2) * m
+
+        bh = BlockHamiltonian(2, block, block)
+        with pytest.raises(NonFiniteError):
+            path_scan(bh, (0.0, 0.0), 0.0)
+        scan = path_scan(bh, (0.0, 0.0), 0.0, analysis.DEFAULT_RADII[1:])
+        assert np.all(np.isfinite(scan.energies)) and np.all(np.isfinite(scan.states))
+
+
+CLI_SCAN_CONFIGS = sorted(CONFIG_DIR.glob("path-scan-*.cfg")) + sorted(
+    CONFIG_DIR.glob("fit-*.cfg"))
+
+
+@pytest.mark.parametrize("config", CLI_SCAN_CONFIGS, ids=lambda p: p.stem)
+def test_cli_bytes_as_with_reference_scan(config, tmp_path, monkeypatch):
+    """Every shipped path-scan and fit config writes the same bytes, CSV
+    and JSON, with the batched path_scan and with the reference."""
+    command = "path-scan" if config.stem.startswith("path-scan") else "fit"
+
+    def outputs(tag):
+        written = []
+        for extra in ([], ["--json"]):
+            out = tmp_path / f"{tag}{len(written)}.out"
+            code = cli.main([command, "--config", str(config), *extra,
+                             "--out", str(out)])
+            written.append((code, out.read_bytes()))
+        return written
+
+    batched = outputs("batched")
+    monkeypatch.setattr(analysis, "path_scan", reference_path_scan)
+    assert outputs("reference") == batched
 
 
 class TestCoalescence:

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -264,6 +266,27 @@ class TestNonzeroEnergy:
         assert result.kind is EPKind.NONZERO_EP2_PAIR
         np.testing.assert_allclose(np.array(result.evidence["doublet_energies"]) / c,
                                    ref.evidence["doublet_energies"], rtol=1e-7)
+
+    @pytest.mark.parametrize("c", [1e160, 1e-170])
+    def test_unscaled_values_out_of_range_flagged(self, c):
+        # c^2 J2(1) has eigenvalue c^2, which overflows at 1e160 and
+        # underflows at 1e-170: the evidence says so and keeps the verdict
+        ref = classify_nonzero_energy(jordan_block(2, 1.0), np.eye(2))
+        result = classify_nonzero_energy(c * jordan_block(2, 1.0), c * np.eye(2))
+        assert "out_of_range" not in ref.evidence
+        assert result.evidence["out_of_range"] is True
+        assert result.kind is ref.kind
+        np.testing.assert_allclose(np.array(result.evidence["doublet_energies"]) / c,
+                                   ref.evidence["doublet_energies"], rtol=1e-7)
+
+    def test_finite_value_with_overflowing_modulus_in_range(self):
+        # the unscaled eigenvalue is (1.3e308, 1.3e308): finite, though its
+        # modulus is beyond the double range
+        c = np.sqrt(1.3e308)
+        result = classify_nonzero_energy(c * (1 + 1j) * np.eye(2), c * np.eye(2))
+        assert result.kind is EPKind.NONDEGENERATE
+        assert "out_of_range" not in result.evidence
+        assert all(cmath.isfinite(v) for v in result.evidence["eigenvalues"])
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(ZeroEigenvaluePresentError):

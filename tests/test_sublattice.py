@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from epkit.analysis import DEFAULT_RADII
-from epkit.errors import GeneratorFailureError, OddDimensionError
+from epkit.errors import GeneratorFailureError, NonFiniteError, OddDimensionError
 from epkit.models import (
     MODEL_CATALOG,
     build_model,
@@ -228,6 +230,18 @@ class TestReducedSpectrum:
         assert len(got) == 4
         np.testing.assert_allclose(np.array(got) / c, energies(1.0), rtol=0, atol=1e-7)
 
+    def test_energies_out_of_range_raise(self):
+        # |E| = 1.5e308 * sqrt(2) leaves the double range; the energies would be
+        # inf+nanj and the states NaN
+        b = 1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]])
+        # |1.5e308 (1 + i)| itself is beyond the double range
+        c = (1.5e308 + 1.5e308j) * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((b, b), (c, c)):
+                with pytest.raises(NonFiniteError):
+                    reduced_spectrum(*pair)
+
     def test_power_of_two_scale_is_exact(self, rng):
         for n in (1, 2, 3):
             b, bp = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
@@ -244,6 +258,7 @@ class TestReducedSpectrum:
         # 2^e and 2^-e stay normal numbers at the ends of the range
         assert pow2_scale(np.array([[1e308]]), np.zeros((1, 1))) == 2.0 ** 1023
         assert pow2_scale(np.array([[1e-320]]), np.zeros((1, 1))) == 2.0 ** -1021
+        assert pow2_scale(np.array([[1.5e308 + 1.5e308j]]), np.zeros((1, 1))) == 2.0 ** 1023
 
 
 class TestPairing:
@@ -367,6 +382,14 @@ class TestArrayFormMatchesReference:
     def test_hermitian_kitaev_point(self):
         bh = kitaev_model()
         self.check(bh.b(bh.q_star), bh.b_prime(bh.q_star))
+
+    def test_cutoff_is_the_spectral_norm(self):
+        # lambda = 0.3e-9 of B'B / 4 lies above tol * ||B'B / 4||_2 and
+        # below tol * ||B'B / 4||_F: it is kept
+        b = np.diag([1.0, 1.0, 1.2e-9])
+        self.check(b, np.eye(3))
+        energies, _ = reduced_spectrum(b, np.eye(3))
+        assert len(energies) == 6 and np.all(energies != 0.0)
 
     def test_random_pairs(self, rng):
         for _ in range(40):
