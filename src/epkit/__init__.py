@@ -22,7 +22,6 @@ from .classify import (
 )
 from .cmatrix import (
     DEFAULT_TOL,
-    SubspaceBasis,
     eig,
     image_basis,
     kernel_basis,

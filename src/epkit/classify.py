@@ -113,23 +113,23 @@ def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassificatio
         raise ValueError("classify_zero_energy handles N = 2; see check_ep2n")
 
     ker_b, ker_bp = fb.kernel, fbp.kernel
-    im_b, im_bp = fb.image, fbp.image
+    nul_b, nul_bp = ker_b.shape[1], ker_bp.shape[1]
     b_is_zero = fb.rank == 0
     bp_is_zero = fbp.rank == 0
     bp_prop_id = _proportional_to_identity(bp, tol)
     b_prop_id = _proportional_to_identity(b, tol)
 
     product = cmatrix.factorize(b @ bp, tol)
-    ker_im_equal = cmatrix.subspace_equal(product.kernel, product.image, tol)
+    ker_im_equal = cmatrix._same_span(product.kernel, product.image, tol)
 
-    im_bp_eq_ker_b = cmatrix.subspace_equal(im_bp, ker_b, tol)
-    im_b_eq_ker_bp = cmatrix.subspace_equal(im_b, ker_bp, tol)
+    im_bp_eq_ker_b = cmatrix._same_span(fbp.image, ker_b, tol)
+    im_b_eq_ker_bp = cmatrix._same_span(fb.image, ker_bp, tol)
 
     evidence = {
         "n": 2,
         "scale": float(scale),
-        "dim_ker_b": ker_b.dim,
-        "dim_ker_bprime": ker_bp.dim,
+        "dim_ker_b": nul_b,
+        "dim_ker_bprime": nul_bp,
         "rank_b": fb.rank,
         "rank_bprime": fbp.rank,
         "relations": {
@@ -151,13 +151,9 @@ def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassificatio
     elif bp_is_zero and b_prop_id:
         kind = EPKind.DOUBLET_EP2
         evidence["relations"]["mirror"] = True
-    elif ker_b.dim + ker_bp.dim == 1 and ker_im_equal:
+    elif nul_b + nul_bp == 1 and ker_im_equal:
         kind = EPKind.EP4
-    elif (
-        ker_b.dim == 1
-        and ker_bp.dim == 1
-        and (im_bp_eq_ker_b != im_b_eq_ker_bp)
-    ):
+    elif nul_b == 1 and nul_bp == 1 and im_bp_eq_ker_b != im_b_eq_ker_bp:
         kind = EPKind.EP3_MIXED
         evidence["relations"]["mirror"] = bool(im_b_eq_ker_bp)
     else:
@@ -227,7 +223,7 @@ def check_ep2n(b, bprime, tol: float = DEFAULT_TOL) -> bool:
     """
     b, bp, fb, fbp, _, blocks = _unit_pair(b, bprime, tol)
     n = b.shape[0]
-    verdict = (fb.kernel.dim + fbp.kernel.dim == 1
+    verdict = (fb.kernel.shape[1] + fbp.kernel.shape[1] == 1
                and spectral.rank_sequence(bp @ b, 0.0, tol) == list(range(n - 1, -1, -1)))
     if verdict != (blocks == [2 * n]):
         raise CrossCheckMismatchError(
@@ -252,8 +248,8 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
     evidence = {
         "n": n,
         "scale": float(scale),
-        "dim_ker_b": fb.kernel.dim,
-        "dim_ker_bprime": fbp.kernel.dim,
+        "dim_ker_b": fb.kernel.shape[1],
+        "dim_ker_bprime": fbp.kernel.shape[1],
         "jordan_blocks_at_zero": blocks,
         "generic_n_fallback": True,
     }

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 configuration error, 3 cross-check mismatch,
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -57,7 +58,7 @@ def parse_number(text: str):
             value = complex(s.replace("i", "j").replace(" ", ""))
         except ValueError:
             raise ConfigError(f"cannot parse number {text!r}")
-    if not math.isfinite(abs(value)):
+    if not cmath.isfinite(value):  # abs() of a finite value can overflow
         raise ConfigError(f"number {text!r} is not finite")
     return value
 
@@ -178,8 +179,11 @@ def _thetas(raw):
 def _write_lines(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -416,7 +420,7 @@ def main(argv=None) -> int:
     except CrossCheckMismatchError as exc:
         print(f"error: cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except (ConfigError, EpkitError, ValueError) as exc:
+    except (ConfigError, EpkitError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

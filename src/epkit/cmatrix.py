@@ -4,12 +4,14 @@ Thin, validated wrappers around LAPACK (via numpy) that fix the tolerance
 conventions used everywhere else in the package: each matrix is factorised
 once by :func:`factorize`, whose :class:`SVD` value reads rank, kernel,
 image and norm off a single SVD with the relative cutoff ``tol * sigma_max``
-(optionally against a caller-supplied scale). Kernels and images are
-orthonormal singular-vector bases; subspaces are compared through principal
-angles.
+(optionally against a caller-supplied scale). A subspace is an ``(ambient,
+dim)`` array of orthonormal columns, kernels and images are slices of the
+singular vectors, and subspaces are compared through principal angles.
 """
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,38 +55,6 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of C^ambient_dim.
-
-    ``vectors`` holds the basis as columns, shape ``(ambient_dim, dim)``.
-    An empty basis (dim 0) represents the trivial subspace.
-    """
-
-    ambient_dim: int
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.complex128)
-        if v.ndim != 2 or v.shape[0] != self.ambient_dim:
-            raise AmbientMismatchError(
-                f"basis shape {v.shape} does not match ambient dim {self.ambient_dim}"
-            )
-        if v.shape[1] > self.ambient_dim:
-            raise AmbientMismatchError("more basis vectors than ambient dimension")
-        if v.size:
-            if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-                raise NonFiniteError("basis contains NaN or Inf entries")
-            gram = v.conj().T @ v
-            if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-12:
-                raise ValueError("basis vectors are not orthonormal to 1e-12")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
 def eig(m):
     """Eigendecomposition of a small square complex matrix.
 
@@ -120,17 +90,17 @@ class SVD:
     def norm(self) -> float:
         return float(self.s[0])
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return int(np.sum(self.s > self.cutoff))
 
     @property
-    def kernel(self) -> SubspaceBasis:
-        return SubspaceBasis(self.vh.shape[1], self.vh[self.rank:].conj().T)
+    def kernel(self) -> np.ndarray:
+        return self.vh[self.rank:].conj().T
 
     @property
-    def image(self) -> SubspaceBasis:
-        return SubspaceBasis(self.u.shape[0], self.u[:, : self.rank])
+    def image(self) -> np.ndarray:
+        return self.u[:, : self.rank]
 
     def recut(self, tol: float, scale: float) -> "SVD":
         """The same factorisation cut at ``tol * scale``; a matrix or scale
@@ -150,6 +120,8 @@ def factorize(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> SVD:
     that magnitude explicitly.
     """
     u, s, vh = np.linalg.svd(as_matrix(m))
+    if not math.isfinite(s[0]):
+        raise NonFiniteError("the norm of the matrix leaves the double range")
     return SVD(u, s, vh, 0.0).recut(tol, s[0] if scale is None else scale)
 
 
@@ -158,26 +130,49 @@ def svd_rank(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> int:
     return factorize(m, tol, scale).rank
 
 
-def kernel_basis(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> SubspaceBasis:
-    """Orthonormal basis of the numerical kernel (right null space) of ``m``."""
+def kernel_basis(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel of ``m``."""
     return factorize(m, tol, scale).kernel
 
 
-def image_basis(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> SubspaceBasis:
-    """Orthonormal basis of the numerical image (column space) of ``m``."""
+def image_basis(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
+    """Orthonormal columns spanning the numerical image of ``m``."""
     return factorize(m, tol, scale).image
 
 
-def subspace_equal(u: SubspaceBasis, v: SubspaceBasis, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the two subspaces coincide up to principal-angle sines <= tol."""
-    if u.ambient_dim != v.ambient_dim:
-        raise AmbientMismatchError(
-            f"ambient dims differ: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    if u.dim != v.dim:
+def _orthonormal_columns(v) -> np.ndarray:
+    """Validate a basis given from outside: a finite 2-d array whose columns
+    are orthonormal to 1e-12, no more of them than rows."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[1] > v.shape[0]:
+        raise AmbientMismatchError(f"basis shape {v.shape} is not (n, k), k <= n")
+    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        raise NonFiniteError("basis contains NaN or Inf entries")
+    if v.size and np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > 1e-12:
+        raise ValueError("basis vectors are not orthonormal to 1e-12")
+    return v
+
+
+def _same_span(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """subspace_equal for bases known to be valid, e.g. read off an SVD."""
+    if u.shape[1] != v.shape[1]:
         return False
-    if u.dim == 0:
+    if u.shape[1] == 0:
         return True
     # Largest principal-angle sine = || (I - U U^H) V ||_2.
-    resid = v.vectors - u.vectors @ (u.vectors.conj().T @ v.vectors)
+    resid = v - u @ (u.conj().T @ v)
     return bool(np.linalg.norm(resid, 2) <= tol)
+
+
+def subspace_equal(u, v, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the spans of the orthonormal columns of ``u`` and ``v``
+    coincide up to principal-angle sines <= tol. A basis that is not 2-d or
+    has more columns than rows, or bases of differing ambient dimension,
+    raise AmbientMismatchError; NaN or Inf raises NonFiniteError, and
+    columns not orthonormal to 1e-12 raise ValueError."""
+    u, v = _orthonormal_columns(u), _orthonormal_columns(v)
+    if u.shape[0] != v.shape[0]:
+        raise AmbientMismatchError(
+            f"ambient dims differ: {u.shape[0]} vs {v.shape[0]}"
+        )
+    return _same_span(u, v, tol)

@@ -79,7 +79,7 @@ class _PowerLadder:
         """Orthonormal columns spanning im((H - E)^k); k = 0 gives I."""
         if k == 0:
             return np.eye(self.n, dtype=np.complex128)
-        return self.factor(k).image.vectors
+        return self.factor(k).image
 
     def ranks(self) -> list[int]:
         """Ranks [r_1, r_2, ...] of the powers until the plateau."""
@@ -204,7 +204,7 @@ def _subspace_intersection(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarr
     if a.shape[1] == 0:
         return a
     outside = a - b @ (b.conj().T @ a)
-    return a @ cmatrix.factorize(outside, tol, 1.0).kernel.vectors
+    return a @ cmatrix.factorize(outside, tol, 1.0).kernel
 
 
 def _restricted_minnorm_solve(op: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
@@ -237,7 +237,7 @@ def jordan_chain(h, e: complex, length: int, seed_vector=None,
     if not 1 <= length <= n:
         raise ChainSolveFailedError(f"chain length {length} out of range for n={n}")
     ladder = _PowerLadder(a, e, tol)
-    if ladder.kernel.dim == 0:
+    if ladder.kernel.shape[1] == 0:
         raise NotAnEigenvalueError(f"{e} is not an eigenvalue at tol={tol}")
     return _chain(ladder, length, seed_vector, _default_chain_tol(a))
 
@@ -257,7 +257,7 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
             )
     else:
         inter = _subspace_intersection(
-            ladder.kernel.vectors, ladder.image(length - 1), ladder.tol)
+            ladder.kernel, ladder.image(length - 1), ladder.tol)
         if inter.shape[1] == 0:
             raise ChainSolveFailedError(
                 f"no kernel direction admits a chain of length {length}"
@@ -292,7 +292,7 @@ def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
         return structure
 
     chain_tol = _default_chain_tol(a)
-    kern = ladder.kernel.vectors
+    kern = ladder.kernel
     used_seeds = np.zeros((n, 0), dtype=np.complex128)
     for size in sizes:
         if size == 1:
@@ -302,7 +302,7 @@ def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
         # Remove directions already consumed by earlier (larger) blocks.
         if used_seeds.shape[1] and candidates.shape[1]:
             rest = candidates - used_seeds @ (used_seeds.conj().T @ candidates)
-            candidates = cmatrix.factorize(rest, tol, 1.0).image.vectors
+            candidates = cmatrix.factorize(rest, tol, 1.0).image
         if candidates.shape[1] == 0:
             raise ChainSolveFailedError(
                 f"could not find an independent seed for a block of size {size}"

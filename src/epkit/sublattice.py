@@ -161,7 +161,7 @@ def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL) -> np.ndarray:
     b = cmatrix.as_square_matrix(b)
     fb, fbp, _ = factor_blocks(b, bprime, tol)
     n = b.shape[0]
-    ker_b, ker_bp = fb.kernel.vectors.T, fbp.kernel.vectors.T
+    ker_b, ker_bp = fb.kernel.T, fbp.kernel.T
     rows = np.zeros((len(ker_b) + len(ker_bp), 2 * n), dtype=np.complex128)
     rows[:len(ker_b), n:] = ker_b
     rows[len(ker_b):, :n] = ker_bp

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epkit import spectral
+from epkit import cmatrix, spectral
 from epkit.classify import (
     EPKind,
     check_ep2n,
@@ -91,6 +91,17 @@ class TestZeroEnergyTaxonomy:
     def test_mirror_swap_preserves_kind(self):
         for kind, (b, bp) in CANONICAL.items():
             assert classify_zero_energy(bp, b).kind is kind
+
+    def test_own_bases_not_revalidated(self, monkeypatch):
+        # only bases from outside go through the validator of subspace_equal
+        def refuse(v):
+            raise AssertionError("classifier re-validated its own basis")
+
+        monkeypatch.setattr(cmatrix, "_orthonormal_columns", refuse)
+        with pytest.raises(AssertionError):
+            cmatrix.subspace_equal(np.eye(2), np.eye(2))
+        for kind, (b, bp) in CANONICAL.items():
+            assert classify_zero_energy(b, bp).kind is kind
 
     def test_twoblock_pair_without_su2_form_unclassified(self):
         # B = 0 with B' not proportional to I: Jordan blocks are [2, 2] but

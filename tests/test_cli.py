@@ -293,3 +293,32 @@ class TestKeysPerCommand:
         out = tmp_path / "out.txt"
         assert cli.main([command, "--model", "doublet-ep2", "tol=1e-8",
                          "--out", str(out)]) == 0
+
+
+#: Bad inputs, each as CLI arguments; ``{tmp}`` is a fresh directory. The
+#: sizes are far beyond any address space, so numpy refuses them at once.
+BAD_INPUTS = {
+    "complex-modulus-overflow": ["classify", "--model", "doublet-ep2",
+                                 "c=1.5e308+1.5e308i"],
+    "complex-modulus-overflow-ep3": ["classify", "--model", "ep3",
+                                     "b2=1.5e308+1.5e308i"],
+    "unwritable-out-models": ["models", "--out", "{tmp}/missing/x.txt"],
+    "unwritable-out-classify": ["classify", "--model", "ep3",
+                                "--out", "{tmp}/missing/x.txt"],
+    "unallocatable-grid": ["bz-scan", "--model", "ep3", "grid_nx=16",
+                           "grid_ny=1e15"],
+    "unallocatable-radii": ["path-scan", "--model", "ep3", "radii_count=1e15"],
+    "unknown-key": ["classify", "--model", "ep3", "bogus=1"],
+    "unparsable-number": ["classify", "--model", "ep3", "b2=1.0.0"],
+    "missing-config": ["classify", "--config", "{tmp}/missing.cfg"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_gives_one_error_line(args, tmp_path):
+    proc = run_epkit(*(a.format(tmp=tmp_path) for a in args))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -3,7 +3,6 @@ import pytest
 
 from epkit import cmatrix
 from epkit.cmatrix import (
-    SubspaceBasis,
     eig,
     image_basis,
     kernel_basis,
@@ -88,7 +87,7 @@ class TestRank:
             cols = int(rng.integers(1, 7))
             m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
             for tol in (1e-8, 1e-10, 1e-12):
-                assert svd_rank(m, tol) + kernel_basis(m, tol).dim == cols
+                assert svd_rank(m, tol) + kernel_basis(m, tol).shape[1] == cols
 
     def test_svd_reconstruction(self, rng):
         for _ in range(100):
@@ -105,10 +104,10 @@ class TestFactorize:
             m[:, 2] = m[:, 0] - 2j * m[:, 1]
             f = cmatrix.factorize(m, 1e-10)
             assert f.rank == 2
-            assert (f.kernel.dim, f.image.dim) == (1, 2)
+            assert f.kernel.shape == (3, 1) and f.image.shape == (4, 2)
             assert f.norm == pytest.approx(np.linalg.norm(m, 2), rel=1e-14)
-            assert np.linalg.norm(m @ f.kernel.vectors) <= 1e-12 * f.norm
-            im = f.image.vectors
+            assert np.linalg.norm(m @ f.kernel) <= 1e-12 * f.norm
+            im = f.image
             assert np.linalg.norm(m - im @ (im.conj().T @ m)) <= 1e-12 * f.norm
 
     def test_recut_against_common_scale(self):
@@ -117,9 +116,37 @@ class TestFactorize:
         assert f.recut(1e-9, 1.0).rank == 0
         assert f.recut(1e-9, 1e-12).rank == 1
 
+    def test_norm_beyond_double_range_rejected(self):
+        # finite entries whose modulus overflows: LAPACK returns NaN
+        c = 1.5e308 + 1.5e308j
+        with pytest.raises(NonFiniteError):
+            cmatrix.factorize(np.diag([c, c]))
+        with pytest.raises(NonFiniteError):
+            cmatrix.factorize(np.full((2, 2), 1e308))
+
     def test_below_absolute_floor_is_zero(self):
         assert cmatrix.factorize(np.diag([1e-305, 0.0])).rank == 0
         assert svd_rank(np.eye(2), scale=0.0) == 0
+
+    def test_kernel_and_image_are_singular_vector_slices(self, rng):
+        for rank in range(4):
+            m = rng.standard_normal((4, rank)) @ rng.standard_normal((rank, 3)) + 0j
+            f = cmatrix.factorize(m, 1e-10)
+            assert f.rank == rank
+            for view, ref in ((f.kernel, f.vh[rank:].conj().T), (f.image, f.u[:, :rank])):
+                assert view.dtype == ref.dtype and view.shape == ref.shape
+                assert view.tobytes() == ref.tobytes()
+
+    def test_rank_counted_once_per_cut(self, monkeypatch):
+        f = cmatrix.factorize(np.diag([1.0, 1e-6, 0.0]))
+        counted = []
+        real_sum = np.sum
+        monkeypatch.setattr(np, "sum", lambda *a, **k: counted.append(1) or real_sum(*a, **k))
+        assert (f.rank, f.kernel.shape, f.image.shape, f.rank) == (2, (3, 1), (3, 2), 2)
+        assert len(counted) == 1
+        g = f.recut(1e-5, 1.0)
+        assert (g.rank, g.kernel.shape, g.image.shape) == (1, (3, 2), (3, 1))
+        assert len(counted) == 2
 
     @pytest.mark.parametrize("view", [svd_rank, kernel_basis, image_basis])
     def test_each_view_factorises_once(self, view, svd_calls):
@@ -130,18 +157,18 @@ class TestFactorize:
 class TestKernelImage:
     def test_kernel_of_shift(self):
         basis = kernel_basis(jordan_block(2))
-        assert basis.dim == 1
-        assert abs(abs(basis.vectors[0, 0]) - 1.0) < 1e-12
-        assert abs(basis.vectors[1, 0]) < 1e-12
+        assert basis.shape == (2, 1)
+        assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
+        assert abs(basis[1, 0]) < 1e-12
 
     def test_kernel_of_identity(self):
-        assert kernel_basis(np.eye(3)).dim == 0
+        assert kernel_basis(np.eye(3)).shape == (3, 0)
 
     def test_image_single_row(self):
         # [[1, 2], [0, 0]] has image along (1, 0)
         basis = image_basis(np.array([[1.0, 2.0], [0.0, 0.0]]))
-        assert basis.dim == 1
-        assert abs(basis.vectors[1, 0]) < 1e-12
+        assert basis.shape == (2, 1)
+        assert abs(basis[1, 0]) < 1e-12
 
     def test_kernel_vectors_annihilated(self, rng):
         tol = 1e-10
@@ -150,16 +177,16 @@ class TestKernelImage:
             m[:, 0] = m[:, 1]  # force rank deficiency
             smax = np.linalg.svd(m, compute_uv=False)[0]
             basis = kernel_basis(m, tol)
-            assert basis.dim >= 1
-            for v in basis.vectors.T:
+            assert basis.shape[1] >= 1
+            for v in basis.T:
                 assert np.linalg.norm(m @ v) <= 10 * tol * smax
 
 
 class TestSubspaces:
     def test_equal_and_not(self):
-        e1 = SubspaceBasis(2, np.array([[1.0], [0.0]], dtype=complex))
-        e1b = SubspaceBasis(2, np.array([[1.0], [0.0]], dtype=complex))
-        e2 = SubspaceBasis(2, np.array([[0.0], [1.0]], dtype=complex))
+        e1 = np.array([[1.0], [0.0]], dtype=complex)
+        e1b = np.array([[1.0], [0.0]], dtype=complex)
+        e2 = np.array([[0.0], [1.0]], dtype=complex)
         assert subspace_equal(e1, e1b)
         assert not subspace_equal(e1, e2)
 
@@ -173,19 +200,34 @@ class TestSubspaces:
         # same span through a random unitary change of basis vectors
         q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         mix, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        a = SubspaceBasis(4, q)
-        b = SubspaceBasis(4, q @ mix)
-        assert subspace_equal(a, b)
+        assert subspace_equal(q, q @ mix)
 
     def test_ambient_mismatch(self):
-        a = SubspaceBasis(2, np.array([[1.0], [0.0]], dtype=complex))
-        b = SubspaceBasis(3, np.array([[1.0], [0.0], [0.0]], dtype=complex))
+        a = np.array([[1.0], [0.0]], dtype=complex)
+        b = np.array([[1.0], [0.0], [0.0]], dtype=complex)
         with pytest.raises(AmbientMismatchError):
             subspace_equal(a, b)
 
     def test_orthonormality_enforced(self):
-        with pytest.raises(ValueError):
-            SubspaceBasis(2, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="orthonormal"):
+            subspace_equal(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex), np.eye(2))
+
+    def test_non_finite_basis_rejected(self):
+        e1 = np.array([[1.0], [0.0]], dtype=complex)
+        with pytest.raises(NonFiniteError):
+            subspace_equal(np.array([[np.nan], [0.0]], dtype=complex), e1)
+        with pytest.raises(NonFiniteError):
+            subspace_equal(e1, np.array([[1.0], [np.inf]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)) / np.sqrt(2), np.array([1.0, 0.0])],
+                             ids=["more-columns-than-rows", "not-2d"])
+    def test_basis_shape_rejected(self, bad):
+        with pytest.raises(AmbientMismatchError):
+            subspace_equal(bad, np.eye(2))
+
+    def test_trivial_subspaces(self):
+        assert subspace_equal(np.zeros((3, 0)), kernel_basis(np.eye(3)))
+        assert not subspace_equal(np.zeros((3, 0)), image_basis(np.eye(3)))
 
 
 def test_default_tolerance_constant():

@@ -110,8 +110,8 @@ def reference_zero_energy_states(b, bprime, tol=1e-9):
     b = np.asarray(b, dtype=np.complex128)
     fb, fbp, _ = factor_blocks(b, bprime, tol)
     n = b.shape[0]
-    states = [reference_unit_state(np.zeros(n), chi) for chi in fb.kernel.vectors.T]
-    states += [reference_unit_state(psi, np.zeros(n)) for psi in fbp.kernel.vectors.T]
+    states = [reference_unit_state(np.zeros(n), chi) for chi in fb.kernel.T]
+    states += [reference_unit_state(psi, np.zeros(n)) for psi in fbp.kernel.T]
     return np.array(states, dtype=np.complex128).reshape(len(states), 2 * n)
 
 
