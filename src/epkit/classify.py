@@ -1,23 +1,41 @@
 """Algebraic classifier for zero-energy exceptional structure.
 
-For N = 2 the decision procedure tests, in a fixed order, the kernel/image
-relations between the blocks B and B':
+H = [[0, iB], [-iB', 0]] is odd under P = diag(I, -I): it maps each
+sublattice onto the other. So a Jordan basis of H at E = 0 can be chosen
+sublattice-pure, and each chain alternates between the sublattices. A
+chain's eigenvector is (0, chi) with chi in ker B or (psi, 0) with psi in
+ker B'; its k-th vector lies on the eigenvector's sublattice for odd k and
+on the other one for even k. On the lower sublattice H^k acts, up to a
+phase, as the alternating product of k blocks whose rightmost factor is B
+(B, B'B, BB'B, ...), and on the upper one as the product whose rightmost
+factor is B'. H^k annihilates the first k vectors of every chain, so with
+r_k and r'_k the ranks of the two k-th products, and r_0 = r'_0 = N,
 
-    (a) both blocks full rank                -> Nondegenerate
-    (b) B = 0 and B' proportional to I       -> DoubletEP2   (or the mirror)
-    (c) dim ker B + dim ker B' = 1 and
-        ker(B B') = im(B B')                 -> EP4
-    (d) dim ker B = dim ker B' = 1 and
-        im B' = ker B xor im B = ker B'      -> EP3Mixed
-    (e) anything else                        -> Unclassified
+    r_{k-1} - r_k    chains of length >= k with eigenvector in ker B for
+                     odd k, in ker B' for even k
+    r'_{k-1} - r'_k  chains of length >= k with eigenvector in ker B' for
+                     odd k, in ker B for even k
 
-The conditions are mutually exclusive in exact arithmetic; the fixed order
-plus a Jordan-structure cross-check on the assembled 4 x 4 Hamiltonian makes
-the numerical outcome reproducible. Unclassified is a first-class answer:
+The ranks of the products give every chain at zero with its sublattice,
+for every N, and r_k + r'_k = rank H^k. The chain lengths name the kind:
+
+    no zero mode                         -> Nondegenerate
+    only chains of length 1              -> Diabolic
+    a lone chain of length 2             -> EP2
+    N chains of length 2                 -> DoubletEP2
+    a 4-chain, other chains of length 1  -> EP4
+    a 3-chain beside chains of length 1  -> EP3Mixed
+    anything else                        -> Unclassified
+
+EP3Mixed is the paper's odd-order EP, a mixture of even-order ones: at
+the canonical pair it reads one 3-chain in ker B and one 1-chain in
+ker B'. Every verdict is cross-checked against the Jordan blocks that
+:mod:`spectral` reads off the powers of the assembled H; disagreement
+raises CrossCheckMismatchError. Unclassified is a first-class answer:
 generic perturbed inputs legitimately fall outside the exact taxonomy.
 """
 
-import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,18 +43,21 @@ import numpy as np
 
 from . import cmatrix, spectral
 from .cmatrix import DEFAULT_TOL
-from .errors import CrossCheckMismatchError, NotAnEigenvalueError, ZeroEigenvaluePresentError
+from .errors import (
+    CrossCheckMismatchError,
+    NotAnEigenvalueError,
+    RankSequenceError,
+    ZeroEigenvaluePresentError,
+)
 from .sublattice import assemble_blocks, factor_blocks, pow2_scale
 
 
-#: Smallest positive normal double; below it a value has lost precision.
-_TINY = float(np.finfo(float).tiny)
-
-
 class EPKind(str, Enum):
+    EP2 = "EP2"
     DOUBLET_EP2 = "DoubletEP2"
     EP4 = "EP4"
     EP3_MIXED = "EP3Mixed"
+    DIABOLIC = "Diabolic"
     NONZERO_EP2_PAIR = "NonzeroEnergyEP2Pair"
     NONDEGENERATE = "Nondegenerate"
     UNCLASSIFIED = "Unclassified"
@@ -57,11 +78,14 @@ class EPClassification:
 
 def _kind_of_blocks(blocks, n):
     """The kind that the Jordan blocks at E = 0 of the assembled 2N x 2N
-    Hamiltonian name: no zero mode is Nondegenerate, a single 4-block EP4, a
-    3-block beside a trivial zero mode EP3Mixed and N 2-blocks DoubletEP2."""
+    Hamiltonian name (see the module docstring)."""
     nontrivial = [s for s in blocks if s > 1]
     if not blocks:
         return EPKind.NONDEGENERATE
+    if not nontrivial:
+        return EPKind.DIABOLIC
+    if blocks == [2]:
+        return EPKind.EP2
     if nontrivial == [4]:
         return EPKind.EP4
     if nontrivial == [3] and 1 in blocks:
@@ -71,101 +95,115 @@ def _kind_of_blocks(blocks, n):
     return EPKind.UNCLASSIFIED
 
 
-def _unit_pair(b, bprime, tol):
-    """``(b, bprime, svd_b, svd_bprime, scale, blocks)``: the validated
-    pair divided by its scale, each block factorised once against the pair,
-    and the Jordan block sizes at E = 0 of the assembled H ([] if none)."""
+def _pair(b, bprime):
+    """The validated pair as complex arrays of one square shape."""
     b = cmatrix.as_square_matrix(b)
     bp = cmatrix.as_square_matrix(bprime)
     if b.shape != bp.shape:
         raise ValueError("B and B' must have matching shapes")
+    return b, bp
+
+
+def _read_chains(fb, fbp, scale, tol):
+    """The Jordan chains at E = 0, longest first, each as
+    ``{"length": k, "in_ker": "B" or "B'"}``, the kernel that holds its
+    eigenvector ("B" first among chains of one length).
+
+    Each block is rebuilt at unit scale from its factorisation with the
+    singular values under the pair cutoff zeroed, as the power ladder of
+    :mod:`spectral` denoises H. The k-th products of both sublattices are
+    cut together at tol * max(sigma_max of both, 100 eps / tol), the cut
+    of H^k, and their ranks are read by :func:`_chains_from_ranks`.
+    """
+    pair = np.array([(f.u * np.where(f.s > f.cutoff, f.s / scale, 0.0)) @ f.vh
+                     for f in (fb, fbp)])
+    n = pair.shape[-1]
+    # products[k - 1]: the k-factor products whose rightmost factor is B, B'
+    products = [pair]
+    for k in range(2, 2 * n + 1):
+        products.append((pair[::-1] if k % 2 == 0 else pair) @ products[-1])
+    s = np.linalg.svd(np.array(products), compute_uv=False)
+    cut = tol * np.maximum(s[..., 0].max(axis=1), spectral._NOISE_FLOOR / tol)
+    ranks = (s > cut[:, None, None]).sum(axis=-1)
+    return _chains_from_ranks(np.vstack([[n, n], ranks]))
+
+
+def _chains_from_ranks(ranks):
+    """The chain list of :func:`_read_chains` from the ranks, one row
+    ``(r_k, r'_k)`` per k >= 0 (module docstring), read until both stop
+    falling. Ranks that rise, or that count fewer chains of length >= k
+    than of length >= k + 1, raise RankSequenceError."""
+    ranks = np.asarray(ranks)
+    # drops[k - 1]: chains of length >= k in ker B and in ker B'; for even
+    # k the products ending in B' count those in ker B
+    drops = ranks[:-1] - ranks[1:]
+    drops[1::2] = drops[1::2, ::-1]
+    plateau = np.append(drops.any(axis=1), False).argmin()
+    at_least = np.vstack([drops[:plateau], [0, 0]])
+    exactly = at_least[:-1] - at_least[1:]
+    if (at_least < 0).any() or (exactly < 0).any():
+        raise RankSequenceError(
+            f"ranks {ranks[:, 0].tolist()} and {ranks[:, 1].tolist()} of the "
+            "alternating products of B and B' fit no Jordan structure")
+    return [{"length": k, "in_ker": side} for k in range(len(exactly), 0, -1)
+            for side, count in zip(("B", "B'"), exactly[k - 1].tolist())
+            for _ in range(count)]
+
+
+def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
+    """Zero-energy verdict for a block pair of any N.
+
+    Both blocks are measured against their common magnitude
+    max(sigma_max(B), sigma_max(B')), so that "zero" means small against
+    the pair and not against one block, and are divided by it, so that no
+    product can underflow or overflow. The chains at zero are read from
+    the ranks of the alternating products of B and B' (module docstring)
+    and name the kind. ``evidence["chains"]`` lists them, longest first,
+    each as ``{"length": k, "in_ker": "B" or "B'"}``. The chain lengths
+    must equal the Jordan blocks at zero of the assembled H, read by
+    :func:`spectral.jordan_structure`; otherwise CrossCheckMismatchError
+    (a tolerance pathology, not a physics answer) is raised.
+    """
+    b, bp = _pair(b, bprime)
+    n = b.shape[0]
     fb, fbp, scale = factor_blocks(b, bp, tol)
-    b, bp = b / scale, bp / scale
+    chains = _read_chains(fb, fbp, scale, tol)
     try:
         blocks = spectral.jordan_structure(
-            assemble_blocks(b, bp), 0.0, tol, with_chains=False).block_sizes
+            assemble_blocks(b / scale, bp / scale), 0.0, tol,
+            with_chains=False).block_sizes
     except NotAnEigenvalueError:
         blocks = []
-    return b, bp, fb, fbp, scale, blocks
-
-
-def _proportional_to_identity(m, tol):
-    """m = c I with |c| > tol, for a block of a unit-scale pair."""
-    n = m.shape[0]
-    mean = np.trace(m) / n
-    dev = np.linalg.norm(m - mean * np.eye(n), 2)
-    return dev <= tol and abs(mean) > tol
+    lengths = [c["length"] for c in chains]
+    if lengths != blocks:
+        raise CrossCheckMismatchError(
+            f"B and B' give chains of lengths {lengths} but H has "
+            f"zero-energy blocks {blocks}")
+    sides = [c["in_ker"] for c in chains]
+    evidence = {
+        "n": n,
+        "scale": float(scale),
+        "dim_ker_b": sides.count("B"),
+        "dim_ker_bprime": sides.count("B'"),
+        "jordan_blocks_at_zero": blocks,
+        "chains": chains,
+    }
+    return EPClassification(_kind_of_blocks(blocks, n), evidence)
 
 
 def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
-    """Zero-energy EP taxonomy for N = 2 block pairs.
+    """The N = 2 case of :func:`classify_point`; other N raise ValueError."""
+    if np.shape(b) != (2, 2):
+        raise ValueError("classify_zero_energy handles N = 2; see classify_point")
+    return classify_point(b, bprime, tol)
 
-    All rank and kernel decisions share one magnitude scale,
-    max(sigma_max(B), sigma_max(B')), so that "zero block" means small
-    against the pair and not against itself, and the pair is divided by it
-    so that no product can underflow or overflow. The verdict is
-    cross-checked against the numerical Jordan blocks of the assembled
-    Hamiltonian; disagreement raises CrossCheckMismatchError (a tolerance
-    pathology, not a physics answer).
-    """
-    b, bp, fb, fbp, scale, blocks = _unit_pair(b, bprime, tol)
-    if b.shape != (2, 2):
-        raise ValueError("classify_zero_energy handles N = 2; see check_ep2n")
 
-    ker_b, ker_bp = fb.kernel, fbp.kernel
-    nul_b, nul_bp = ker_b.shape[1], ker_bp.shape[1]
-    b_is_zero = fb.rank == 0
-    bp_is_zero = fbp.rank == 0
-    bp_prop_id = _proportional_to_identity(bp, tol)
-    b_prop_id = _proportional_to_identity(b, tol)
-
-    product = cmatrix.factorize(b @ bp, tol)
-    ker_im_equal = cmatrix._same_span(product.kernel, product.image, tol)
-
-    im_bp_eq_ker_b = cmatrix._same_span(fbp.image, ker_b, tol)
-    im_b_eq_ker_bp = cmatrix._same_span(fb.image, ker_bp, tol)
-
-    evidence = {
-        "n": 2,
-        "scale": float(scale),
-        "dim_ker_b": nul_b,
-        "dim_ker_bprime": nul_bp,
-        "rank_b": fb.rank,
-        "rank_bprime": fbp.rank,
-        "relations": {
-            "b_zero": bool(b_is_zero),
-            "bprime_zero": bool(bp_is_zero),
-            "b_prop_identity": bool(b_prop_id),
-            "bprime_prop_identity": bool(bp_prop_id),
-            "ker_bbp_eq_im_bbp": bool(ker_im_equal),
-            "im_bprime_eq_ker_b": bool(im_bp_eq_ker_b),
-            "im_b_eq_ker_bprime": bool(im_b_eq_ker_bp),
-        },
-        "jordan_blocks_at_zero": blocks,
-    }
-
-    if fb.rank == 2 and fbp.rank == 2:
-        kind = EPKind.NONDEGENERATE
-    elif b_is_zero and bp_prop_id:
-        kind = EPKind.DOUBLET_EP2
-    elif bp_is_zero and b_prop_id:
-        kind = EPKind.DOUBLET_EP2
-        evidence["relations"]["mirror"] = True
-    elif nul_b + nul_bp == 1 and ker_im_equal:
-        kind = EPKind.EP4
-    elif nul_b == 1 and nul_bp == 1 and im_bp_eq_ker_b != im_b_eq_ker_bp:
-        kind = EPKind.EP3_MIXED
-        evidence["relations"]["mirror"] = bool(im_b_eq_ker_bp)
-    else:
-        kind = EPKind.UNCLASSIFIED
-
-    named = _kind_of_blocks(blocks, 2)
-    if kind not in (EPKind.UNCLASSIFIED, named):
-        raise CrossCheckMismatchError(
-            f"{kind.value} verdict but H has zero-energy blocks {blocks}, "
-            f"which name {named.value}"
-        )
-    return EPClassification(kind, evidence)
+def check_ep2n(b, bprime, tol: float = DEFAULT_TOL) -> bool:
+    """Highest-order condition for general N, a single 2N-block at E = 0:
+    the chain list of :func:`classify_point`, cross-checked there, is one
+    chain of length 2N."""
+    evidence = classify_point(b, bprime, tol).evidence
+    return [c["length"] for c in evidence["chains"]] == [2 * evidence["n"]]
 
 
 def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
@@ -174,10 +212,12 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
     Defectiveness of B B' at some eigenvalue lambda != 0 forces identical
     defectiveness at both energies +-sqrt(lambda) of the assembled H, so the
     verdict is always a pair. The product is formed from the blocks divided
-    by :func:`sublattice.pow2_scale` and its eigenvalues are scaled back.
+    by s = :func:`sublattice.pow2_scale`, and its eigenvalues are reported
+    as they are, together with ``eigenvalue_scale_log2``, the exponent of
+    s^2: lambda = value * 2**eigenvalue_scale_log2, and every reported value
+    is finite and keeps its precision whatever the scale of the pair.
     """
-    b = cmatrix.as_square_matrix(b)
-    bp = cmatrix.as_square_matrix(bprime)
+    b, bp = _pair(b, bprime)
     s = pow2_scale(b, bp)
     product = (b / s) @ (bp / s)
     scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
@@ -190,70 +230,17 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
     defective = [
         cl.center for cl, st in report.entries if any(k > 1 for k in st.block_sizes)
     ]
-
-    def unscaled(lam):
-        # real and imaginary parts apart: an overflow gives inf, never nan
-        return complex(lam.real * s * s, lam.imag * s * s)
-
     evidence = {
         "n": b.shape[0],
-        "eigenvalues": [unscaled(lam) for lam in lams.tolist()],
-        "defective_lambdas": [unscaled(lam) for lam in defective],
+        "eigenvalues": lams.tolist(),
+        "defective_lambdas": defective,
+        "eigenvalue_scale_log2": 2 * (math.frexp(s)[1] - 1),
         "doublet_energies": [
             (np.sqrt(lam) * s, -np.sqrt(lam) * s) for lam in defective
         ],
     }
-    # every lambda is nonzero here, so an unscaled value that is not finite,
-    # or whose larger part is below the normal range, has left the range;
-    # the parts are compared apart, since abs() of a finite value can overflow
-    if not all(cmath.isfinite(v) and max(abs(v.real), abs(v.imag)) >= _TINY
-               for v in evidence["eigenvalues"] + evidence["defective_lambdas"]):
-        evidence["out_of_range"] = True
     kind = EPKind.NONZERO_EP2_PAIR if defective else EPKind.NONDEGENERATE
     return EPClassification(kind, evidence)
-
-
-def check_ep2n(b, bprime, tol: float = DEFAULT_TOL) -> bool:
-    """Highest-order condition for general N: a single 2N-block at E = 0.
-
-    Operationally: dim ker B + dim ker B' = 1 together with B'B similar to
-    the nilpotent single block, i.e. rank((B'B)^k) = N - k for 1 <= k <= N.
-    The answer is cross-checked against the Jordan structure of the
-    assembled 2N x 2N Hamiltonian.
-    """
-    b, bp, fb, fbp, _, blocks = _unit_pair(b, bprime, tol)
-    n = b.shape[0]
-    verdict = (fb.kernel.shape[1] + fbp.kernel.shape[1] == 1
-               and spectral.rank_sequence(bp @ b, 0.0, tol) == list(range(n - 1, -1, -1)))
-    if verdict != (blocks == [2 * n]):
-        raise CrossCheckMismatchError(
-            f"EP2N algebra says {verdict} but assembled H has blocks {blocks}"
-        )
-    return verdict
-
-
-def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
-    """Classification entry point for arbitrary N (used by the BZ scanner).
-
-    N = 2 goes through the Table-style procedure. Other N fall back to the
-    kind that the Jordan blocks of the assembled Hamiltonian at E = 0 name
-    (for N = 1 a single 2-block is the EP2 of the doublet family). Evidence
-    carries the kernel dimensions and block sizes.
-    """
-    n = cmatrix.as_square_matrix(b).shape[0]
-    if n == 2:
-        return classify_zero_energy(b, bprime, tol)
-
-    _, _, fb, fbp, scale, blocks = _unit_pair(b, bprime, tol)
-    evidence = {
-        "n": n,
-        "scale": float(scale),
-        "dim_ker_b": fb.kernel.shape[1],
-        "dim_ker_bprime": fbp.kernel.shape[1],
-        "jordan_blocks_at_zero": blocks,
-        "generic_n_fallback": True,
-    }
-    return EPClassification(_kind_of_blocks(blocks, n), evidence)
 
 
 def mixed_limit_family(kind: str, epsilon: float) -> np.ndarray:

@@ -221,9 +221,9 @@ def cmd_classify(raw, as_json, out_path) -> int:
     lines.append(f"  model: {bh.name} at q = ({fmt_float(q[0])}, {fmt_float(q[1])})")
     lines.append(f"  dim ker B = {result.evidence.get('dim_ker_b')}, "
                  f"dim ker B' = {result.evidence.get('dim_ker_bprime')}")
-    relations = result.evidence.get("relations", {})
-    for key in sorted(relations):
-        lines.append(f"  {key}: {relations[key]}")
+    for chain in result.evidence["chains"]:
+        lines.append(f"  chain of {chain['length']}, "
+                     f"eigenvector in ker {chain['in_ker']}")
     _write_lines(lines, out_path)
     return EXIT_OK
 

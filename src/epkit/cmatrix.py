@@ -153,17 +153,6 @@ def _orthonormal_columns(v) -> np.ndarray:
     return v
 
 
-def _same_span(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """subspace_equal for bases known to be valid, e.g. read off an SVD."""
-    if u.shape[1] != v.shape[1]:
-        return False
-    if u.shape[1] == 0:
-        return True
-    # Largest principal-angle sine = || (I - U U^H) V ||_2.
-    resid = v - u @ (u.conj().T @ v)
-    return bool(np.linalg.norm(resid, 2) <= tol)
-
-
 def subspace_equal(u, v, tol: float = DEFAULT_TOL) -> bool:
     """True iff the spans of the orthonormal columns of ``u`` and ``v``
     coincide up to principal-angle sines <= tol. A basis that is not 2-d or
@@ -175,4 +164,10 @@ def subspace_equal(u, v, tol: float = DEFAULT_TOL) -> bool:
         raise AmbientMismatchError(
             f"ambient dims differ: {u.shape[0]} vs {v.shape[0]}"
         )
-    return _same_span(u, v, tol)
+    if u.shape[1] != v.shape[1]:
+        return False
+    if u.shape[1] == 0:
+        return True
+    # Largest principal-angle sine = || (I - U U^H) V ||_2.
+    resid = v - u @ (u.conj().T @ v)
+    return bool(np.linalg.norm(resid, 2) <= tol)

@@ -67,3 +67,9 @@ class NoiseFloorReachedError(EpkitError):
 
 class ConfigError(EpkitError):
     """Invalid run configuration (unknown key, bad value, bad range)."""
+
+
+class RankSequenceError(EpkitError):
+    """Numerical ranks of successive powers or products that no Jordan
+    structure has, e.g. a rank that rises: the tolerance cannot resolve the
+    scales of the matrix."""

@@ -24,7 +24,12 @@ import numpy as np
 
 from . import cmatrix
 from .cmatrix import DEFAULT_TOL, as_square_matrix
-from .errors import ChainSolveFailedError, NotAnEigenvalueError, SeedNotInKernelError
+from .errors import (
+    ChainSolveFailedError,
+    NotAnEigenvalueError,
+    RankSequenceError,
+    SeedNotInKernelError,
+)
 
 #: Cluster radius as a fraction of ||H||; looser than the rank tolerance
 #: because eigenvalues of a near-defective matrix scatter as eps**(1/k).
@@ -181,17 +186,22 @@ def rank_sequence(h, e: complex, tol: float = DEFAULT_TOL) -> list[int]:
 
 
 def _block_sizes_from_ranks(n: int, ranks: list[int]) -> list[int]:
-    """Descending block sizes; #blocks of size >= k is r_{k-1} - r_k."""
+    """Descending block sizes; #blocks of size >= k is r_{k-1} - r_k.
+
+    A sequence that rises, or whose drops grow, fits no Jordan structure
+    (H^k cut against its own norm can do this when the scales of H differ
+    by about the tolerance) and raises RankSequenceError.
+    """
     full = [n] + list(ranks)
     while len(full) >= 2 and full[-1] == full[-2]:
         full.pop()
     # at_least[k-1] = number of blocks of size >= k
-    at_least = [full[k - 1] - full[k] for k in range(1, len(full))]
-    sizes = []
-    for k in range(len(at_least), 0, -1):
-        exactly_k = at_least[k - 1] - (at_least[k] if k < len(at_least) else 0)
-        sizes.extend([k] * exactly_k)
-    return sorted(sizes, reverse=True)
+    at_least = [full[k - 1] - full[k] for k in range(1, len(full))] + [0]
+    exactly = [at_least[k - 1] - at_least[k] for k in range(1, len(at_least))]
+    if min(at_least + exactly) < 0:
+        raise RankSequenceError(
+            f"ranks {list(ranks)} of successive powers fit no Jordan structure")
+    return [k for k in range(len(exactly), 0, -1) for _ in range(exactly[k - 1])]
 
 
 def _subspace_intersection(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:

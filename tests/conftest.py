@@ -32,6 +32,27 @@ def direction_mismatch(u, v):
     return float(np.linalg.norm(u - v * np.vdot(v, u)))
 
 
+#: Blocks about 1e-5 apart in scale: at tol = 1e-6 the ranks of H^k, each
+#: cut against its own norm, read [5, 4, 3, 4, 2, 0], and those of the
+#: products of B and B' rise too.
+RISING_PAIR = (300 * np.array([[0, 1, -1j], [1j, -1j, 0], [0, 0, 0]]),
+               0.0015 * np.array([[1j, -1, 0], [1, 1j, 1j], [1j, -1j, -1j]]))
+
+
+def rising_model(name="rising"):
+    """BlockHamiltonian that is the rising pair at q = 0 and regular away
+    from it: both blocks gain 300 |q|^2 I."""
+    from epkit.sublattice import BlockHamiltonian
+
+    b0, bp0 = RISING_PAIR
+
+    def bump(q):
+        return 300 * (q[..., 0] ** 2 + q[..., 1] ** 2)[..., None, None] * np.eye(3)
+
+    return BlockHamiltonian(3, lambda q: b0 + bump(q), lambda q: bp0 + bump(q),
+                            name=name, q_star=np.zeros(2))
+
+
 def random_conditioned(rng, n, cond_cap):
     """Random invertible complex matrix with condition number under the cap."""
     while True:

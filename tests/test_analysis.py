@@ -34,6 +34,8 @@ from epkit.models import (
 )
 from epkit.sublattice import BlockHamiltonian, assemble, reduced_spectrum
 
+from conftest import rising_model
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -868,6 +870,11 @@ class TestBZScan:
         [candidate] = bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))
         assert candidate.classification.kind is EPKind.UNCLASSIFIED
         assert candidate.classification.evidence == {"error": "planted mismatch"}
+
+    def test_rising_ranks_kept_as_error(self):
+        [candidate] = bz_scan(rising_model(), (17, 17), ((-1.0, 1.0), (-1.0, 1.0)))
+        assert candidate.classification.kind is EPKind.UNCLASSIFIED
+        assert "fit no Jordan structure" in candidate.classification.evidence["error"]
 
     def test_other_classification_errors_propagate(self, monkeypatch):
         def bug(*args, **kwargs):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from epkit import cmatrix, spectral
 from epkit.classify import (
     EPKind,
+    _chains_from_ranks,
     check_ep2n,
     classify_nonzero_energy,
     classify_point,
@@ -17,12 +18,13 @@ from epkit.classify import (
 from epkit.errors import (
     CrossCheckMismatchError,
     NotAnEigenvalueError,
+    RankSequenceError,
     ZeroEigenvaluePresentError,
 )
 from epkit.spectral import JordanStructure, ep_report, jordan_structure
 from epkit.sublattice import assemble_blocks
 
-from conftest import block_diag, jordan_block, random_conditioned
+from conftest import RISING_PAIR, block_diag, jordan_block, random_conditioned
 
 #: Few, reproducible examples: the property tests share Tier-1's time budget.
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True,
@@ -103,23 +105,27 @@ class TestZeroEnergyTaxonomy:
         for kind, (b, bp) in CANONICAL.items():
             assert classify_zero_energy(b, bp).kind is kind
 
-    def test_twoblock_pair_without_su2_form_unclassified(self):
-        # B = 0 with B' not proportional to I: Jordan blocks are [2, 2] but
-        # the doublet conditions fail in this basis
+    def test_twoblock_pair_without_su2_form_is_doublet(self):
+        # B = 0 with B' not proportional to I: two 2-chains in ker B, the
+        # doublet in a basis where B' is not of the SU(2) form
         result = classify_zero_energy(np.zeros((2, 2)), np.diag([1.0, 2.0]))
-        assert result.kind is EPKind.UNCLASSIFIED
+        assert result.kind is EPKind.DOUBLET_EP2
         assert result.evidence["jordan_blocks_at_zero"] == [2, 2]
+        assert result.evidence["chains"] == [{"length": 2, "in_ker": "B"}] * 2
 
-    def test_evidence_relations(self):
+    def test_evidence_chains(self):
+        # the odd-order EP as a mixture: a 3-chain whose eigenvector lies
+        # in ker B beside a trivial zero mode in ker B'
         b, bp = CANONICAL[EPKind.EP3_MIXED]
-        rel = classify_zero_energy(b, bp).evidence["relations"]
-        assert rel["im_bprime_eq_ker_b"] and not rel["im_b_eq_ker_bprime"]
+        assert classify_zero_energy(b, bp).evidence["chains"] == [
+            {"length": 3, "in_ker": "B"}, {"length": 1, "in_ker": "B'"}]
+        assert classify_zero_energy(bp, b).evidence["chains"] == [
+            {"length": 3, "in_ker": "B'"}, {"length": 1, "in_ker": "B"}]
 
     def test_basis_covariance(self, rng):
         # conjugating H by diag(V, W) maps (B, B') to (V B W^-1, W B' V^-1)
-        # and preserves the Jordan structure; kernel/image kinds must not
-        # move (the doublet test is basis-bound, so it is excluded here)
-        for kind in (EPKind.EP4, EPKind.EP3_MIXED, EPKind.NONDEGENERATE):
+        # and preserves the Jordan structure, so no kind may move
+        for kind in CANONICAL:
             b, bp = CANONICAL[kind]
             for _ in range(20):
                 v = random_conditioned(rng, 2, 50.0)
@@ -185,11 +191,8 @@ class TestInvariances:
     @PROPERTY_SETTINGS
     @given(kind=KINDS, u=ENTRIES, v=ENTRIES)
     def test_basis_change(self, kind, u, v):
-        # B -> U B V^-1, B' -> V B' U^-1 conjugates H by diag(U, V); the
-        # doublet's B' = 2I stays proportional to I only for U = V
+        # B -> U B V^-1, B' -> V B' U^-1 conjugates H by diag(U, V)
         u, v = conditioned(u), conditioned(v)
-        if kind is EPKind.DOUBLET_EP2:
-            v = u
         assume(u is not None and v is not None)
         b, bp = CANONICAL[kind]
         b2 = u @ b @ np.linalg.inv(v)
@@ -204,11 +207,135 @@ class TestInvariances:
         assert verdict(c * bp, c * b) == verdict(b, bp)
 
 
+def flipped(chains):
+    """The chain list of the mirror pair (B', B): every side exchanged."""
+    other = {"B": "B'", "B'": "B"}
+    return sorted(({"length": c["length"], "in_ker": other[c["in_ker"]]}
+                   for c in chains), key=lambda c: (-c["length"], c["in_ker"]))
+
+
+@st.composite
+def planted_chains(draw):
+    """``(n, chains)``: a multiset of (length, side) chains that fits N x N
+    blocks, longest first and "B" before "B'", as the reader lists them.
+
+    A chain of length k whose eigenvector lies in ker B has ceil(k / 2)
+    vectors on the lower sublattice and floor(k / 2) on the upper one;
+    trivial chains on the short side even out the two sublattices, since
+    the rest of the space must be paired by an invertible block pair.
+    """
+    n = draw(st.integers(1, 6))
+    drawn = draw(st.lists(st.tuples(st.integers(1, 2 * n), st.sampled_from(["B", "B'"])),
+                          max_size=2 * n))
+    chains, low, up = [], 0, 0
+    for length, side in drawn:
+        dl, du = (length + 1) // 2, length // 2
+        if side == "B'":
+            dl, du = du, dl
+        if max(low + dl, up + du) <= n:
+            chains.append((length, side))
+            low, up = low + dl, up + du
+    chains += [(1, "B'" if low > up else "B")] * abs(low - up)
+    chains.sort(key=lambda c: (-c[0], c[1]))
+    return n, [{"length": k, "in_ker": side} for k, side in chains]
+
+
+def build_pair(n, chains):
+    """Exact (B, B') whose Jordan chains at zero are ``chains``.
+
+    H = [[0, iB], [-iB', 0]] sends a lower-sublattice vector (0, chi) to
+    (iB chi, 0) and an upper one (psi, 0) to (0, -iB' psi). Each chain
+    takes fresh basis vectors, alternating sublattices from its
+    eigenvector on, and B or B' maps each vector onto the one before; the
+    indices left over are paired by B = B' = I.
+    """
+    b = np.zeros((n, n), dtype=complex)
+    bp = np.zeros((n, n), dtype=complex)
+    free = {"B": list(range(n)), "B'": list(range(n))}  # lower, upper
+    for chain in chains:
+        side = chain["in_ker"]
+        prev = None
+        for _ in range(chain["length"]):
+            idx = free[side].pop()
+            if prev is not None:
+                if side == "B":    # lower vector onto the upper one before
+                    b[prev, idx] = 1.0
+                else:
+                    bp[prev, idx] = 1.0
+            prev, side = idx, "B'" if side == "B" else "B"
+    assert len(free["B"]) == len(free["B'"])
+    b[free["B'"], free["B"]] = 1.0
+    bp[free["B"], free["B'"]] = 1.0
+    return b, bp
+
+
+def unit_conditioned(rng, n, cond=10.0):
+    """Random complex n x n matrix of norm 1 and condition number <= cond."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    sigma = np.concatenate([[1.0, 1.0 / cond], rng.uniform(1.0 / cond, 1.0, n)])[:n]
+    return (q1 * sigma) @ q2
+
+
+class TestChainReading:
+    """Chains planted in an exact pair are read back with their sides."""
+
+    @pytest.mark.parametrize("ranks", [
+        [[2, 2], [1, 1], [2, 1]],           # r rises
+        [[2, 2], [1, 2], [1, 0], [0, 0]],   # two 2-chains in ker B, one 1-chain
+        [[2, 2], [1, 1], [2, 0]],           # the sum stays, r rises, r' falls
+    ])
+    def test_impossible_ranks_refused(self, ranks):
+        with pytest.raises(RankSequenceError):
+            _chains_from_ranks(ranks)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(planted=planted_chains(), seed=st.integers(0, 2**32 - 1), x=SCALES,
+           phase=PHASES)
+    @example(planted=(3, [{"length": 3, "in_ker": "B"}, {"length": 1, "in_ker": "B"},
+                          {"length": 1, "in_ker": "B'"}, {"length": 1, "in_ker": "B'"}]),
+             seed=0, x=0.0, phase=0.0)
+    @example(planted=(6, [{"length": 12, "in_ker": "B'"}]), seed=1, x=-200.0, phase=1.0)
+    def test_planted_chains_read_back(self, planted, seed, x, phase):
+        n, chains = planted
+        b0, bp0 = build_pair(n, chains)
+        lengths = [c["length"] for c in chains]
+        assert brute_force_zero_blocks(b0, bp0) == lengths
+        rng = np.random.default_rng(seed)
+        u, v = unit_conditioned(rng, n), unit_conditioned(rng, n)
+        c = 10.0 ** x * np.exp(1j * phase)
+        b = c * (u @ b0 @ np.linalg.inv(v))
+        bp = c * (v @ bp0 @ np.linalg.inv(u))
+        result = classify_point(b, bp)
+        assert result.evidence["chains"] == chains
+        assert result.evidence["jordan_blocks_at_zero"] == lengths
+        assert classify_point(bp, b).evidence["chains"] == flipped(chains)
+
+
 @pytest.mark.parametrize("kind", list(CANONICAL))
 def test_svd_budget(kind, svd_calls):
-    # each block, the product and each power of H are factorised once
+    # each block and each power of H are factorised once, and the products
+    # of B and B' share one stacked call
     classify_zero_energy(*CANONICAL[kind])
     assert 0 < len(svd_calls) <= 8
+
+
+N3_PAIRS = {
+    "EP6": (np.eye(3), jordan_block(3)),
+    "EP4+gap": (block_diag(jordan_block(2), [[1.0]]), np.eye(3)),
+    "DoubletEP2x3": (np.zeros((3, 3)), np.eye(3)),
+    "Nondegenerate": (np.diag([1.0, 2.0, 3.0]), np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("entry", [classify_point, check_ep2n],
+                         ids=["classify_point", "check_ep2n"])
+@pytest.mark.parametrize("name", list(N3_PAIRS))
+def test_svd_budget_n3(entry, name, svd_calls):
+    # 2N + 3: one per block, at most 2N for the powers of H and one
+    # stacked call for the products of B and B'
+    entry(*N3_PAIRS[name])
+    assert 0 < len(svd_calls) <= 2 * 3 + 3
 
 
 def plant_blocks(monkeypatch, blocks):
@@ -233,10 +360,13 @@ class TestCrossCheckMismatch:
         with pytest.raises(CrossCheckMismatchError):
             classify_zero_energy(*CANONICAL[kind])
 
-    def test_unclassified_is_never_a_mismatch(self, monkeypatch):
+    def test_unclassified_can_be_a_mismatch(self, monkeypatch):
+        # chains [2, 1, 1] name no kind; H planted with [4] disagrees
+        b, bp = np.zeros((2, 2)), np.diag([1.0, 0.0])
+        assert classify_zero_energy(b, bp).kind is EPKind.UNCLASSIFIED
         plant_blocks(monkeypatch, [4])
-        result = classify_zero_energy(np.diag([0.0, 1.0]), np.eye(2))
-        assert result.kind is EPKind.UNCLASSIFIED
+        with pytest.raises(CrossCheckMismatchError):
+            classify_zero_energy(b, bp)
 
     @pytest.mark.parametrize("planted", [[4, 2], []])
     def test_check_ep2n(self, planted, monkeypatch):
@@ -279,14 +409,14 @@ class TestNonzeroEnergy:
                                    ref.evidence["doublet_energies"], rtol=1e-7)
 
     @pytest.mark.parametrize("c", [1e160, 1e-170])
-    def test_unscaled_values_out_of_range_flagged(self, c):
+    def test_scaled_eigenvalues_exact(self, c):
         # c^2 J2(1) has eigenvalue c^2, which overflows at 1e160 and
-        # underflows at 1e-170: the evidence says so and keeps the verdict
+        # underflows at 1e-170; the reported values stay exact
         ref = classify_nonzero_energy(jordan_block(2, 1.0), np.eye(2))
         result = classify_nonzero_energy(c * jordan_block(2, 1.0), c * np.eye(2))
-        assert "out_of_range" not in ref.evidence
-        assert result.evidence["out_of_range"] is True
         assert result.kind is ref.kind
+        assert_same_unscaled(result, ref, "eigenvalues", c, [1.0, 1.0])
+        assert_same_unscaled(result, ref, "defective_lambdas", c, [1.0])
         np.testing.assert_allclose(np.array(result.evidence["doublet_energies"]) / c,
                                    ref.evidence["doublet_energies"], rtol=1e-7)
 
@@ -294,14 +424,32 @@ class TestNonzeroEnergy:
         # the unscaled eigenvalue is (1.3e308, 1.3e308): finite, though its
         # modulus is beyond the double range
         c = np.sqrt(1.3e308)
+        ref = classify_nonzero_energy((1 + 1j) * np.eye(2), np.eye(2))
         result = classify_nonzero_energy(c * (1 + 1j) * np.eye(2), c * np.eye(2))
         assert result.kind is EPKind.NONDEGENERATE
-        assert "out_of_range" not in result.evidence
         assert all(cmath.isfinite(v) for v in result.evidence["eigenvalues"])
+        assert_same_unscaled(result, ref, "eigenvalues", c, [1 + 1j, 1 + 1j])
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            classify_nonzero_energy(np.eye(2), np.eye(3))
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(ZeroEigenvaluePresentError):
             classify_nonzero_energy(np.diag([0.0, 1.0]), np.eye(2))
+
+
+def assert_same_unscaled(result, ref, key, c, exact):
+    """The values ``key`` of ``result`` for the pair scaled by ``c`` are
+    c^2 times those of ``ref``, the unscaled pair, whose values are
+    ``exact``: value * 2**eigenvalue_scale_log2, evaluated for ``result``
+    as value * (s / c)^2 so that nothing leaves the range."""
+    s = 2.0 ** (result.evidence["eigenvalue_scale_log2"] // 2)
+    ref_s = 2.0 ** (ref.evidence["eigenvalue_scale_log2"] // 2)
+    got = np.array(result.evidence[key]) * (s / c) ** 2
+    want = np.array(ref.evidence[key]) * ref_s ** 2
+    np.testing.assert_allclose(want, exact, rtol=1e-14)
+    np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 class TestHighestOrderCondition:
@@ -326,6 +474,8 @@ class TestHighestOrderCondition:
         b_flat = np.zeros((3, 3), dtype=complex)
         b_flat[0, 1] = 1.0
         assert check_ep2n(b_flat, np.eye(3)) is False
+        # one chain, of length 2 only
+        assert check_ep2n(np.diag([0.0, 1.0, 1.0]), np.eye(3)) is False
 
 
 class TestMixedLimitFamilies:
@@ -360,10 +510,12 @@ class TestMixedLimitFamilies:
 
 
 class TestGenericNFallback:
+    """The chain reading is the one verdict for every N."""
+
     def test_single_flavour_two_block(self):
-        # 1 x 1 blocks with B = 0: the SU(N) first-column family at N = 1
+        # 1 x 1 blocks with B = 0: a lone 2-chain is an EP2
         result = classify_point(np.zeros((1, 1)), np.array([[2.0]]))
-        assert result.kind is EPKind.DOUBLET_EP2
+        assert result.kind is EPKind.EP2
         assert result.evidence["jordan_blocks_at_zero"] == [2]
 
     def test_three_flavour_four_block(self):
@@ -372,9 +524,9 @@ class TestGenericNFallback:
         b = block_diag(jordan_block(2), [[1.0]])
         bp = np.eye(3, dtype=complex)
         result = classify_point(b, bp)
-        assert result.evidence["generic_n_fallback"] is True
         assert result.kind is EPKind.EP4
         assert result.evidence["jordan_blocks_at_zero"] == [4]
+        assert result.evidence["chains"] == [{"length": 4, "in_ker": "B"}]
 
     def test_inexact_point_classifies_at_loose_tolerance(self):
         # a refined-but-inexact degeneracy: the residual coupling (~1e-10)
@@ -385,14 +537,24 @@ class TestGenericNFallback:
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
         q = bh.q_star + np.array([3e-11, -2e-11])
         result = classify_point(bh.b(q), bh.b_prime(q), tol=1e-6)
-        assert result.kind is EPKind.DOUBLET_EP2
+        assert result.kind is EPKind.EP2
         assert result.evidence["jordan_blocks_at_zero"] == [2]
 
     def test_lone_two_block_outside_taxonomy(self):
         # one simple zero of B with everything else regular: a single
-        # 2-block in a 6-band system, not in the N = 2 taxonomy
+        # 2-block in a 6-band system, none of the paper's N = 2 kinds,
+        # named for what it is
         b = np.diag([0.0, 1.0, 1.0]).astype(complex)
         bp = np.eye(3, dtype=complex)
         result = classify_point(b, bp)
-        assert result.kind is EPKind.UNCLASSIFIED
+        assert result.kind is EPKind.EP2
         assert result.evidence["jordan_blocks_at_zero"] == [2]
+
+    def test_rising_ranks_refused(self):
+        # one block about 1e-5 of the other: H^k cut against its own norm
+        # reads ranks that rise, which no Jordan structure has
+        b, bp = RISING_PAIR
+        with pytest.raises(RankSequenceError, match=r"\[3, 2, 2, 2, 2, 2, 0\]"):
+            classify_point(b, bp, 1e-6)
+        with pytest.raises(RankSequenceError):
+            check_ep2n(b, bp, 1e-6)

@@ -11,6 +11,8 @@ from epkit import cli
 from epkit.errors import CrossCheckMismatchError
 from epkit.models import kitaev_ep_locations
 
+from conftest import rising_model
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -65,6 +67,25 @@ class TestClassifyCommand:
         proc = run_epkit("classify", "--model", "ep3", "bp2=0.5", "--json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "EP3Mixed"
+
+    def test_chain_lines(self):
+        proc = run_epkit("classify", "--model", "ep3")
+        assert proc.stdout.splitlines()[2:] == [
+            "  dim ker B = 1, dim ker B' = 1",
+            "  chain of 3, eigenvector in ker B",
+            "  chain of 1, eigenvector in ker B'",
+        ]
+        machine = json.loads(run_epkit("classify", "--model", "ep3", "--json").stdout)
+        assert machine["evidence"]["chains"] == [{"in_ker": "B", "length": 3},
+                                                 {"in_ker": "B'", "length": 1}]
+
+    def test_rising_ranks_give_one_error_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_model", lambda name, params: rising_model(name))
+        assert cli.main(["classify", "--model", "ep3", "tol=1e-6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ranks ")
 
     def test_away_from_degeneracy_point(self):
         proc = run_epkit("classify", "--model", "ep3", "qx=0.2", "qy=0.1",

@@ -266,7 +266,7 @@ class TestKitaev:
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
         assert bh.q_star is not None
         result = classify_point(bh.b(bh.q_star), bh.b_prime(bh.q_star), 1e-8)
-        assert result.kind is EPKind.DOUBLET_EP2
+        assert result.kind is EPKind.EP2
         assert result.evidence["jordan_blocks_at_zero"] == [2]
 
 
@@ -305,6 +305,15 @@ class TestYaoLee:
         np.testing.assert_allclose(qt, [2 * np.pi / 3 - 0.3, -2 * np.pi / 3],
                                    atol=1e-12)
         assert abs(bh.b(bh.q_star)[0, 0]) < 1e-12
+
+    def test_zero_line_is_diabolic(self):
+        # on the line qx = q*_x both B and B' are singular, each with a
+        # trivial zero mode
+        bh = yao_lee_ep3_model()
+        q = bh.q_star + np.array([0.0, 0.2])
+        result = classify_point(bh.b(q), bh.b_prime(q))
+        assert result.kind is EPKind.DIABOLIC
+        assert result.evidence["jordan_blocks_at_zero"] == [1, 1]
 
     def test_mirror_coupling_needs_pure_x_hopping(self):
         with pytest.raises(ParamViolationError):

@@ -4,9 +4,11 @@ import pytest
 from epkit.errors import (
     ChainSolveFailedError,
     NotAnEigenvalueError,
+    RankSequenceError,
     SeedNotInKernelError,
 )
 from epkit.spectral import (
+    _block_sizes_from_ranks,
     _subspace_intersection,
     cluster_eigenvalues,
     ep_report,
@@ -16,7 +18,7 @@ from epkit.spectral import (
 )
 from epkit.sublattice import assemble_blocks
 
-from conftest import block_diag, direction_mismatch, jordan_block, random_conditioned
+from conftest import RISING_PAIR, block_diag, direction_mismatch, jordan_block, random_conditioned
 
 
 class TestClustering:
@@ -110,6 +112,19 @@ class TestJordanStructure:
         st = jordan_structure(h, 0.0, with_chains=False)
         assert st.block_sizes == [4]
 
+
+    def test_rising_ranks_refused(self):
+        # the rank that rises used to give blocks [6, 6, 3, 3] in 6 x 6
+        h = assemble_blocks(*RISING_PAIR)
+        assert rank_sequence(h, 0.0, 1e-6) == [5, 4, 3, 4, 2, 0]
+        with pytest.raises(RankSequenceError, match=r"\[5, 4, 3, 4, 2, 0\]"):
+            jordan_structure(h, 0.0, 1e-6, with_chains=False)
+
+    @pytest.mark.parametrize("ranks", [[3, 4, 0], [3, 0], [2, 1, 1, 2]])
+    def test_impossible_rank_sequences_refused(self, ranks):
+        # a rise, or drops that grow (blocks [2, 2, 2] in 4 x 4 for [3, 0])
+        with pytest.raises(RankSequenceError):
+            _block_sizes_from_ranks(4, ranks)
 
     @pytest.mark.parametrize("scale", [1e-250, 1e-200, 1e160, 1e300])
     def test_extreme_overall_scale(self, scale):
