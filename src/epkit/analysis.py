@@ -90,6 +90,8 @@ def _validate_radii(radii) -> np.ndarray:
     r = np.asarray(radii, dtype=float).reshape(-1)
     if r.size < 4:
         raise ValueError("need at least 4 radii")
+    if not np.isfinite(r).all():
+        raise ValueError("radii must be finite")
     if np.any(r <= 0) or np.any(np.diff(r) >= 0):
         raise ValueError("radii must be positive and strictly descending")
     if r[0] / r[-1] < 99.0:
@@ -168,6 +170,10 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     the ray leaves the double range.
     """
     qs = np.asarray(q_star, dtype=float).reshape(2)
+    if not np.isfinite(qs).all():
+        raise ValueError("q_star must be finite")
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
     r_all = _validate_radii(DEFAULT_RADII if radii is None else radii)
     direction = np.array([np.cos(theta), np.sin(theta)])
     two_n = 2 * bh.n
@@ -344,6 +350,8 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     if nx < 16 or ny < 16:
         raise ValueError("grid must be at least 16 points per axis")
     (qx_min, qx_max), (qy_min, qy_max) = bounds
+    if not np.isfinite([qx_min, qx_max, qy_min, qy_max]).all():
+        raise ValueError("bounds must be finite")
     if not (qx_min < qx_max and qy_min < qy_max):
         raise ValueError("bounds must be increasing per axis")
 

@@ -111,20 +111,20 @@ def _read_chains(fb, fbp, scale, tol):
 
     Each block is rebuilt at unit scale from its factorisation with the
     singular values under the pair cutoff zeroed, as the power ladder of
-    :mod:`spectral` denoises H. The k-th products of both sublattices are
-    cut together at tol * max(sigma_max of both, 100 eps / tol), the cut
-    of H^k, and their ranks are read by :func:`_chains_from_ranks`.
+    :mod:`spectral` denoises H, and with the same helper. The k-th products
+    of both sublattices are cut together by the cut of H^k,
+    tol * max(sigma_max of both, 100 eps / tol), and their ranks are read
+    by :func:`_chains_from_ranks`.
     """
-    pair = np.array([(f.u * np.where(f.s > f.cutoff, f.s / scale, 0.0)) @ f.vh
-                     for f in (fb, fbp)])
+    units = [spectral._unit_denoised(f, scale) for f in (fb, fbp)]
+    pair = np.array([(g.u * g.s) @ g.vh for g in units])
     n = pair.shape[-1]
     # products[k - 1]: the k-factor products whose rightmost factor is B, B'
     products = [pair]
     for k in range(2, 2 * n + 1):
         products.append((pair[::-1] if k % 2 == 0 else pair) @ products[-1])
     s = np.linalg.svd(np.array(products), compute_uv=False)
-    cut = tol * np.maximum(s[..., 0].max(axis=1), spectral._NOISE_FLOOR / tol)
-    ranks = (s > cut[:, None, None]).sum(axis=-1)
+    ranks = spectral._cut_ranks(s, tol)
     return _chains_from_ranks(np.vstack([[n, n], ranks]))
 
 
@@ -215,7 +215,10 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
     by s = :func:`sublattice.pow2_scale`, and its eigenvalues are reported
     as they are, together with ``eigenvalue_scale_log2``, the exponent of
     s^2: lambda = value * 2**eigenvalue_scale_log2, and every reported value
-    is finite and keeps its precision whatever the scale of the pair.
+    is finite and keeps its precision whatever the scale of the pair. The
+    eigenvalues are clustered within DEFAULT_CLUSTER_FRACTION * ||product||,
+    and only clusters of two or more get their Jordan block sizes read; no
+    chain is built.
     """
     b, bp = _pair(b, bprime)
     s = pow2_scale(b, bp)
@@ -226,9 +229,12 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
         raise ZeroEigenvaluePresentError(
             "B B' has a (near-)zero eigenvalue; use classify_zero_energy"
         )
-    report = spectral.ep_report(product, tol)
+    clusters = spectral.cluster_eigenvalues(
+        lams, spectral.DEFAULT_CLUSTER_FRACTION * scale)
     defective = [
-        cl.center for cl, st in report.entries if any(k > 1 for k in st.block_sizes)
+        cl.center for cl in clusters if cl.algebraic_multiplicity > 1
+        and max(spectral.jordan_structure(product, cl.center, tol,
+                                          with_chains=False).block_sizes) > 1
     ]
     evidence = {
         "n": b.shape[0],

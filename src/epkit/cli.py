@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis
 from .classify import classify_point
+from .cmatrix import DEFAULT_TOL
 from .errors import ConfigError, CrossCheckMismatchError, EpkitError
 from .models import MODEL_CATALOG, build_model, zero_targets
 
@@ -156,9 +157,10 @@ def _check_at_qstar(command, raw):
 
 
 def _radii(raw):
-    r_min = _get_float(raw, "radii_min", 1e-6, positive=True)
-    r_max = _get_float(raw, "radii_max", 1e-2, positive=True)
-    count = _get_int(raw, "radii_count", 12)
+    default = analysis.DEFAULT_RADII
+    r_min = _get_float(raw, "radii_min", default[-1], positive=True)
+    r_max = _get_float(raw, "radii_max", default[0], positive=True)
+    count = _get_int(raw, "radii_count", len(default))
     if not (r_min < r_max and count >= 4):
         raise ConfigError("radii spec needs radii_min < radii_max and count >= 4")
     return np.geomspace(r_max, r_min, count)
@@ -206,7 +208,7 @@ def _dump_json(payload, out_path):
 def cmd_classify(raw, as_json, out_path) -> int:
     bh = _build_from_config(raw)
     _validate_keys("classify", raw, MODEL_CATALOG[bh.name].params)
-    tol = _get_float(raw, "tol", 1e-9, positive=True)
+    tol = _get_float(raw, "tol", DEFAULT_TOL, positive=True)
     q = _scan_point(raw, bh)
     result = classify_point(bh.b(q), bh.b_prime(q), tol)
     if as_json:
@@ -232,7 +234,7 @@ def _scans(bh, raw, q_star):
     """``(theta, scan)`` for each requested theta, and whether any scan
     skipped more than a quarter of its radii."""
     radii = _radii(raw)
-    tol = _get_float(raw, "tol", 1e-9, positive=True)
+    tol = _get_float(raw, "tol", DEFAULT_TOL, positive=True)
     scans = [(theta, analysis.path_scan(bh, q_star, theta, radii, tol=tol))
              for theta in _thetas(raw)]
     degraded = any(

@@ -15,6 +15,7 @@ exp(i q~_j).
 """
 
 import cmath
+import inspect
 import math
 from typing import Callable, NamedTuple
 
@@ -389,53 +390,33 @@ class ModelSpec(NamedTuple):
     description: str
 
 
-def _abstract_params(extra):
-    out = dict(extra)
-    out.update({"qstar_x": 0.0, "qstar_y": 0.0})
-    return out
+def _spec(builder, description) -> ModelSpec:
+    """Catalog entry whose parameters are the builder's keyword defaults,
+    in signature order, with ``q_star`` given as ``qstar_x``, ``qstar_y``."""
+    params = {}
+    for name, param in inspect.signature(builder).parameters.items():
+        if name == "q_star":
+            params["qstar_x"], params["qstar_y"] = param.default
+        else:
+            params[name] = param.default
+    return ModelSpec(builder, params, description)
 
 
 MODEL_CATALOG: dict[str, ModelSpec] = {
-    "doublet-ep2": ModelSpec(
+    "doublet-ep2": _spec(
         doublet_ep2_model,
-        _abstract_params({"v_x": 1.0, "v_y": 1.0, "c": 1.0}),
-        "SU(2) doublet of 2-blocks; sqrt dispersion, two limit vectors",
-    ),
-    "ep4-sqrt": ModelSpec(
+        "SU(2) doublet of 2-blocks; sqrt dispersion, two limit vectors"),
+    "ep4-sqrt": _spec(
         ep4_sqrt_model,
-        _abstract_params({"b2": 1.0, "bp1": 1.0, "bp4": 1.0,
-                          "v1": 0.9, "v4": 0.7, "vp3": 0.8}),
-        "4-block with sqrt dispersion; all eigenvectors collapse to e1",
-    ),
-    "ep4-quartic": ModelSpec(
-        ep4_quartic_model,
-        _abstract_params({"b2": 1.0, "bp1": 1.0, "bp4": 1.0, "v3": 0.9}),
-        "4-block with quartic-root dispersion",
-    ),
-    "ep3": ModelSpec(
-        ep3_model,
-        _abstract_params({"b2": 1.0, "bp1": 1.0, "bp2": 2.0, "v1": 1.0,
-                          "v3": 0.4, "v4": 0.6, "vp3": 0.9, "vp4": 0.5,
-                          "rp3": 0.3, "rp4": -3.0}),
-        "mixed 3-block plus zero mode; path-dependent coalescence",
-    ),
-    "kitaev": ModelSpec(
-        kitaev_model,
-        {"j1": 1.0, "j2": 1.0, "j3": 1.0, "phi1": 0.0, "phi2": 0.0},
-        "one-flavour honeycomb Majorana model with complex couplings",
-    ),
-    "yao-lee-ep4": ModelSpec(
-        yao_lee_ep4_model,
-        {"jt": 1.0, "phi": 0.3, "z1": 0.1, "z2": 0.0, "zp1": 0.1, "zp2": 0.0,
-         "j01": 3.0, "j02": 1.0, "j03": 1.0},
-        "six-band spin-liquid construction hosting a 4-block",
-    ),
-    "yao-lee-ep3": ModelSpec(
-        yao_lee_ep3_model,
-        {"jt": 1.0, "phi": 0.3, "z1": 0.1, "z2": 0.0, "zp1": 0.1, "zp2": 0.0,
-         "j01": 3.0, "j02": 1.0, "j03": 1.0},
-        "six-band spin-liquid construction hosting a mixed 3-block",
-    ),
+        "4-block with sqrt dispersion; all eigenvectors collapse to e1"),
+    "ep4-quartic": _spec(ep4_quartic_model, "4-block with quartic-root dispersion"),
+    "ep3": _spec(ep3_model, "mixed 3-block plus zero mode; path-dependent coalescence"),
+    "kitaev": _spec(
+        kitaev_model, "one-flavour honeycomb Majorana model with complex couplings"),
+    "yao-lee-ep4": _spec(
+        yao_lee_ep4_model, "six-band spin-liquid construction hosting a 4-block"),
+    "yao-lee-ep3": _spec(
+        yao_lee_ep3_model, "six-band spin-liquid construction hosting a mixed 3-block"),
 }
 
 

@@ -3,9 +3,10 @@
 Block sizes are read off the rank sequence r_k = rank((H - E)^k): the number
 of blocks of size >= k equals r_{k-1} - r_k. (H - E) is factorised once; that
 one SVD gives its kernel, its norm, and a unit-norm, denoised copy whose
-powers are each factorised once more, with the rank cutoff
+powers 2..n are factorised together in one stacked SVD, each cut at
 tol * max(sigma_max, 100 eps / tol). No overall magnitude of H can then
-underflow or overflow a power.
+underflow or overflow a power. The classifier reads the products of B and
+B' with the same denoising and the same cut.
 
 Chains are built bottom-up from a kernel seed, but each solve is restricted
 to the image of the appropriate power of (H - E) so the chain is guaranteed
@@ -43,60 +44,66 @@ DEFAULT_CHAIN_FRACTION = 1e-6
 _NOISE_FLOOR = 100 * np.finfo(float).eps
 
 
+def _unit_denoised(f: cmatrix.SVD, scale: float) -> cmatrix.SVD:
+    """The factorised matrix with its singular values at or under
+    ``f.cutoff`` zeroed and the rest divided by ``scale``, left uncut."""
+    return cmatrix.SVD(f.u, np.where(f.s > f.cutoff, f.s / scale, 0.0), f.vh, 0.0)
+
+
+def _cut_ranks(s: np.ndarray, tol: float) -> np.ndarray:
+    """Ranks of stacked singular values ``s``, shape ``(K, ..., m)``; each
+    of the K leading-axis groups is cut together at
+    tol * max(sigma_max of the group, 100 eps / tol)."""
+    sigma_max = s.reshape(len(s), -1).max(axis=1)
+    cut = tol * np.maximum(sigma_max, _NOISE_FLOOR / tol)
+    return (s > cut.reshape((-1,) + (1,) * (s.ndim - 1))).sum(axis=-1)
+
+
 class _PowerLadder:
-    """Powers of the unit-norm, denoised (H - E), each factorised once.
+    """Ranks and images of the powers of the unit-norm, denoised (H - E).
 
     One SVD of (H - E) gives its kernel and norm; the singular directions
     below tol * ||H - E|| are zeroed in it before it is divided by its norm,
     so directions the working tolerance declares zero (e.g. the residual
     coupling at a refined-but-inexact degeneracy point) are removed before
-    any power can amplify or smear them. The k-th power is cut at
-    tol * max(sigma_max, 100 eps / tol): self-relative, so that small but
-    genuine powers of badly scale-mixed matrices keep their rank, and never
-    below the rounding noise of k products, so that powers which vanish
-    exactly count as zero.
+    any power can amplify or smear them. That factorisation is the first
+    power's; when the first power is rank-deficient, powers 2..n are formed
+    and factorised in one stacked SVD. Each power is cut by
+    :func:`_cut_ranks`: self-relative, so that small but genuine powers of
+    badly scale-mixed matrices keep their rank, and never below the
+    rounding noise of k products, so that powers which vanish exactly count
+    as zero.
     """
 
     def __init__(self, a: np.ndarray, e: complex, tol: float):
-        self.n = a.shape[0]
+        self.n = n = a.shape[0]
         self.tol = tol
-        self.shifted = a - complex(e) * np.eye(self.n)
+        self.shifted = a - complex(e) * np.eye(n)
         base = cmatrix.factorize(self.shifted, tol)
         self.norm = base.norm
         self.kernel = base.kernel
-        kept = np.where(base.s > base.cutoff,
-                        base.s / max(base.norm, cmatrix._ABS_FLOOR), 0.0)
-        self._powers = [np.eye(self.n, dtype=np.complex128), (base.u * kept) @ base.vh]
-        self._factors = {1: self._cut(cmatrix.SVD(base.u, kept, base.vh, 0.0))}
-
-    def _cut(self, f: cmatrix.SVD) -> cmatrix.SVD:
-        return f.recut(self.tol, max(f.norm, _NOISE_FLOOR / self.tol))
-
-    def factor(self, k: int) -> cmatrix.SVD:
-        """Factorisation of the k-th power (k >= 1), computed once."""
-        while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] @ self._powers[1])
-        if k not in self._factors:
-            self._factors[k] = self._cut(cmatrix.factorize(self._powers[k], self.tol))
-        return self._factors[k]
+        unit = _unit_denoised(base, max(base.norm, cmatrix._ABS_FLOOR))
+        us, self._ranks = [unit.u], _cut_ranks(unit.s[None], tol).tolist()
+        if n > 1 and self._ranks[0] < n:
+            powers = [(unit.u * unit.s) @ unit.vh]
+            for _ in range(2, n + 1):
+                powers.append(powers[-1] @ powers[0])
+            pu, ps, _ = np.linalg.svd(np.array(powers[1:]))
+            us += list(pu)
+            self._ranks += _cut_ranks(ps, tol).tolist()
+        self._images = [np.eye(n, dtype=np.complex128)] + [
+            u[:, :r] for u, r in zip(us, self._ranks)]
 
     def image(self, k: int) -> np.ndarray:
         """Orthonormal columns spanning im((H - E)^k); k = 0 gives I."""
-        if k == 0:
-            return np.eye(self.n, dtype=np.complex128)
-        return self.factor(k).image
+        return self._images[k]
 
     def ranks(self) -> list[int]:
-        """Ranks [r_1, r_2, ...] of the powers until the plateau."""
-        ranks = []
-        prev = self.n
-        for k in range(1, self.n + 1):
-            r = self.factor(k).rank
-            ranks.append(r)
-            if r == prev:
-                break
-            prev = r
-        return ranks
+        """Ranks [r_1, r_2, ...] of the powers up to the first repeat."""
+        full = [self.n] + self._ranks
+        stop = next((k for k in range(1, len(full)) if full[k] == full[k - 1]),
+                    len(self._ranks))
+        return self._ranks[:stop]
 
 
 @dataclass
@@ -148,35 +155,29 @@ def cluster_eigenvalues(eigenvalues, cluster_tol: float) -> list[EigenvalueClust
     """Single-linkage clustering of eigenvalues in the complex plane.
 
     Deterministic given input order: clusters are reported in order of
-    their smallest member index, ties in linkage broken by index.
+    their smallest member index, members in index order. The clusters are
+    the connected components of the "at most ``cluster_tol`` apart" graph,
+    found by squaring its reachability matrix until it stops growing.
     """
-    if cluster_tol <= 0:
+    if not cluster_tol > 0:
         raise ValueError("cluster_tol must be positive")
-    values = [complex(x) for x in eigenvalues]
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= cluster_tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    values = np.array([complex(x) for x in eigenvalues], dtype=np.complex128)
+    if not len(values):
+        return []
+    reach = np.abs(values[:, None] - values) <= cluster_tol
+    np.fill_diagonal(reach, True)  # a NaN is its own cluster
+    while True:
+        grown = reach @ reach
+        if (grown == reach).all():
+            break
+        reach = grown
+    # each cluster is named by its smallest member index, its own root
+    roots = reach.argmax(axis=1)
     clusters = []
-    for root in sorted(groups):
-        members = groups[root]
-        center = complex(np.mean([values[i] for i in members]))
-        clusters.append(EigenvalueCluster(center, len(members), members))
+    for root in np.flatnonzero(roots == np.arange(len(values))):
+        members = np.flatnonzero(roots == root)
+        center = complex(np.mean(values[members]))
+        clusters.append(EigenvalueCluster(center, len(members), members.tolist()))
     return clusters
 
 

@@ -19,6 +19,13 @@ def block_diag(*blocks):
     return out
 
 
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bytes: signed zeros and last bits included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
 def direction_mismatch(u, v):
     """sin of the angle between the rays of u and v (0 when parallel).
 

@@ -34,16 +34,9 @@ from epkit.models import (
 )
 from epkit.sublattice import BlockHamiltonian, assemble, reduced_spectrum
 
-from conftest import rising_model
+from conftest import assert_same_bits, rising_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-
-def assert_same_bits(got, want):
-    """Equal shape, dtype and bytes: signed zeros and last bits included."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert (got.shape, got.dtype) == (want.shape, want.dtype)
-    assert got.tobytes() == want.tobytes()
 
 
 def counting_generators(bh):
@@ -289,6 +282,21 @@ class TestPathScan:
         with pytest.raises(ValueError):
             path_scan(bh, bh.q_star, 0.0,
                       radii=[3e-2, 2e-2, 1.5e-2, 1e-2])  # under two decades
+
+    @pytest.mark.parametrize("arg, kwargs", [
+        ("radii", {"radii": [1e-2, np.nan, 1e-4, 1e-5]}),
+        ("radii", {"radii": [np.inf, 1e-3, 1e-4, 1e-5]}),
+        ("theta", {"theta": np.nan}),
+        ("theta", {"theta": np.inf}),
+        ("q_star", {"q_star": (np.nan, 0.0)}),
+    ], ids=["nan-radius", "inf-radius", "nan-theta", "inf-theta", "nan-q_star"])
+    def test_non_finite_input_refused(self, arg, kwargs):
+        # refused up front, not blamed on the model's generators
+        bh = ep4_sqrt_model()
+        call = {"q_star": bh.q_star, "theta": 0.0,
+                "radii": [1e-2, 1e-3, 1e-4, 1e-5], **kwargs}
+        with pytest.raises(ValueError, match=arg):
+            path_scan(bh, call["q_star"], call["theta"], call["radii"])
 
     def test_continuation_is_permutation_consistent(self):
         bh = build_model("ep3")
@@ -763,6 +771,11 @@ class TestBZScan:
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
         with pytest.raises(ValueError):
             bz_scan(bh, (8, 32), ((-1, 1), (-1, 1)))
+
+    def test_infinite_bound_refused(self):
+        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
+        with pytest.raises(ValueError, match="bounds"):
+            bz_scan(bh, (16, 16), ((-1, np.inf), (-1, 1)))
 
     def test_kitaev_against_closed_form(self):
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)

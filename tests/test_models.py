@@ -87,6 +87,15 @@ class TestCatalogInvariants:
         points = np.array([[assemble(bh, q) for q in row] for row in grid])
         _assert_matches_points(name, h, points)
 
+    def test_catalog_params_are_the_builder_defaults(self):
+        # in signature order, q_star split into qstar_x and qstar_y
+        assert list(MODEL_CATALOG["doublet-ep2"].params.items()) == [
+            ("v_x", 1.0), ("v_y", 1.0), ("c", 1.0), ("qstar_x", 0.0), ("qstar_y", 0.0)]
+        assert list(MODEL_CATALOG["kitaev"].params.items()) == [
+            ("j1", 1.0), ("j2", 1.0), ("j3", 1.0), ("phi1", 0.0), ("phi2", 0.0)]
+        assert MODEL_CATALOG["ep3"].params["rp4"] == -3.0
+        assert MODEL_CATALOG["yao-lee-ep4"].params["phi"] == 0.3
+
     def test_build_model_rejects_unknowns(self):
         with pytest.raises(ParamViolationError):
             build_model("no-such-model")

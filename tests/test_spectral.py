@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from epkit import cmatrix, spectral
 from epkit.errors import (
     ChainSolveFailedError,
+    EpkitError,
     NotAnEigenvalueError,
     RankSequenceError,
     SeedNotInKernelError,
 )
 from epkit.spectral import (
+    EigenvalueCluster,
     _block_sizes_from_ranks,
+    _PowerLadder,
     _subspace_intersection,
     cluster_eigenvalues,
     ep_report,
@@ -18,7 +22,14 @@ from epkit.spectral import (
 )
 from epkit.sublattice import assemble_blocks
 
-from conftest import RISING_PAIR, block_diag, direction_mismatch, jordan_block, random_conditioned
+from conftest import (
+    RISING_PAIR,
+    assert_same_bits,
+    block_diag,
+    direction_mismatch,
+    jordan_block,
+    random_conditioned,
+)
 
 
 class TestClustering:
@@ -38,6 +49,11 @@ class TestClustering:
         e = np.sqrt(1e-4)
         clusters = cluster_eigenvalues([e, -e, e + 1e-12, -e - 1e-12], 1e-9)
         assert sorted(c.algebraic_multiplicity for c in clusters) == [2, 2]
+
+    @pytest.mark.parametrize("cluster_tol", [0.0, -1.0, np.nan])
+    def test_tolerance_must_be_positive(self, cluster_tol):
+        with pytest.raises(ValueError, match="cluster_tol"):
+            cluster_eigenvalues([0.0, 1.0], cluster_tol)
 
 
 class TestJordanStructure:
@@ -236,3 +252,183 @@ class TestEpReport:
     def test_diagonalizable_flag_none(self):
         report = ep_report(np.diag([1.0, 2.0, 3.0]))
         assert report.flag == "none"
+
+
+class ReferenceLadder:
+    """The power ladder before its powers were stacked: each power formed
+    and factorised on first use; kept as the bitwise reference."""
+
+    def __init__(self, a, e, tol):
+        self.n = a.shape[0]
+        self.tol = tol
+        self.shifted = a - complex(e) * np.eye(self.n)
+        base = cmatrix.factorize(self.shifted, tol)
+        self.norm = base.norm
+        self.kernel = base.kernel
+        kept = np.where(base.s > base.cutoff,
+                        base.s / max(base.norm, cmatrix._ABS_FLOOR), 0.0)
+        self._powers = [np.eye(self.n, dtype=np.complex128), (base.u * kept) @ base.vh]
+        self._factors = {1: self._cut(cmatrix.SVD(base.u, kept, base.vh, 0.0))}
+
+    def _cut(self, f):
+        return f.recut(self.tol, max(f.norm, 100 * np.finfo(float).eps / self.tol))
+
+    def factor(self, k):
+        while len(self._powers) <= k:
+            self._powers.append(self._powers[-1] @ self._powers[1])
+        if k not in self._factors:
+            self._factors[k] = self._cut(cmatrix.factorize(self._powers[k], self.tol))
+        return self._factors[k]
+
+    def image(self, k):
+        if k == 0:
+            return np.eye(self.n, dtype=np.complex128)
+        return self.factor(k).image
+
+    def ranks(self):
+        ranks = []
+        prev = self.n
+        for k in range(1, self.n + 1):
+            r = self.factor(k).rank
+            ranks.append(r)
+            if r == prev:
+                break
+            prev = r
+        return ranks
+
+
+def reference_clusters(eigenvalues, cluster_tol):
+    """Union-find single linkage, one Python pair test at a time; kept as
+    the bitwise reference."""
+    values = [complex(x) for x in eigenvalues]
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= cluster_tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [EigenvalueCluster(complex(np.mean([values[i] for i in groups[root]])),
+                              len(groups[root]), groups[root])
+            for root in sorted(groups)]
+
+
+def random_jordan_matrices(rng, count):
+    """Jordan matrices at eigenvalues 0 and 1, of sizes 1..8 and 16, under
+    conditioned basis changes (every third one left bare) and scales from
+    1e-3 to 1e3."""
+    out = []
+    for i in range(count):
+        n = 16 if i % 8 == 0 else int(rng.integers(1, 9))
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, n - sum(sizes) + 1)))
+        j = block_diag(*[jordan_block(s, float(rng.integers(0, 2))) for s in sizes])
+        if i % 3:
+            v = random_conditioned(rng, n, 50.0)
+            j = v @ j @ np.linalg.inv(v)
+        out.append(10.0 ** rng.uniform(-3, 3) * j)
+    return out
+
+
+#: Eigenvalue 0, eigenvalue 1 or none (the last shift is no eigenvalue).
+SHIFTS = (0.0, 1.0, 0.5 + 0.25j)
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type and text of the EpkitError it raises."""
+    try:
+        return fn()
+    except EpkitError as exc:
+        return type(exc), str(exc)
+
+
+def same_chains(got, want):
+    assert len(got) == len(want)
+    for chain, ref in zip(got, want):
+        assert len(chain) == len(ref)
+        for vec, ref_vec in zip(chain, ref):
+            assert_same_bits(vec, ref_vec)
+
+
+class TestMatchesReference:
+    """The eager ladder and the vectorised clustering give the bits of the
+    lazy ladder and of union-find."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-13])
+    def test_ranks_and_images(self, tol, rng):
+        for a in random_jordan_matrices(rng, 24) + [np.zeros((1, 1)), np.eye(1)]:
+            a = np.asarray(a, dtype=np.complex128)
+            n = a.shape[0]
+            for e in SHIFTS:
+                ladder, ref = _PowerLadder(a, e, tol), ReferenceLadder(a, e, tol)
+                assert ladder.ranks() == ref.ranks()
+                assert_same_bits(ladder.kernel, ref.kernel)
+                assert ladder.norm == ref.norm
+                top = n if ladder.ranks()[0] < n else 1
+                for k in range(top + 1):
+                    assert_same_bits(ladder.image(k), ref.image(k))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-13])
+    def test_blocks_and_chains(self, tol, rng, monkeypatch):
+        for a in random_jordan_matrices(rng, 16):
+            for e in SHIFTS:
+                got = outcome(lambda: jordan_structure(a, e, tol))
+                chains = [outcome(lambda: jordan_chain(a, e, k, tol=tol))
+                          for k in range(1, min(a.shape[0], 4) + 1)]
+                with monkeypatch.context() as m:
+                    m.setattr(spectral, "_PowerLadder", ReferenceLadder)
+                    want = outcome(lambda: jordan_structure(a, e, tol))
+                    ref_chains = [outcome(lambda: jordan_chain(a, e, k, tol=tol))
+                                  for k in range(1, min(a.shape[0], 4) + 1)]
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    assert got.block_sizes == want.block_sizes
+                    same_chains(got.chains, want.chains)
+                for chain, ref in zip(chains, ref_chains):
+                    if isinstance(ref, tuple):
+                        assert chain == ref
+                    else:
+                        same_chains([chain], [ref])
+
+    def test_clusters(self, rng):
+        for i in range(400):
+            k = i % 12
+            values = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) \
+                * 10.0 ** rng.integers(-12, 1, size=k)
+            cluster_tol = 10.0 ** rng.uniform(-12, 0)
+            if i % 3 == 1:
+                values = np.concatenate(
+                    [values, values[: k // 2] + 1e-10 * rng.standard_normal(k // 2)])
+                rng.shuffle(values)
+            elif i % 3 == 2:
+                # walks whose steps straddle cluster_tol: long linkage chains
+                steps = rng.uniform(0.5, 1.2, k) * np.exp(1j * rng.uniform(0, 0.3, k))
+                values = cluster_tol * np.cumsum(steps)
+                rng.shuffle(values)
+            got = cluster_eigenvalues(list(values), cluster_tol)
+            want = reference_clusters(list(values), cluster_tol)
+            assert [(c.member_indices, c.algebraic_multiplicity) for c in got] \
+                == [(c.member_indices, c.algebraic_multiplicity) for c in want]
+            for c, ref in zip(got, want):
+                assert_same_bits(c.center, ref.center)
+        assert cluster_eigenvalues([], 1e-9) == reference_clusters([], 1e-9) == []
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_svd_budget(n, svd_calls):
+    # (H - E) itself, then all of its powers in one stacked call
+    jordan_structure(jordan_block(n), 0.0, with_chains=False)
+    assert len(svd_calls) <= 2

@@ -24,7 +24,7 @@ from epkit.sublattice import (
     zero_energy_states,
 )
 
-from conftest import direction_mismatch, jordan_block, random_block_hamiltonian
+from conftest import assert_same_bits, direction_mismatch, jordan_block, random_block_hamiltonian
 
 
 def _constant(matrix):
@@ -142,13 +142,6 @@ def reference_reduced_spectrum(b, bprime, tol=1e-9):
         states += list(zero_modes)
     return (np.array(energies, dtype=np.complex128),
             np.array(states, dtype=np.complex128).reshape(len(states), 2 * b.shape[0]))
-
-
-def assert_same_bits(got, want):
-    """Equal shape, dtype and bytes: signed zeros and last bits included."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert (got.shape, got.dtype) == (want.shape, want.dtype)
-    assert got.tobytes() == want.tobytes()
 
 
 def partner_rows(states):
