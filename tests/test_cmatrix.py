@@ -116,6 +116,13 @@ class TestFactorize:
         assert f.recut(1e-9, 1.0).rank == 0
         assert f.recut(1e-9, 1e-12).rank == 1
 
+    @pytest.mark.parametrize("tol", [0.0, np.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cmatrix.factorize(np.eye(2), tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cmatrix.factorize(np.eye(2)).recut(tol, 1.0)
+
     def test_norm_beyond_double_range_rejected(self):
         # finite entries whose modulus overflows: LAPACK returns NaN
         c = 1.5e308 + 1.5e308j

@@ -57,6 +57,12 @@ class TestClustering:
 
 
 class TestJordanStructure:
+    @pytest.mark.parametrize("tol", [0.0, np.nan])
+    def test_tol_must_be_positive(self, tol):
+        # a NaN cut read the ranks of J2 as [0, 0]; a zero one divided by zero
+        with pytest.raises(ValueError, match="tol must be positive"):
+            rank_sequence(jordan_block(2), 0.0, tol=tol)
+
     def test_canonical_blocks(self):
         assert jordan_structure(jordan_block(4), 0.0).block_sizes == [4]
         assert jordan_structure(block_diag(jordan_block(3), [[0.0]]), 0.0).block_sizes == [3, 1]
