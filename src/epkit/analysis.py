@@ -14,7 +14,6 @@ form of Jonker & Volgenant, 1987) runs on plain lists, n = 2N being small.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import classify as _classify
 from . import cmatrix
@@ -289,13 +288,19 @@ def _newton_roots(det, starts, lo, hi):
     at +-h, h = cbrt(eps) * max(hi - lo), and moves by -pinv(J) (Re f, Im f)
     clipped to the box [lo, hi]. A start stops when its step is below the
     resolution eps * max|lo, hi|, when the step leaves the box (its zero
-    lies outside), or after NEWTON_STEPS steps. Returns the final points."""
+    lies outside), or after NEWTON_STEPS steps. It also stops, without
+    taking the step, when its step is no smaller than the one before for
+    the second step in a row: at a multiple zero Newton only shrinks the
+    distance until det's rounding noise takes over, and from there it
+    wanders. Returns the final points."""
     eps = np.finfo(float).eps
     h = np.cbrt(eps) * np.max(hi - lo)
     resolution = eps * np.max(np.abs([lo, hi]))
     offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     q = np.array(starts, dtype=float)
     active = np.arange(len(q))
+    last = np.full(len(q), np.inf)
+    stalls = np.zeros(len(q), dtype=int)
     for _ in range(NEWTON_STEPS):
         if not len(active):
             break
@@ -305,10 +310,15 @@ def _newton_roots(det, starts, lo, hi):
         jac = np.stack([slope.real, slope.imag], axis=1)
         residual = np.stack([f[:, 0].real, f[:, 0].imag], axis=-1)
         step = (np.linalg.pinv(jac, rcond=1e-12) @ residual[..., None])[..., 0]
+        size = np.max(np.abs(step), axis=-1)
+        stalls[active] = np.where(size >= last[active], stalls[active] + 1, 0)
+        last[active] = size
+        moving = stalls[active] < 2
+        active, step, size = active[moving], step[moving], size[moving]
         target = q[active] - step
         q[active] = np.clip(target, lo, hi)
         inside = np.all((target >= lo) & (target <= hi), axis=-1)
-        active = active[inside & (np.max(np.abs(step), axis=-1) > resolution)]
+        active = active[inside & (size > resolution)]
     return q
 
 
@@ -317,7 +327,10 @@ def _grid_minima(sig, threshold):
     at most ``threshold`` and no larger than any of their (up to eight)
     neighbours."""
     padded = np.pad(sig, 1, constant_values=np.inf)
-    neighbourhood = sliding_window_view(padded, (3, 3)).min(axis=(-2, -1))
+    # the 3 x 3 minimum as a 3-point minimum down the rows, then across
+    rows = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+    neighbourhood = np.minimum(np.minimum(rows[:, :-2], rows[:, 1:-1]),
+                               rows[:, 2:])
     return np.argwhere((sig <= threshold) & (sig <= neighbourhood))
 
 
@@ -328,9 +341,11 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     values are those of B and B', so H is never formed. Each grid row chunk
     is one generator call per side; a side's objective is
     |det(blocks / s)|^(1/N) * s, s the pair's :func:`sublattice.pow2_scale`,
-    and ``scale`` is the largest s. Each side's grid minima below
-    COARSE_FRACTION * scale (B first, row-major) go to :func:`_newton_roots`
-    on det(blocks / scale). A point is kept when
+    and ``scale`` is the largest s. At N = 1 the grid reads the entry
+    itself: np.linalg.det would run an LU factorisation and a log-sum on
+    every 1 x 1 matrix. Each side's grid minima below COARSE_FRACTION *
+    scale (B first, row-major) go to :func:`_newton_roots` on
+    det(blocks / scale). A point is kept when
     sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale, then
     deduplicated, classified, and sorted by (qx, qy); an EpkitError in
     classification is kept as Unclassified with ``evidence["error"]``.
@@ -357,7 +372,8 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
                          axis=-1)
         blocks = np.stack([side(chunk) for side in sides])
         s = _pow2_scales(*blocks)
-        dets = np.linalg.det(blocks / s[..., None, None])
+        scaled = blocks / s[..., None, None]
+        dets = scaled[..., 0, 0] if bh.n == 1 else np.linalg.det(scaled)
         sig[:, start:start + rows] = np.abs(dets) ** (1 / bh.n) * s
         scale = max(scale, float(s.max()))
 

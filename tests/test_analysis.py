@@ -34,7 +34,7 @@ from epkit.models import (
     reciprocal_to_cartesian,
     zero_targets,
 )
-from epkit.sublattice import BlockHamiltonian, reduced_spectrum
+from epkit.sublattice import BlockHamiltonian, _pow2_scales, reduced_spectrum
 
 from conftest import assert_same_bits, rising_model
 
@@ -659,6 +659,47 @@ def kitaev_zeros(window, *couplings):
     return zeros
 
 
+def reference_newton_roots(det, starts, lo, hi):
+    """_newton_roots as it was before starts stopped on a stalled step;
+    kept as the bitwise reference."""
+    eps = np.finfo(float).eps
+    h = np.cbrt(eps) * np.max(hi - lo)
+    resolution = eps * np.max(np.abs([lo, hi]))
+    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    q = np.array(starts, dtype=float)
+    active = np.arange(len(q))
+    for _ in range(analysis.NEWTON_STEPS):
+        if not len(active):
+            break
+        points = q[active, None] + offsets
+        f = det(points)
+        slope = (f[:, [1, 3]] - f[:, [2, 4]]) / (2 * h)
+        jac = np.stack([slope.real, slope.imag], axis=1)
+        residual = np.stack([f[:, 0].real, f[:, 0].imag], axis=-1)
+        step = (np.linalg.pinv(jac, rcond=1e-12) @ residual[..., None])[..., 0]
+        target = q[active] - step
+        q[active] = np.clip(target, lo, hi)
+        inside = np.all((target >= lo) & (target <= hi), axis=-1)
+        active = active[inside & (np.max(np.abs(step), axis=-1) > resolution)]
+    return q
+
+
+def newton_runs(monkeypatch, bh, grid, window):
+    """The (det, starts, lo, hi) of every _newton_roots call of one
+    bz_scan, B side first."""
+    runs = []
+    newton = analysis._newton_roots
+
+    def recorded(det, starts, lo, hi):
+        runs.append((det, starts, lo, hi))
+        return newton(det, starts, lo, hi)
+
+    monkeypatch.setattr(analysis, "_newton_roots", recorded)
+    bz_scan(bh, grid, window)
+    monkeypatch.setattr(analysis, "_newton_roots", newton)
+    return runs
+
+
 class TestNewtonRoots:
     @pytest.mark.parametrize("name,params", [
         ("yao-lee-ep4", None), ("kitaev", {"phi1": 0.3, "phi2": 0.1})])
@@ -742,6 +783,64 @@ class TestNewtonRoots:
                                np.array([1.0, 1.0]))
         assert len(calls) == analysis.NEWTON_STEPS
 
+    @pytest.mark.parametrize("couplings", [
+        (1.0, 1.0, 1.0, 0.3, 0.1), (1.1, 0.9, 1.0, -0.4, 0.2),
+        (1.0, 1.0, 1.0, 0.01, -0.02), (1.0, 1.0, 1.0, 0.0, 0.0)])
+    def test_kitaev_starts_as_before(self, couplings, monkeypatch):
+        # simple zeros: the resolution rule ends every start first
+        runs = newton_runs(monkeypatch, kitaev_model(*couplings), (128, 128),
+                           KITAEV_BOUNDS)
+        assert len(runs) == 2
+        for det, starts, lo, hi in runs:
+            assert_same_bits(analysis._newton_roots(det, starts, lo, hi),
+                             reference_newton_roots(det, starts, lo, hi))
+
+    @pytest.mark.parametrize("order", [1, 8])
+    def test_simple_and_order_8_zeros_as_before(self, order, rng):
+        a, b = 0.3125, -0.7
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+
+        def det(q):
+            return ((q[..., 0] - a) + 2j * (q[..., 1] - b)) ** order
+
+        starts = rng.uniform(lo, hi, (12, 2))
+        assert_same_bits(analysis._newton_roots(det, starts, lo, hi),
+                         reference_newton_roots(det, starts, lo, hi))
+
+    def test_double_zero_stops_at_its_rounding_floor(self, monkeypatch):
+        # det B ~ r^2 at the yao-lee-ep4 q*; without the stall stop the
+        # start wanders in det's rounding noise for all NEWTON_STEPS steps
+        bh = build_model("yao-lee-ep4")
+        window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
+        det, starts, lo, hi = newton_runs(monkeypatch, bh, (64, 64), window)[0]
+        calls = []
+
+        def counted(q):
+            calls.append(len(q))
+            return det(q)
+
+        [root] = analysis._newton_roots(counted, starts, lo, hi)
+        assert len(calls) < 45
+        assert np.max(np.abs(root - bh.q_star)) < 1e-11
+
+    def test_stalled_start_stops_without_the_step(self):
+        # residuals 1, 1/2, 1/2, 1/2 against a fixed Jacobian: the third
+        # step is the first no smaller than the one before and is taken;
+        # the fourth is the second in a row and is not
+        residuals = iter([1.0, 0.5, 0.5, 0.5])
+        centres = []
+
+        def det(q):
+            centres.append(q[0, 0].copy())
+            return np.array([[next(residuals), 1.0, -1.0, 1j, -1j]])
+
+        [root] = analysis._newton_roots(det, [[0.0, 0.0]],
+                                        np.array([-4.0, -4.0]),
+                                        np.array([4.0, 4.0]))
+        assert len(centres) == 4
+        assert not np.array_equal(centres[2], centres[3])
+        assert_same_bits(root, centres[3])
+
 
 class TestBZScan:
     def test_grid_validation(self):
@@ -777,8 +876,12 @@ class TestBZScan:
         assert bz_scan(bh, (32, 32), bounds) == []
 
     def test_vectorised_minima_match_loop(self, rng):
-        for trial in range(300):
-            nx, ny = (int(n) for n in rng.integers(1, 13, 2))
+        large = [(40, 40), (128, 128), (57, 93), (128, 41), (100, 77), (64, 64)]
+        for trial in range(300 + 2 * len(large)):
+            if trial < 300:
+                nx, ny = (int(n) for n in rng.integers(1, 13, 2))
+            else:
+                nx, ny = large[(trial - 300) // 2]
             if trial % 3:
                 # few levels: ties and plateaus, plus planted edge minima
                 sig = rng.integers(0, 4, (nx, ny)).astype(float)
@@ -790,6 +893,66 @@ class TestBZScan:
             got = [tuple(int(k) for k in ij)
                    for ij in analysis._grid_minima(sig, threshold)]
             assert got == loop_minima(sig, threshold)
+
+    def test_n1_grid_minima_as_with_det(self, rng):
+        # the entry |A(+-q)| in place of |det(blocks / s)| * s moves grid
+        # values by a few ulp and no minimum
+        sets = [(1.0, 1.0, 1.0, 0.0, 0.0), (2.0, 2.0, 2.0, 0.0, 0.0)]
+        for bound in (0.06,) * 6 + (0.5,) * 12:
+            j1, j2 = rng.uniform(0.8, 1.2, 2)
+            phases = rng.uniform(0.005, bound, 2) * rng.choice([-1.0, 1.0], 2)
+            sets.append((j1, j2, 1.0, *phases))
+        assert len(sets) == 20
+        qx = np.linspace(*KITAEV_BOUNDS[0], 128)
+        qy = np.linspace(*KITAEV_BOUNDS[1], 128)
+        grid = np.stack(np.meshgrid(qx, qy, indexing="ij"), axis=-1)
+        for couplings in sets:
+            bh = kitaev_model(*couplings)
+            blocks = np.stack([bh.b(grid), bh.b_prime(grid)])
+            s = _pow2_scales(*blocks)
+            threshold = analysis.COARSE_FRACTION * s.max()
+            with_det = np.abs(np.linalg.det(blocks / s[..., None, None])) * s
+            for entry, side in zip(np.abs(blocks[..., 0, 0]), with_det):
+                assert_same_bits(analysis._grid_minima(entry, threshold),
+                                 analysis._grid_minima(side, threshold))
+
+    @pytest.mark.parametrize("name,params,grid,grid_dets", [
+        ("kitaev", {"phi1": 0.3, "phi2": 0.1}, (128, 128), 0),
+        ("yao-lee-ep4", None, (64, 64), 1)])
+    def test_det_runs_on_the_grid_only_from_n2(self, name, params, grid,
+                                                grid_dets, monkeypatch):
+        bh = build_model(name, params)
+        window = (KITAEV_BOUNDS if name == "kitaev"
+                  else tuple((c - 0.4, c + 0.4) for c in bh.q_star))
+        shapes = []
+        det = np.linalg.det
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        bz_scan(bh, grid, window)
+        # the grid passes (2, rows, ny, N, N); refinement (k, 5, N, N)
+        grid_calls = [s for s in shapes if s[2:3] == (grid[1],)]
+        assert len(grid_calls) == grid_dets
+        assert all(s[1:] == (5, bh.n, bh.n) for s in shapes
+                   if s not in grid_calls)
+
+    def test_cli_yao_lee_refinement_budget(self, capsys, monkeypatch):
+        # the double zero of det B stops at its rounding floor, not after
+        # all NEWTON_STEPS steps
+        shapes = {}
+
+        def build(name, params=None):
+            bh, shapes[name] = counting_generators(build_model(name, params))
+            return bh
+
+        monkeypatch.setattr(cli, "build_model", build)
+        assert cli.main(["bz-scan", "--model", "yao-lee-ep4"]) == 0
+        assert capsys.readouterr().out.endswith(",EP4\n")
+        steps = [s for s in shapes["yao-lee-ep4"]["B"] if s[1:] == (5, 2)]
+        assert 0 < len(steps) <= 45
 
     def test_chunked_grid_matches_one_chunk(self, monkeypatch):
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
