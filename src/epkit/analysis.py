@@ -285,38 +285,62 @@ def _newton_roots(det, starts, lo, hi):
     """Gauss-Newton on (Re f, Im f), f = ``det``, from each of ``starts``
     (K, 2) in lockstep, each start exactly as alone. A step is one ``det``
     call on the (k, 5, 2) momenta of the active starts and their neighbours
-    at +-h, h = cbrt(eps) * max(hi - lo), and moves by -pinv(J) (Re f, Im f)
-    clipped to the box [lo, hi]. A start stops when its step is below the
-    resolution eps * max|lo, hi|, when the step leaves the box (its zero
-    lies outside), or after NEWTON_STEPS steps. It also stops, without
-    taking the step, when its step is no smaller than the one before for
-    the second step in a row: at a multiple zero Newton only shrinks the
-    distance until det's rounding noise takes over, and from there it
-    wanders. Returns the final points."""
+    at +-w, and moves by -m pinv(J) (Re f, Im f) clipped to the box
+    [lo, hi]; J is the central difference over w.
+
+    m is the order of the start's zero, 1 until two plain steps in a row
+    have each kept the same share (0.4 to 0.95, within 0.05) of the one
+    before: at a zero of order m, f ~ c dq^m, so J dq = m f and a plain
+    step keeps 1 - 1/m of the distance. From then on the start takes
+    Schroeder's m-fold step, which converges quadratically again. w is
+    h = cbrt(eps) * max(hi - lo) until m is known, then the start's last
+    move clipped to [sqrt(eps) * max|lo, hi|, h]: near a multiple zero J
+    is as small as the distance, and a fixed h would bias it. A start
+    whose steps shrink faster, as near any simple zero, keeps m = 1 and
+    w = h and takes the plain Gauss-Newton steps.
+
+    A start stops when its plain step is below the resolution
+    eps * max|lo, hi|, when its step leaves the box (its zero lies
+    outside), or after NEWTON_STEPS steps. It also stops, without taking
+    the step, when its plain step is no smaller than the one before for
+    the second step in a row: it has reached det's rounding noise, and from
+    there it would only wander. Returns the final points."""
     eps = np.finfo(float).eps
     h = np.cbrt(eps) * np.max(hi - lo)
-    resolution = eps * np.max(np.abs([lo, hi]))
-    offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
+    reach = np.max(np.abs([lo, hi]))
+    resolution, narrowest = eps * reach, np.sqrt(eps) * reach
+    units = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                      [0.0, -1.0]])
     q = np.array(starts, dtype=float)
     active = np.arange(len(q))
-    last = np.full(len(q), np.inf)
+    width, order = np.full(len(q), h), np.ones(len(q))
+    last, kept_before = np.full(len(q), np.inf), np.zeros(len(q))
     stalls = np.zeros(len(q), dtype=int)
     for _ in range(NEWTON_STEPS):
         if not len(active):
             break
-        points = q[active, None] + offsets
-        f = det(points)
-        slope = (f[:, [1, 3]] - f[:, [2, 4]]) / (2 * h)
+        w = width[active]
+        f = det(q[active, None] + w[:, None, None] * units)
+        slope = (f[:, [1, 3]] - f[:, [2, 4]]) / (2 * w[:, None])
         jac = np.stack([slope.real, slope.imag], axis=1)
         residual = np.stack([f[:, 0].real, f[:, 0].imag], axis=-1)
         step = (np.linalg.pinv(jac, rcond=1e-12) @ residual[..., None])[..., 0]
         size = np.max(np.abs(step), axis=-1)
+        # the share of the previous step that this one kept; only a share
+        # below 0.95 can fix m, so 1 / (1 - kept) stays finite
+        kept = size / last[active]
+        settled = ((order[active] == 1) & (kept >= 0.4) & (kept < 0.95)
+                   & (np.abs(kept - kept_before[active]) < 0.05))
+        order[active[settled]] = np.rint(1 / (1 - kept[settled]))
+        kept_before[active] = kept
         stalls[active] = np.where(size >= last[active], stalls[active] + 1, 0)
         last[active] = size
         moving = stalls[active] < 2
         active, step, size = active[moving], step[moving], size[moving]
-        target = q[active] - step
+        m = order[active]
+        target = q[active] - m[:, None] * step
         q[active] = np.clip(target, lo, hi)
+        width[active] = np.where(m == 1, h, np.clip(m * size, narrowest, h))
         inside = np.all((target >= lo) & (target <= hi), axis=-1)
         active = active[inside & (size > resolution)]
     return q
@@ -345,8 +369,9 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     itself: np.linalg.det would run an LU factorisation and a log-sum on
     every 1 x 1 matrix. Each side's grid minima below COARSE_FRACTION *
     scale (B first, row-major) go to :func:`_newton_roots` on
-    det(blocks / scale). A point is kept when
-    sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale, then
+    det(blocks / scale), which takes m-fold steps at a zero of order m (a
+    double zero at doublet-ep2, ep4-sqrt and yao-lee-ep4). A point is kept
+    when sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale, then
     deduplicated, classified, and sorted by (qx, qy); an EpkitError in
     classification is kept as Unclassified with ``evidence["error"]``.
     """

@@ -191,7 +191,11 @@ def ep3_model(b2=1.0, bp1=1.0, bp2=2.0, v1=1.0, v3=0.4, v4=0.6,
 
 
 def _a_tilde(q, j1, j2, j3, phi1, phi2):
-    qt = cartesian_to_reciprocal(q)
+    return _a_of_phases(cartesian_to_reciprocal(q), j1, j2, j3, phi1, phi2)
+
+
+def _a_of_phases(qt, j1, j2, j3, phi1, phi2):
+    """A~ of the reciprocal coordinates ``qt`` (..., 2)."""
     return 2.0 * (
         j1 * np.exp(1j * (qt[..., 0] + phi1))
         + j2 * np.exp(1j * (qt[..., 1] + phi2))
@@ -269,7 +273,10 @@ def _yao_lee_pieces(jt, phi):
         h(q) = e^{-i (q~*_1 + phi)} + e^{i q.r2} + 1
 
     satisfy g(q*) = h(-q*) = 0 for every phi, which is what pins the
-    required matrix entries at the degeneracy point.
+    required matrix entries at the degeneracy point. g and h take the
+    reciprocal coordinates q~ of q, so that one generator call converts
+    its momenta once: q~(-q) = -q~(q) exactly, since negation commutes
+    with rounding.
     """
     _require(jt > 0, "yao-lee model needs jt > 0")
     _require(phi != 0, "yao-lee model needs phi != 0 for non-Hermiticity")
@@ -278,11 +285,11 @@ def _yao_lee_pieces(jt, phi):
     g2 = cmath.exp(1j * qt_star[1])
     h1 = cmath.exp(-1j * (qt_star[0] + phi))
 
-    def g(q):
-        return np.exp(1j * (cartesian_to_reciprocal(q)[..., 0] + phi)) + g2 + 1.0
+    def g(qt):
+        return np.exp(1j * (qt[..., 0] + phi)) + g2 + 1.0
 
-    def h(q):
-        return h1 + np.exp(1j * cartesian_to_reciprocal(q)[..., 1]) + 1.0
+    def h(qt):
+        return h1 + np.exp(1j * qt[..., 1]) + 1.0
 
     return q_star, g, h
 
@@ -290,15 +297,17 @@ def _yao_lee_pieces(jt, phi):
 def _yao_lee_model(name, expected_kind, upper, q_star, public):
     """diag(upper(q), A0(q)) with the particle-hole pairing B'(q) = A(-q)^T.
 
-    ``upper(q)`` gives the 2-flavour block as rows of entries; A0 is the
-    real-coupling honeycomb band of (j01, j02, j03). The 2-flavour
+    ``upper(q, qt)`` gives the 2-flavour block as rows of entries from the
+    momenta and their reciprocal coordinates; A0 is the real-coupling
+    honeycomb band of (j01, j02, j03). The 2-flavour
     sub-block at q* must classify as ``expected_kind``.
     """
     j01, j02, j03 = public["j01"], public["j02"], public["j03"]
 
     def block(q):
-        (a, b), (c, d) = upper(q)
-        a0 = _a_tilde(q, j01, j02, j03, 0.0, 0.0)
+        qt = cartesian_to_reciprocal(q)
+        (a, b), (c, d) = upper(q, qt)
+        a0 = _a_of_phases(qt, j01, j02, j03, 0.0, 0.0)
         return _matrix([[a, b, 0.0], [c, d, 0.0], [0.0, 0.0, a0]])
 
     def block_prime(q):
@@ -330,10 +339,10 @@ def yao_lee_ep4_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
     """
     q_star, g, h = _yao_lee_pieces(jt, phi)
 
-    def upper(q):
-        a = _a_tilde(q, jt, jt, jt, phi, 0.0)
-        w = z1 * g(-q) + z2 * h(q)
-        a_prime = a + zp1 * g(q) + zp2 * h(-q)
+    def upper(q, qt):
+        a = _a_of_phases(qt, jt, jt, jt, phi, 0.0)
+        w = z1 * g(-qt) + z2 * h(qt)
+        a_prime = a + zp1 * g(qt) + zp2 * h(-qt)
         return [[a, w], [0.0, a_prime]]
 
     public = {"jt": jt, "phi": phi, "z1": z1, "z2": z2, "zp1": zp1, "zp2": zp2,
@@ -357,14 +366,15 @@ def yao_lee_ep3_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
     q_star, g, h = _yao_lee_pieces(jt, phi)
     qsy = q_star[1]
 
-    def f1(q):
-        return z1 * g(-q) + z2 * h(q)
+    def f1(qt):
+        return z1 * g(-qt) + z2 * h(qt)
 
-    def upper(q):
+    def upper(q, qt):
         mirrored = np.stack([q[..., 0], 2 * qsy - q[..., 1]], axis=-1)
-        w_top = f1(q) + f1(mirrored)
-        w_bottom = zp1 * g(q) + zp2 * h(-q)
-        return [[_a_tilde(q, jt, jt, jt, phi, 0.0), w_top], [w_bottom, 0.0]]
+        w_top = f1(qt) + f1(cartesian_to_reciprocal(mirrored))
+        w_bottom = zp1 * g(qt) + zp2 * h(-qt)
+        return [[_a_of_phases(qt, jt, jt, jt, phi, 0.0), w_top],
+                [w_bottom, 0.0]]
 
     public = {"jt": jt, "phi": phi, "z1": z1, "z2": z2, "zp1": zp1, "zp2": zp2,
               "j01": j01, "j02": j02, "j03": j03}

@@ -746,7 +746,7 @@ class TestNewtonRoots:
         np.testing.assert_allclose(root, [a, b], rtol=0, atol=1e-15)
 
     def test_double_zero_within_the_step_cap(self):
-        # f = z^2 halves the distance each step, so the cap must hold it
+        # f = z^2: the start ends at the zero well inside the step cap
         lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
         calls = []
 
@@ -772,12 +772,14 @@ class TestNewtonRoots:
         assert_same_bits(roots, starts)
 
     def test_step_cap_ends_a_slow_start(self):
-        # a zero of order 8: each step keeps 7/8 of the distance
+        # a zero of order 40: each step keeps 39/40 of the distance, beyond
+        # the order estimate's range, so the start never takes the m-fold
+        # step
         calls = []
 
         def det(q):
             calls.append(len(q))
-            return (q[..., 0] + 1j * q[..., 1]) ** 8
+            return (q[..., 0] + 1j * q[..., 1]) ** 40
 
         analysis._newton_roots(det, [[0.5, 0.25]], np.array([-1.0, -1.0]),
                                np.array([1.0, 1.0]))
@@ -795,21 +797,39 @@ class TestNewtonRoots:
             assert_same_bits(analysis._newton_roots(det, starts, lo, hi),
                              reference_newton_roots(det, starts, lo, hi))
 
-    @pytest.mark.parametrize("order", [1, 8])
-    def test_simple_and_order_8_zeros_as_before(self, order, rng):
+    def test_simple_zeros_as_before(self, rng):
         a, b = 0.3125, -0.7
         lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
 
         def det(q):
-            return ((q[..., 0] - a) + 2j * (q[..., 1] - b)) ** order
+            return (q[..., 0] - a) + 2j * (q[..., 1] - b)
 
         starts = rng.uniform(lo, hi, (12, 2))
         assert_same_bits(analysis._newton_roots(det, starts, lo, hi),
                          reference_newton_roots(det, starts, lo, hi))
 
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
+    def test_zeros_of_order_2_to_8_settle_in_few_calls(self, order, rng):
+        # two plain steps that each keep 1 - 1/m of the distance fix m; the
+        # m-fold step then lands on the zero, to rounding for a quadratic
+        # (its central differences are exact) and, from m = 3, as far as
+        # the difference width's bias on J allows
+        a, b = 0.3125, -0.7
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        calls = []
+
+        def det(q):
+            calls.append(len(q))
+            return ((q[..., 0] - a) + 2j * (q[..., 1] - b)) ** order
+
+        starts = rng.uniform(lo, hi, (12, 2))
+        roots = analysis._newton_roots(det, starts, lo, hi)
+        assert len(calls) <= 5
+        assert np.max(np.abs(roots - [a, b])) <= (1e-15 if order == 2 else 1e-7)
+
     def test_double_zero_stops_at_its_rounding_floor(self, monkeypatch):
-        # det B ~ r^2 at the yao-lee-ep4 q*; without the stall stop the
-        # start wanders in det's rounding noise for all NEWTON_STEPS steps
+        # det B ~ r^2 at the yao-lee-ep4 q*, where a plain step only halves
+        # the distance
         bh = build_model("yao-lee-ep4")
         window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
         det, starts, lo, hi = newton_runs(monkeypatch, bh, (64, 64), window)[0]
@@ -820,8 +840,46 @@ class TestNewtonRoots:
             return det(q)
 
         [root] = analysis._newton_roots(counted, starts, lo, hi)
-        assert len(calls) < 45
+        assert len(calls) <= 16
         assert np.max(np.abs(root - bh.q_star)) < 1e-11
+
+    def test_difference_width_follows_the_moves(self, monkeypatch):
+        # det B at the yao-lee-ep4 q* is not a pure quadratic: J taken over
+        # the fixed width h carries a bias of order h^2 f''', which would
+        # stop the start about 1e-11 from q* after 13 calls
+        bh = build_model("yao-lee-ep4")
+        window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
+        det, starts, lo, hi = newton_runs(monkeypatch, bh, (64, 64), window)[0]
+        widths = []
+
+        def counted(q):
+            widths.append(q[0, 1, 0] - q[0, 0, 0])
+            return det(q)
+
+        [root] = analysis._newton_roots(counted, starts, lo, hi)
+        assert len(widths) <= 10
+        assert np.max(np.abs(root - bh.q_star)) < 1e-14
+        assert widths[-1] < 0.1 * widths[0]
+
+    @pytest.mark.parametrize("name", ["doublet-ep2", "ep4-sqrt"])
+    def test_catalog_double_zeros_in_few_calls(self, name, monkeypatch):
+        # det B = c (dq_x + i dq_y)^2, where a plain step only halves the
+        # distance
+        bh = build_model(name)
+        window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
+        runs = newton_runs(monkeypatch, bh, (64, 64), window)
+        assert runs
+        for det, starts, lo, hi in runs:
+            calls = []
+
+            def counted(q):
+                calls.append(len(q))
+                return det(q)
+
+            analysis._newton_roots(counted, starts, lo, hi)
+            assert len(calls) <= 8
+        [candidate] = bz_scan(bh, (64, 64), window)
+        assert np.max(np.abs(candidate.q_refined - bh.q_star)) < 1e-15
 
     def test_stalled_start_stops_without_the_step(self):
         # residuals 1, 1/2, 1/2, 1/2 against a fixed Jacobian: the third
@@ -940,8 +998,8 @@ class TestBZScan:
                    if s not in grid_calls)
 
     def test_cli_yao_lee_refinement_budget(self, capsys, monkeypatch):
-        # the double zero of det B stops at its rounding floor, not after
-        # all NEWTON_STEPS steps
+        # the double zero of det B takes the 2-fold step once two plain
+        # steps have each halved the distance
         shapes = {}
 
         def build(name, params=None):
@@ -952,7 +1010,7 @@ class TestBZScan:
         assert cli.main(["bz-scan", "--model", "yao-lee-ep4"]) == 0
         assert capsys.readouterr().out.endswith(",EP4\n")
         steps = [s for s in shapes["yao-lee-ep4"]["B"] if s[1:] == (5, 2)]
-        assert 0 < len(steps) <= 45
+        assert 0 < len(steps) <= 16
 
     def test_chunked_grid_matches_one_chunk(self, monkeypatch):
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)

@@ -3,6 +3,7 @@ import pytest
 
 from epkit.classify import EPKind, classify_point, classify_zero_energy
 from epkit.errors import ParamViolationError
+from epkit import models
 from epkit.models import (
     MODEL_CATALOG,
     build_model,
@@ -22,7 +23,7 @@ from epkit.models import (
 from epkit.spectral import jordan_structure
 from epkit.sublattice import assemble, reduced_spectrum, symmetry_residual
 
-from conftest import direction_mismatch
+from conftest import assert_same_bits, direction_mismatch
 
 EXPECTED_KIND = {
     "doublet-ep2": EPKind.DOUBLET_EP2,
@@ -331,3 +332,63 @@ class TestYaoLee:
     def test_hermitian_phi_rejected(self):
         with pytest.raises(ParamViolationError):
             yao_lee_ep4_model(phi=0.0)
+
+
+def reference_yao_lee_blocks(name, jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1,
+                             zp2=0.0, j01=3.0, j02=1.0, j03=1.0):
+    """B and B' of the six-band models as they were built before each
+    generator call converted its momenta to reciprocal coordinates once
+    (six times per call for yao-lee-ep4); kept as the bitwise reference."""
+    c2r = cartesian_to_reciprocal
+
+    def a_tilde(q, j1, j2, j3, phi1, phi2):
+        qt = c2r(q)
+        return 2.0 * (j1 * np.exp(1j * (qt[..., 0] + phi1))
+                      + j2 * np.exp(1j * (qt[..., 1] + phi2)) + j3)
+
+    qt_star = np.array([2 * np.pi / 3 - phi, -2 * np.pi / 3])
+    q_star = reciprocal_to_cartesian(qt_star)
+    g2 = np.exp(1j * qt_star[1])
+    h1 = np.exp(-1j * (qt_star[0] + phi))
+
+    def g(q):
+        return np.exp(1j * (c2r(q)[..., 0] + phi)) + g2 + 1.0
+
+    def h(q):
+        return h1 + np.exp(1j * c2r(q)[..., 1]) + 1.0
+
+    def upper(q):
+        a = a_tilde(q, jt, jt, jt, phi, 0.0)
+        if name == "yao-lee-ep4":
+            w = z1 * g(-q) + z2 * h(q)
+            return [[a, w], [0.0, a + zp1 * g(q) + zp2 * h(-q)]]
+        mirrored = np.stack([q[..., 0], 2 * q_star[1] - q[..., 1]], axis=-1)
+        w_top = z1 * g(-q) + z2 * h(q) + (z1 * g(-mirrored) + z2 * h(mirrored))
+        return [[a, w_top], [zp1 * g(q) + zp2 * h(-q), 0.0]]
+
+    def block(q):
+        (a, b), (c, d) = upper(q)
+        a0 = a_tilde(q, j01, j02, j03, 0.0, 0.0)
+        return models._matrix([[a, b, 0.0], [c, d, 0.0], [0.0, 0.0, a0]])
+
+    return block, lambda q: np.swapaxes(block(-q), -1, -2)
+
+
+class TestYaoLeeGenerators:
+    @pytest.mark.parametrize("name,params", [
+        ("yao-lee-ep4", {}),
+        ("yao-lee-ep4", {"phi": -0.7, "z2": 0.05, "zp2": -0.2, "jt": 1.3}),
+        ("yao-lee-ep3", {}),
+        ("yao-lee-ep3", {"phi": 0.45, "z1": 0.2, "zp1": -0.1, "zp2": 0.3})])
+    def test_bits_as_with_six_conversions_per_call(self, name, params, rng):
+        bh = build_model(name, params)
+        reference = reference_yao_lee_blocks(name, **params)
+        shapes = [(2,), (1, 5, 2), (7, 5, 2), (64, 64, 2), (3, 2)]
+        arrays = [rng.uniform(-5.0, 5.0, shape) for shape in shapes * 10]
+        # signed zeros, where -q~(q) and q~(-q) could differ in sign
+        arrays.append(np.array([[0.0, -1.5], [-0.0, 1.5], [0.0, 0.0],
+                                [-0.0, -0.0], [2.0, 0.0], [-2.0, -0.0],
+                                bh.q_star, -bh.q_star]))
+        for q in arrays:
+            for got, want in zip((bh.block, bh.block_prime), reference):
+                assert_same_bits(got(q), want(q))
