@@ -6,9 +6,10 @@ ordering: near a degeneracy the energies cross and collide, and the states
 are the only stable label. The matching between adjacent radii solves the
 assignment problem maximizing total |overlap|. When the row-wise maxima of
 the overlap matrix fall in distinct columns, that permutation is optimal (no
-assignment beats the sum of the row maxima) and decides the match at once;
-otherwise an O(n^3) shortest-augmenting-path solver (Kuhn-Munkres in the
-form of Jonker & Volgenant, 1987) runs on plain lists, n = 2N being small.
+assignment beats the sum of the row maxima), so the row maxima of all steps
+of a ray, read in one pass, decide those steps at once; only where they
+collide does an O(n^3) shortest-augmenting-path solver (Kuhn-Munkres in the
+form of Jonker & Volgenant, 1987) run, on plain lists, n = 2N being small.
 """
 
 from dataclasses import dataclass, field
@@ -164,9 +165,12 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     The ray is one batched pass: the blocks are evaluated once, the reduced
     spectra of all radii come from one kernel (see
     :func:`epkit.sublattice.reduced_spectrum`, its one-pair case), and the
-    overlaps of all adjacent radii from one product; only the assignment
-    runs step by step. Raises NonFiniteError when an energy or a state of
-    the ray leaves the double range.
+    overlaps of all adjacent radii from one product. Every step whose row
+    maxima fall in distinct columns is decided by them, all steps in one
+    reading; the assignment solver runs only at the steps where they
+    collide, and step by step remains only the composition of each step's
+    permutation with the branch order before it. Raises NonFiniteError
+    when an energy or a state of the ray leaves the double range.
     """
     qs = np.asarray(q_star, dtype=float).reshape(2)
     if not np.isfinite(qs).all():
@@ -187,21 +191,31 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     energies = energies[rows].reshape(-1, two_n)
     states = states[rows].reshape(-1, two_n, two_n)
 
-    # |<state i at radius k-1 | state j at radius k>| for every step; the
-    # rows of step k are then taken in the branch order of radius k-1
+    # |<state i at radius k-1 | state j at radius k>| for every step, in
+    # the order of the states. Step k reads its rows in the branch order
+    # perms[k - 1], which moves no row's maximum: where the row maxima fall
+    # in distinct columns, each branch goes to its row's argmax and the
+    # worst matched overlap is the smallest row maximum. Only the steps
+    # whose maxima collide go to the solver, rows in branch order, as its
+    # tie-breaking depends on that order
     overlaps = np.abs(states[:-1].conj() @ states[1:].swapaxes(1, 2))
+    best = overlaps.argmax(axis=2)
+    worst = overlaps.max(axis=2).min(axis=1)
+    ordered = np.sort(best, axis=1)
+    collide = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
     branches = np.arange(two_n)
     perms = np.empty((len(kept_radii), two_n), dtype=int)
     perms[0] = branches
-    min_overlap = 1.0
-    switches = []
-    for k, overlap in enumerate(overlaps, start=1):
-        overlap = overlap[perms[k - 1]]
-        perms[k] = _max_weight_assignment(overlap)
-        worst = float(overlap[branches, perms[k]].min())
-        min_overlap = min(min_overlap, worst)
-        if worst < 0.9:
-            switches.append({"radius": float(kept_radii[k]), "overlap": worst})
+    for k, hit in enumerate(collide.tolist(), start=1):
+        if hit:
+            overlap = overlaps[k - 1][perms[k - 1]]
+            perms[k] = _max_weight_assignment(overlap)
+            worst[k - 1] = overlap[branches, perms[k]].min()
+        else:
+            perms[k] = best[k - 1][perms[k - 1]]
+    min_overlap = min(1.0, float(worst.min()))
+    switches = [{"radius": float(kept_radii[k]), "overlap": float(worst[k - 1])}
+                for k in np.flatnonzero(worst < 0.9) + 1]
     steps = np.arange(len(kept_radii))
     return PathScan(qs, float(theta), kept_radii, energies[steps, perms.T],
                     states[steps, perms.T], r_all[~complete].tolist(),

@@ -21,7 +21,12 @@ import numpy as np
 from . import analysis
 from .classify import classify_point
 from .cmatrix import DEFAULT_TOL
-from .errors import ConfigError, CrossCheckMismatchError, EpkitError
+from .errors import (
+    ConfigError,
+    CrossCheckMismatchError,
+    EpkitError,
+    NoiseFloorReachedError,
+)
 from .models import MODEL_CATALOG, build_model, zero_targets
 
 EXIT_OK = 0
@@ -294,7 +299,13 @@ def cmd_fit(raw, as_json, out_path) -> int:
     records = []
     for theta, scan in scans:
         for b in range(scan.n_branches):
-            exponent, r2 = analysis.scaling_exponent(scan, b)
+            try:
+                exponent, r2 = analysis.scaling_exponent(scan, b)
+            except NoiseFloorReachedError as exc:
+                # named as the output rows number the branches, from 1
+                raise NoiseFloorReachedError(
+                    f"theta={fmt_float(theta)} branch {b + 1}: fewer than two "
+                    "energies above the noise floor") from exc
             records.append({"theta": theta, "branch": b + 1,
                             "exponent": exponent, "r_squared": r2})
     if as_json:

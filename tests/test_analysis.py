@@ -56,6 +56,20 @@ def counting_generators(bh):
                    block_prime=counted(bh.block_prime, "B'")), shapes
 
 
+def counting_solver(monkeypatch):
+    """The weights of every _max_weight_assignment call that path_scan
+    makes from now on, in order."""
+    calls = []
+    solve = analysis._max_weight_assignment
+
+    def counted(w):
+        calls.append(np.array(w))
+        return solve(w)
+
+    monkeypatch.setattr(analysis, "_max_weight_assignment", counted)
+    return calls
+
+
 def loop_minima(sig, threshold):
     """Grid local minima by the per-point double loop bz_scan used before
     it was vectorised; kept as the reference."""
@@ -273,6 +287,19 @@ class TestPathScan:
         assert scan.min_overlap > 0.9
         assert scan.branch_switches == []
 
+    def test_solver_runs_only_where_row_maxima_collide(self, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        bh = ep4_sqrt_model()
+        path_scan(bh, bh.q_star, 0.7)
+        assert calls == []
+        # the four yao-lee-ep4 states that coalesce at q* are nearly
+        # parallel along the ray, so the row maxima of all 11 steps collide
+        bh = build_model("yao-lee-ep4")
+        scan = path_scan(bh, bh.q_star, 0.0, analysis.DEFAULT_RADII, tol=1e-9)
+        assert len(scan.radii) == 12 and len(calls) == 11
+        for w in calls:
+            assert len(set(w.argmax(axis=1).tolist())) < len(w)
+
     def test_degenerate_radii_skipped(self):
         # along theta = pi/2 the quadratic branch of the mixed model falls
         # below the default zero cutoff at small radii
@@ -402,6 +429,48 @@ class TestPathScanMatchesReference:
         for scan in (path_scan, reference_path_scan):
             with pytest.raises(NoiseFloorReachedError):
                 scan(bh, (0.0, 0.0), 0.0)
+
+    def test_overlaps_rounded_above_one(self):
+        # B = 1, B' = 2 on the whole ray: the states repeat exactly and every
+        # matched overlap rounds to 1 + 2^-52, but the worst overlap reads
+        # 1.0, the value it starts from
+        bh = BlockHamiltonian(1, lambda q: np.ones((1, 1)),
+                              lambda q: np.full((1, 1), 2.0))
+        scan = self.check(bh, (0.0, 0.0), 0.0)
+        states = scan.states[0]
+        assert np.all(np.abs(np.sum(states[:-1].conj() * states[1:], axis=1)) > 1.0)
+        assert scan.min_overlap == 1.0
+
+    def test_switch_and_colliding_maxima(self, monkeypatch):
+        # B = [[1, 1], [r, 1]] has an EP2 at r = 0: its eigenvectors
+        # (1, +-sqrt(r)) nearly coincide. Its basis turns by 0.3 rad below
+        # r = 3e-3, where the two nearly parallel +E rows find their maxima
+        # in one column but every matched overlap stays above 0.9, and by
+        # 0.7 rad more below r = 3e-5, where the matched overlaps drop to
+        # about cos(0.7)
+        def block(q):
+            r = q[..., 0]
+            angle = np.where(r < 3e-3, 0.3, 0.0) + np.where(r < 3e-5, 0.7, 0.0)
+            c, s = np.cos(angle), np.sin(angle)
+            turn = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+            ep2 = np.array([[1.0, 1.0], [0.0, 1.0]]) + r[..., None, None] * np.array(
+                [[0.0, 0.0], [1.0, 0.0]])
+            return turn @ ep2 @ turn.swapaxes(-1, -2)
+
+        bh = BlockHamiltonian(2, block, lambda q: np.eye(2))
+        calls = counting_solver(monkeypatch)
+        scan = self.check(bh, (0.0, 0.0), 0.0, tol=1e-9)
+        # path_scan's solver calls, the step below 3e-3, then the one
+        # below 3e-5 (reference_path_scan calls the solver unpatched)
+        assert len(calls) == 2
+        for w in calls:
+            assert len(set(w.argmax(axis=1).tolist())) < len(w)
+        first = calls[0][np.arange(4), _max_weight_assignment(calls[0])]
+        assert first.min() > 0.9
+        radii = analysis.DEFAULT_RADII
+        assert [s["radius"] for s in scan.branch_switches] == [radii[radii < 3e-5][0]]
+        assert scan.min_overlap < 0.9
+        assert scan.min_overlap == scan.branch_switches[0]["overlap"]
 
 
 class TestPathScanScale:

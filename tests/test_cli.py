@@ -176,6 +176,17 @@ class TestFitCommand:
         assert len(lines) == 4
         assert all("exponent=" in l and "r_squared=" in l for l in lines)
 
+    def test_noise_floor_names_the_branch_as_the_rows_do(self):
+        # at tol = 1e300 every radius keeps only zero modes, so the first
+        # branch, numbered 1 in the output, has no energy to fit
+        proc = run_epkit("fit", "--config", str(CONFIG_DIR / "fit-ep3-path2.cfg"),
+                         "tol=1e300")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines == ["error: theta=1.5707963267948966 branch 1: fewer "
+                         "than two energies above the noise floor"]
+
 
 class TestBZScanCommand:
     def test_kitaev_two_rows_match_closed_form(self, tmp_path):
