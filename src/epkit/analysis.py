@@ -386,8 +386,9 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     det(blocks / scale), which takes m-fold steps at a zero of order m (a
     double zero at doublet-ep2, ep4-sqrt and yao-lee-ep4). A point is kept
     when sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale, then
-    deduplicated, classified, and sorted by (qx, qy); an EpkitError in
-    classification is kept as Unclassified with ``evidence["error"]``.
+    deduplicated, classified from the blocks evaluated for sigma_min, and
+    sorted by (qx, qy); an EpkitError in classification is kept as
+    Unclassified with ``evidence["error"]``.
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 16 or ny < 16:
@@ -430,24 +431,25 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     if not starts:
         return []
     starts, roots = np.concatenate(starts), np.concatenate(roots)
-    blocks = np.stack([side(roots) for side in sides]) / scale
-    sigma = np.linalg.svd(blocks, compute_uv=False)[..., -1].min(axis=0) * scale
+    b, bp = (side(roots) for side in sides)
+    sigma = np.linalg.svd(np.stack([b, bp]) / scale,
+                          compute_uv=False)[..., -1].min(axis=0) * scale
 
     candidates = []
-    for q0, q_ref, f_ref in zip(starts, roots, sigma):
+    for q0, q_ref, f_ref, b_ref, bp_ref in zip(starts, roots, sigma, b, bp):
         if f_ref > tol * scale:
             continue
         if any(np.max(np.abs(q_ref - c.q_refined)) < 1e-6 for c in candidates):
             continue
-        result = _classify_candidate(bh, q_ref, tol)
+        result = _classify_candidate(b_ref, bp_ref, tol)
         candidates.append(BZCandidate(q0, q_ref, float(f_ref), result))
     candidates.sort(key=lambda c: (c.q_refined[0], c.q_refined[1]))
     return candidates
 
 
-def _classify_candidate(bh, q, tol):
+def _classify_candidate(b, bp, tol):
     try:
-        return _classify.classify_point(bh.b(q), bh.b_prime(q), tol)
+        return _classify.classify_point(b, bp, tol)
     except EpkitError as exc:  # tolerance pathology at an inexact point
         return _classify.EPClassification(
             _classify.EPKind.UNCLASSIFIED, {"error": str(exc)}

@@ -49,7 +49,7 @@ from .errors import (
     RankSequenceError,
     ZeroEigenvaluePresentError,
 )
-from .sublattice import assemble_blocks, factor_blocks, pow2_scale
+from .sublattice import _fill, _pair, factor_blocks, pow2_scale
 
 
 class EPKind(str, Enum):
@@ -93,15 +93,6 @@ def _kind_of_blocks(blocks, n):
     if nontrivial == [2] * n:
         return EPKind.DOUBLET_EP2
     return EPKind.UNCLASSIFIED
-
-
-def _pair(b, bprime):
-    """The validated pair as complex arrays of one square shape."""
-    b = cmatrix.as_square_matrix(b)
-    bp = cmatrix.as_square_matrix(bprime)
-    if b.shape != bp.shape:
-        raise ValueError("B and B' must have matching shapes")
-    return b, bp
 
 
 def _read_chains(fb, fbp, scale, tol):
@@ -170,7 +161,7 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
     chains = _read_chains(fb, fbp, scale, tol)
     try:
         blocks = spectral.jordan_structure(
-            assemble_blocks(b / scale, bp / scale), 0.0, tol,
+            _fill(b / scale, bp / scale), 0.0, tol,
             with_chains=False).block_sizes
     except NotAnEigenvalueError:
         blocks = []

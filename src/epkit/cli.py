@@ -6,8 +6,11 @@ flat ``key = value`` text file (``#`` comments, complex literals written as
 keys are rejected. Floating-point output uses 17 significant digits so CSV
 round-trips binary doubles, and repeated runs produce byte-identical files.
 
-Exit codes: 0 ok, 2 configuration error, 3 cross-check mismatch,
-4 degraded scan (more than a quarter of the radii skipped).
+Exit codes: 0 ok; 2 bad input: a configuration error, an unwritable
+``--out`` path, a matrix whose norm leaves the double range, numerical
+ranks that fit no Jordan structure at the given ``tol``, or a size numpy
+cannot allocate; 3 cross-check mismatch; 4 degraded scan (more than a
+quarter of the radii skipped).
 """
 
 import argparse
@@ -33,16 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CROSSCHECK = 3
 EXIT_DEGRADED = 4
-
-_COMMON_KEYS = {"model"}
-_COMMAND_KEYS = {
-    "classify": {"qx", "qy", "tol"},
-    "path-scan": {"theta", "radii_min", "radii_max", "radii_count", "qx", "qy", "tol"},
-    "fit": {"theta", "radii_min", "radii_max", "radii_count", "qx", "qy", "tol"},
-    "bz-scan": {"grid_nx", "grid_ny", "qx_min", "qx_max", "qy_min", "qy_max",
-                "ep_tol"},
-}
-
 
 def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
@@ -96,8 +89,10 @@ def merge_overrides(raw: dict, overrides) -> dict:
     return out
 
 
-def _validate_keys(command: str, raw: dict, model_params) -> None:
-    allowed = _COMMON_KEYS | _COMMAND_KEYS[command] | set(model_params)
+def _validate_keys(keys, raw: dict, model_params) -> None:
+    """Refuse a key that is neither ``model``, one of the command's
+    ``keys`` nor a parameter of the model."""
+    allowed = {"model"} | keys | set(model_params)
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
@@ -210,9 +205,26 @@ def _dump_json(payload, out_path):
                  out_path)
 
 
-def cmd_classify(raw, as_json, out_path) -> int:
-    bh = _build_from_config(raw)
-    _validate_keys("classify", raw, MODEL_CATALOG[bh.name].params)
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return fmt_float(value)
+
+
+def _table(rows, fields, as_json):
+    """Output lines of ``rows``, each a dict: one sorted-key JSON object per
+    row with all its keys, or a CSV header of ``fields`` and one line of
+    those fields per row."""
+    if as_json:
+        return [json.dumps(row, sort_keys=True, default=_json_default)
+                for row in rows]
+    return [",".join(fields)] + [",".join(_cell(row[f]) for f in fields)
+                                 for row in rows]
+
+
+def cmd_classify(bh, raw, as_json, out_path) -> int:
     tol = _get_float(raw, "tol", DEFAULT_TOL, positive=True)
     q = _scan_point(raw, bh)
     result = classify_point(bh.b(q), bh.b_prime(q), tol)
@@ -248,11 +260,12 @@ def _scans(bh, raw, q_star):
     return scans, degraded
 
 
-def _scan_rows(bh, raw):
-    """(targets, rows, degraded) across all requested thetas."""
+def cmd_path_scan(bh, raw, as_json, out_path) -> int:
     q_star = _scan_point(raw, bh)
     targets = zero_targets(bh)
     scans, degraded = _scans(bh, raw, q_star)
+    fields = ["radius", "theta", "branch", "re_E", "im_E"]
+    fields += [f"d2_{label}" for label, _ in targets]
     rows = []
     for theta, scan in scans:
         profile = analysis.coalescence_profile(scan, targets)
@@ -268,33 +281,11 @@ def _scan_rows(bh, raw):
                 for t, label in enumerate(profile.target_labels):
                     row[f"d2_{label}"] = profile.distances[b, k, t]
                 rows.append(row)
-    return targets, rows, degraded
-
-
-def cmd_path_scan(raw, as_json, out_path) -> int:
-    bh = _build_from_config(raw)
-    _validate_keys("path-scan", raw, MODEL_CATALOG[bh.name].params)
-    targets, rows, degraded = _scan_rows(bh, raw)
-    labels = [label for label, _ in targets]
-    if as_json:
-        lines = [json.dumps(row, sort_keys=True, default=_json_default)
-                 for row in rows]
-    else:
-        fields = ["radius", "theta", "branch", "re_E", "im_E"]
-        lines = [",".join(fields + [f"d2_{label}" for label in labels])]
-        for row in rows:
-            cells = [fmt_float(row["radius"]), fmt_float(row["theta"]),
-                     str(row["branch"]), fmt_float(row["re_E"]),
-                     fmt_float(row["im_E"])]
-            cells += [fmt_float(row[f"d2_{label}"]) for label in labels]
-            lines.append(",".join(cells))
-    _write_lines(lines, out_path)
+    _write_lines(_table(rows, fields, as_json), out_path)
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 
-def cmd_fit(raw, as_json, out_path) -> int:
-    bh = _build_from_config(raw)
-    _validate_keys("fit", raw, MODEL_CATALOG[bh.name].params)
+def cmd_fit(bh, raw, as_json, out_path) -> int:
     scans, degraded = _scans(bh, raw, _scan_point(raw, bh))
     records = []
     for theta, scan in scans:
@@ -308,14 +299,9 @@ def cmd_fit(raw, as_json, out_path) -> int:
                     "energies above the noise floor") from exc
             records.append({"theta": theta, "branch": b + 1,
                             "exponent": exponent, "r_squared": r2})
-    if as_json:
-        lines = [json.dumps(rec, sort_keys=True, default=_json_default)
-                 for rec in records]
-    elif out_path:
-        lines = ["theta,branch,exponent,r_squared"]
-        lines += [",".join([fmt_float(r["theta"]), str(r["branch"]),
-                            fmt_float(r["exponent"]), fmt_float(r["r_squared"])])
-                  for r in records]
+    if as_json or out_path:
+        lines = _table(records, ["theta", "branch", "exponent", "r_squared"],
+                       as_json)
     else:
         lines = [
             f"theta={fmt_float(r['theta'])} branch={r['branch']} "
@@ -335,9 +321,7 @@ def _default_bounds(bh):
     raise ConfigError("model has no default window; pass qx_min/qx_max/qy_min/qy_max")
 
 
-def cmd_bz_scan(raw, as_json, out_path) -> int:
-    bh = _build_from_config(raw)
-    _validate_keys("bz-scan", raw, MODEL_CATALOG[bh.name].params)
+def cmd_bz_scan(bh, raw, as_json, out_path) -> int:
     nx = _get_int(raw, "grid_nx", 64)
     ny = _get_int(raw, "grid_ny", 64)
     if {"qx_min", "qx_max", "qy_min", "qy_max"} <= set(raw):
@@ -348,25 +332,34 @@ def cmd_bz_scan(raw, as_json, out_path) -> int:
     else:
         bounds = _default_bounds(bh)
     ep_tol = _get_float(raw, "ep_tol", 1e-6, positive=True)
-    candidates = analysis.bz_scan(bh, (nx, ny), bounds, tol=ep_tol)
-    lines = [] if as_json else ["qx,qy,sigma_min,kind"]
-    for c in candidates:
-        kind = c.classification.kind.value
+    rows = []
+    for c in analysis.bz_scan(bh, (nx, ny), bounds, tol=ep_tol):
+        row = {"qx": c.q_refined[0], "qy": c.q_refined[1],
+               "sigma_min": c.sigma_min, "kind": c.classification.kind.value}
         error = c.classification.evidence.get("error")
-        if as_json:
-            row = {"qx": c.q_refined[0], "qy": c.q_refined[1],
-                   "sigma_min": c.sigma_min, "kind": kind}
-            if error is not None:
-                row["error"] = error
-            lines.append(json.dumps(row, sort_keys=True, default=_json_default))
-            continue
-        qx, qy = fmt_float(c.q_refined[0]), fmt_float(c.q_refined[1])
-        lines.append(",".join([qx, qy, fmt_float(c.sigma_min), kind]))
         if error is not None:
-            print(f"warning: candidate ({qx}, {qy}) not classified: {error}",
-                  file=sys.stderr)
-    _write_lines(lines, out_path)
+            row["error"] = error
+            if not as_json:
+                print(f"warning: candidate ({fmt_float(row['qx'])}, "
+                      f"{fmt_float(row['qy'])}) not classified: {error}",
+                      file=sys.stderr)
+        rows.append(row)
+    _write_lines(_table(rows, ["qx", "qy", "sigma_min", "kind"], as_json),
+                 out_path)
     return EXIT_OK
+
+
+_RAY_KEYS = {"theta", "radii_min", "radii_max", "radii_count", "qx", "qy", "tol"}
+
+#: Each command's handler and its own configuration keys; ``model`` and the
+#: model's parameters are accepted by every command.
+_COMMANDS = {
+    "classify": (cmd_classify, {"qx", "qy", "tol"}),
+    "path-scan": (cmd_path_scan, _RAY_KEYS),
+    "fit": (cmd_fit, _RAY_KEYS),
+    "bz-scan": (cmd_bz_scan, {"grid_nx", "grid_ny", "qx_min", "qx_max",
+                              "qy_min", "qy_max", "ep_tol"}),
+}
 
 
 def cmd_models(as_json, out_path) -> int:
@@ -392,7 +385,7 @@ def _parser():
         description="exceptional-point toolkit for sublattice-symmetric models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("classify", "path-scan", "fit", "bz-scan", "models"):
+    for name in (*_COMMANDS, "models"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -421,15 +414,10 @@ def main(argv=None) -> int:
             raw["model"] = args.model
         if args.at_qstar:
             _check_at_qstar(args.command, raw)
-        if args.command == "classify":
-            return cmd_classify(raw, args.json, args.out)
-        if args.command == "path-scan":
-            return cmd_path_scan(raw, args.json, args.out)
-        if args.command == "fit":
-            return cmd_fit(raw, args.json, args.out)
-        if args.command == "bz-scan":
-            return cmd_bz_scan(raw, args.json, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        handler, keys = _COMMANDS[args.command]
+        bh = _build_from_config(raw)
+        _validate_keys(keys, raw, MODEL_CATALOG[bh.name].params)
+        return handler(bh, raw, args.json, args.out)
     except CrossCheckMismatchError as exc:
         print(f"error: cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK

@@ -75,13 +75,19 @@ def _fill(b, bp) -> np.ndarray:
     return h
 
 
-def assemble_blocks(b, bprime) -> np.ndarray:
-    """2N x 2N Hamiltonian [[0, iB], [-iB', 0]] from explicit blocks."""
+def _pair(b, bprime):
+    """The validated pair as complex arrays of one square shape; a pair of
+    two shapes raises ValueError."""
     b = cmatrix.as_square_matrix(b)
     bp = cmatrix.as_square_matrix(bprime)
     if b.shape != bp.shape:
-        raise GeneratorFailureError("B and B' must have the same shape")
-    return _fill(b, bp)
+        raise ValueError("B and B' must have matching shapes")
+    return b, bp
+
+
+def assemble_blocks(b, bprime) -> np.ndarray:
+    """2N x 2N Hamiltonian [[0, iB], [-iB', 0]] from explicit blocks."""
+    return _fill(*_pair(b, bprime))
 
 
 def assemble(bh: BlockHamiltonian, q) -> np.ndarray:
@@ -158,8 +164,8 @@ def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Kernel decisions are taken against the common magnitude of the pair
     (see :func:`factor_blocks`)."""
-    b = cmatrix.as_square_matrix(b)
-    fb, fbp, _ = factor_blocks(b, bprime, tol)
+    b, bp = _pair(b, bprime)
+    fb, fbp, _ = factor_blocks(b, bp, tol)
     n = b.shape[0]
     ker_b, ker_bp = fb.kernel.T, fbp.kernel.T
     rows = np.zeros((len(ker_b) + len(ker_bp), 2 * n), dtype=np.complex128)
@@ -235,7 +241,6 @@ def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
     double range raises NonFiniteError. This is the one-pair case of the
     kernel that :func:`epkit.analysis.path_scan` runs on a whole ray.
     """
-    b = cmatrix.as_square_matrix(b)
-    bp = cmatrix.as_square_matrix(bprime)
+    b, bp = _pair(b, bprime)
     energies, states, _ = _spectra(b[None], bp[None], tol)
     return energies, states

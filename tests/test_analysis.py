@@ -16,7 +16,7 @@ from epkit.analysis import (
     quantum_distance,
     scaling_exponent,
 )
-from epkit.classify import EPKind
+from epkit.classify import EPKind, classify_point
 from epkit.cmatrix import DEFAULT_TOL
 from epkit.errors import (
     CrossCheckMismatchError,
@@ -1126,6 +1126,22 @@ class TestBZScan:
         total = sum(k for k, _ in runs)
         for label in ("B", "B'"):
             assert [s for s in shapes[label] if len(s) == 2] == [(total, 2)]
+
+    @pytest.mark.parametrize("bh,window", [
+        (kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1), KITAEV_BOUNDS),
+        (ep4_sqrt_model(q_star=(0.3, 0.7)), ((-0.2, 0.8), (0.2, 1.2))),
+    ], ids=["kitaev", "ep4-sqrt"])
+    def test_candidates_classified_from_the_sigma_blocks(self, bh, window):
+        # no generator call on a single point: each kept root is classified
+        # from the blocks that its sigma_min was read from
+        counted, shapes = counting_generators(bh)
+        candidates = bz_scan(counted, (64, 64), window)
+        assert candidates
+        assert all((2,) not in calls for calls in shapes.values())
+        for c in candidates:
+            q = c.q_refined
+            assert c.classification == classify_point(bh.b(q), bh.b_prime(q),
+                                                      1e-6)
 
     def test_no_minimum_below_threshold_skips_refinement(self, monkeypatch):
         def refused(*args, **kwargs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epkit.analysis import DEFAULT_RADII
+from epkit.classify import classify_nonzero_energy, classify_point
 from epkit.errors import GeneratorFailureError, NonFiniteError, OddDimensionError
 from epkit.models import (
     MODEL_CATALOG,
@@ -69,6 +70,14 @@ class TestGeneratorContract:
         for q in (0.0, (0.0, 0.0, 0.0), np.zeros((2, 3))):
             with pytest.raises(ValueError):
                 bh.b(q)
+
+
+@pytest.mark.parametrize("entry", [
+    assemble_blocks, zero_energy_states, reduced_spectrum, classify_point,
+    classify_nonzero_energy], ids=lambda f: f.__name__)
+def test_pair_of_two_shapes_refused(entry):
+    with pytest.raises(ValueError, match="matching shapes"):
+        entry(np.eye(2), np.eye(3))
 
 
 class TestSymmetryResidual:
