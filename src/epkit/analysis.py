@@ -107,9 +107,6 @@ def _max_weight_assignment(w) -> np.ndarray:
     n = w.shape[0]
     if not np.isfinite(w).all():
         raise ValueError("assignment weights must be finite")
-    best = w.argmax(axis=1)
-    if len(set(best.tolist())) == n:
-        return best
     # Shortest augmenting paths on the cost -w, one row at a time, keeping
     # reduced costs cost[i][j] - u[i] - v[j] >= 0. Column n is the virtual
     # start of each path; row_of[j] is the row assigned to column j.

@@ -107,8 +107,8 @@ def _read_chains(fb, fbp, scale, tol):
     tol * max(sigma_max of both, 100 eps / tol), and their ranks are read
     by :func:`_chains_from_ranks`.
     """
-    units = [spectral._unit_denoised(f, scale) for f in (fb, fbp)]
-    pair = np.array([(g.u * g.s) @ g.vh for g in units])
+    pair = np.array([(f.u * spectral._unit_denoised(f, scale)) @ f.vh
+                     for f in (fb, fbp)])
     n = pair.shape[-1]
     # products[k - 1]: the k-factor products whose rightmost factor is B, B'
     products = [pair]

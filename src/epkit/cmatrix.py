@@ -2,15 +2,19 @@
 
 Thin, validated wrappers around LAPACK (via numpy) that fix the tolerance
 conventions used everywhere else in the package: each matrix is factorised
-once by :func:`factorize`, whose :class:`SVD` value reads rank, kernel,
-image and norm off a single SVD with the relative cutoff ``tol * sigma_max``
-(optionally against a caller-supplied scale). A subspace is an ``(ambient,
-dim)`` array of orthonormal columns, kernels and images are slices of the
-singular vectors, and subspaces are compared through principal angles.
+once, and its :class:`SVD` value reads rank, kernel, image and norm off that
+single SVD with the relative cutoff ``tol * sigma_max`` (optionally against
+a caller-supplied scale). The cut is set where the factorisation is made,
+by :func:`_cut`: :func:`factorize` validates a matrix given from outside
+before it factorises it, while the package's own arrays, built from input
+it has already validated, are factorised and cut without a second check.
+A subspace is an ``(ambient, dim)`` array of orthonormal columns, kernels
+and images are slices of the singular vectors, and subspaces are compared
+through principal angles.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -79,7 +83,8 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SVD:
     """One full SVD ``u @ diag(s) @ vh``; singular values above ``cutoff``
-    make up the rank, and rank, kernel, image and norm are read from it."""
+    make up the rank, and rank, kernel, image and norm are read from it.
+    Made by :func:`_cut`, which sets the cutoff once."""
 
     u: np.ndarray
     s: np.ndarray
@@ -102,27 +107,29 @@ class SVD:
     def image(self) -> np.ndarray:
         return self.u[:, : self.rank]
 
-    def recut(self, tol: float, scale: float) -> "SVD":
-        """The same factorisation cut at ``tol * scale``; a matrix or scale
-        below the absolute floor makes everything count as zero."""
-        if not tol > 0:
-            raise ValueError("tol must be positive")
-        zero = min(self.norm, scale) <= _ABS_FLOOR
-        return replace(self, cutoff=np.inf if zero else tol * scale)
+
+def _cut(u, s, vh, tol: float, scale: float | None = None) -> SVD:
+    """The factorisation ``u @ diag(s) @ vh`` of a finite matrix, cut at
+    ``tol * scale``; ``scale`` defaults to the norm ``s[0]``. A norm or
+    scale at or below the absolute floor makes everything count as zero,
+    and a norm beyond the double range raises NonFiniteError."""
+    if not math.isfinite(s[0]):
+        raise NonFiniteError("the norm of the matrix leaves the double range")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    scale = s[0] if scale is None else scale
+    return SVD(u, s, vh, np.inf if min(s[0], scale) <= _ABS_FLOOR else tol * scale)
 
 
 def factorize(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> SVD:
-    """Factorise ``m`` once, cutting at ``tol * scale``.
+    """Validate ``m`` and factorise it once, cutting at ``tol * scale``.
 
     ``scale`` defaults to the largest singular value of ``m`` itself, which
     makes the decision scale-invariant; callers comparing several matrices
     against a common magnitude (e.g. the assembled Hamiltonian norm) pass
     that magnitude explicitly.
     """
-    u, s, vh = np.linalg.svd(as_matrix(m))
-    if not math.isfinite(s[0]):
-        raise NonFiniteError("the norm of the matrix leaves the double range")
-    return SVD(u, s, vh, 0.0).recut(tol, s[0] if scale is None else scale)
+    return _cut(*np.linalg.svd(as_matrix(m)), tol, scale)
 
 
 def svd_rank(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> int:

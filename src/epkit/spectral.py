@@ -27,6 +27,7 @@ from . import cmatrix
 from .cmatrix import DEFAULT_TOL, as_square_matrix
 from .errors import (
     ChainSolveFailedError,
+    NonFiniteError,
     NotAnEigenvalueError,
     RankSequenceError,
     SeedNotInKernelError,
@@ -44,10 +45,10 @@ DEFAULT_CHAIN_FRACTION = 1e-6
 _NOISE_FLOOR = 100 * np.finfo(float).eps
 
 
-def _unit_denoised(f: cmatrix.SVD, scale: float) -> cmatrix.SVD:
-    """The factorised matrix with its singular values at or under
-    ``f.cutoff`` zeroed and the rest divided by ``scale``, left uncut."""
-    return cmatrix.SVD(f.u, np.where(f.s > f.cutoff, f.s / scale, 0.0), f.vh, 0.0)
+def _unit_denoised(f: cmatrix.SVD, scale: float) -> np.ndarray:
+    """The singular values of the factorised matrix with those at or under
+    ``f.cutoff`` zeroed and the rest divided by ``scale``."""
+    return np.where(f.s > f.cutoff, f.s / scale, 0.0)
 
 
 def _cut_ranks(s: np.ndarray, tol: float) -> np.ndarray:
@@ -73,19 +74,25 @@ class _PowerLadder:
     badly scale-mixed matrices keep their rank, and never below the
     rounding noise of k products, so that powers which vanish exactly count
     as zero.
+
+    ``a`` is a matrix its caller has validated, so none of the arrays built
+    from it is checked again; a non-finite shift E raises NonFiniteError
+    before H - E is formed.
     """
 
     def __init__(self, a: np.ndarray, e: complex, tol: float):
+        if not np.isfinite(complex(e)):
+            raise NonFiniteError(f"the shift {e} is not finite")
         self.n = n = a.shape[0]
         self.tol = tol
         self.shifted = a - complex(e) * np.eye(n)
-        base = cmatrix.factorize(self.shifted, tol)
+        base = cmatrix._cut(*np.linalg.svd(self.shifted), tol)
         self.norm = base.norm
         self.kernel = base.kernel
-        unit = _unit_denoised(base, max(base.norm, cmatrix._ABS_FLOOR))
-        us, self._ranks = [unit.u], _cut_ranks(unit.s[None], tol).tolist()
+        s = _unit_denoised(base, max(base.norm, cmatrix._ABS_FLOOR))
+        us, self._ranks = [base.u], _cut_ranks(s[None], tol).tolist()
         if n > 1 and self._ranks[0] < n:
-            powers = [(unit.u * unit.s) @ unit.vh]
+            powers = [(base.u * s) @ base.vh]
             for _ in range(2, n + 1):
                 powers.append(powers[-1] @ powers[0])
             pu, ps, _ = np.linalg.svd(np.array(powers[1:]))
@@ -215,7 +222,7 @@ def _subspace_intersection(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarr
     if a.shape[1] == 0:
         return a
     outside = a - b @ (b.conj().T @ a)
-    return a @ cmatrix.factorize(outside, tol, 1.0).kernel
+    return a @ cmatrix._cut(*np.linalg.svd(outside), tol, 1.0).kernel
 
 
 def _restricted_minnorm_solve(op: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
@@ -313,7 +320,7 @@ def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
         # Remove directions already consumed by earlier (larger) blocks.
         if used_seeds.shape[1] and candidates.shape[1]:
             rest = candidates - used_seeds @ (used_seeds.conj().T @ candidates)
-            candidates = cmatrix.factorize(rest, tol, 1.0).image
+            candidates = cmatrix._cut(*np.linalg.svd(rest), tol, 1.0).image
         if candidates.shape[1] == 0:
             raise ChainSolveFailedError(
                 f"could not find an independent seed for a block of size {size}"

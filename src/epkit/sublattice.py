@@ -128,17 +128,18 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def factor_blocks(b, bprime, tol: float = DEFAULT_TOL):
-    """One factorisation of each block, both cut against the pair.
+    """One factorisation of each block of a pair that :func:`_pair` has
+    validated, both in one stacked SVD and both cut against the pair.
 
     The cutoff is tol * scale with scale = max(||B||, ||B'||), the common
     magnitude of the pair, so a block that is tiny against its partner
     counts as zero even when it is not exactly zero. Returns
     ``(svd_b, svd_bprime, scale)``.
     """
-    fb = cmatrix.factorize(b, tol)
-    fbp = cmatrix.factorize(bprime, tol)
-    scale = max(fb.norm, fbp.norm, cmatrix._ABS_FLOOR)
-    return fb.recut(tol, scale), fbp.recut(tol, scale), scale
+    u, s, vh = np.linalg.svd(np.array([b, bprime]))
+    scale = max(*s[:, 0].tolist(), cmatrix._ABS_FLOOR)
+    fb, fbp = (cmatrix._cut(*f, tol, scale) for f in zip(u, s, vh))
+    return fb, fbp, scale
 
 
 def _pow2_scales(b, bprime) -> np.ndarray:

@@ -321,10 +321,10 @@ class TestChainReading:
 
 @pytest.mark.parametrize("kind", list(CANONICAL))
 def test_svd_budget(kind, svd_calls):
-    # one call per block, one stacked call for the products of B and B',
-    # and at most two for the powers of H: H itself, then the rest stacked
+    # one stacked call for the pair, one for the products of B and B', and
+    # at most two for the powers of H: H itself, then the rest stacked
     classify_zero_energy(*CANONICAL[kind])
-    assert 0 < len(svd_calls) <= 5
+    assert 0 < len(svd_calls) <= 4
 
 
 N3_PAIRS = {
@@ -341,7 +341,20 @@ N3_PAIRS = {
 def test_svd_budget_n3(entry, name, svd_calls):
     # as at N = 2: the budget does not grow with N
     entry(*N3_PAIRS[name])
-    assert 0 < len(svd_calls) <= 5
+    assert 0 < len(svd_calls) <= 4
+
+
+@pytest.mark.parametrize("pair", [*CANONICAL.values(), *N3_PAIRS.values()],
+                         ids=[*(kind.value for kind in CANONICAL), *N3_PAIRS])
+def test_each_array_validated_once(pair, monkeypatch):
+    # B and B' by the pair check, H by the cross-check's jordan_structure;
+    # the factorisations behind them take the validated arrays as they are
+    calls = []
+    as_matrix = cmatrix.as_matrix
+    monkeypatch.setattr(cmatrix, "as_matrix",
+                        lambda m: calls.append(1) or as_matrix(m))
+    classify_point(*pair)
+    assert len(calls) == 3
 
 
 def plant_blocks(monkeypatch, blocks):

@@ -110,18 +110,21 @@ class TestFactorize:
             im = f.image
             assert np.linalg.norm(m - im @ (im.conj().T @ m)) <= 1e-12 * f.norm
 
-    def test_recut_against_common_scale(self):
-        f = cmatrix.factorize(np.diag([1e-12, 0.0]))
-        assert f.rank == 1
-        assert f.recut(1e-9, 1.0).rank == 0
-        assert f.recut(1e-9, 1e-12).rank == 1
+    def test_cut_against_common_scale(self):
+        m = np.diag([1e-12, 0.0])
+        assert cmatrix.factorize(m).rank == 1
+        assert cmatrix.factorize(m, 1e-9, 1.0).rank == 0
+        assert cmatrix.factorize(m, 1e-9, 1e-12).rank == 1
+        usv = np.linalg.svd(m)
+        assert cmatrix._cut(*usv, 1e-9, 1.0).rank == 0
+        assert cmatrix._cut(*usv, 1e-9, 1e-12).rank == 1
 
     @pytest.mark.parametrize("tol", [0.0, np.nan])
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             cmatrix.factorize(np.eye(2), tol)
         with pytest.raises(ValueError, match="tol must be positive"):
-            cmatrix.factorize(np.eye(2)).recut(tol, 1.0)
+            cmatrix._cut(*np.linalg.svd(np.eye(2)), tol, 1.0)
 
     def test_norm_beyond_double_range_rejected(self):
         # finite entries whose modulus overflows: LAPACK returns NaN
@@ -151,7 +154,7 @@ class TestFactorize:
         monkeypatch.setattr(np, "sum", lambda *a, **k: counted.append(1) or real_sum(*a, **k))
         assert (f.rank, f.kernel.shape, f.image.shape, f.rank) == (2, (3, 1), (3, 2), 2)
         assert len(counted) == 1
-        g = f.recut(1e-5, 1.0)
+        g = cmatrix._cut(f.u, f.s, f.vh, 1e-5, 1.0)
         assert (g.rank, g.kernel.shape, g.image.shape) == (1, (3, 2), (3, 1))
         assert len(counted) == 2
 

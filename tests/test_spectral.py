@@ -5,6 +5,7 @@ from epkit import cmatrix, spectral
 from epkit.errors import (
     ChainSolveFailedError,
     EpkitError,
+    NonFiniteError,
     NotAnEigenvalueError,
     RankSequenceError,
     SeedNotInKernelError,
@@ -187,6 +188,18 @@ def test_intersection_cut_on_principal_angle_sines():
     assert _subspace_intersection(a, b, 1e-9).shape == (3, 0)
 
 
+@pytest.mark.parametrize("e", [np.nan, np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("entry", [
+    lambda e: jordan_structure(np.eye(2), e),
+    lambda e: jordan_chain(np.eye(2), e, 1),
+    lambda e: rank_sequence(np.eye(2), e),
+], ids=["jordan_structure", "jordan_chain", "rank_sequence"])
+def test_non_finite_shift_refused(entry, e):
+    # refused before H - E is formed, so no RuntimeWarning and no LAPACK call
+    with pytest.raises(NonFiniteError, match="shift"):
+        entry(e)
+
+
 class TestJordanChain:
     def test_shift_block_from_seed(self):
         chain = jordan_chain(jordan_block(2), 0.0, 2, seed_vector=[1.0, 0.0])
@@ -274,16 +287,17 @@ class ReferenceLadder:
         kept = np.where(base.s > base.cutoff,
                         base.s / max(base.norm, cmatrix._ABS_FLOOR), 0.0)
         self._powers = [np.eye(self.n, dtype=np.complex128), (base.u * kept) @ base.vh]
-        self._factors = {1: self._cut(cmatrix.SVD(base.u, kept, base.vh, 0.0))}
+        self._factors = {1: self._cut(base.u, kept, base.vh)}
 
-    def _cut(self, f):
-        return f.recut(self.tol, max(f.norm, 100 * np.finfo(float).eps / self.tol))
+    def _cut(self, u, s, vh):
+        scale = max(s[0], 100 * np.finfo(float).eps / self.tol)
+        return cmatrix.SVD(u, s, vh, np.inf if s[0] <= 1e-300 else self.tol * scale)
 
     def factor(self, k):
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1] @ self._powers[1])
         if k not in self._factors:
-            self._factors[k] = self._cut(cmatrix.factorize(self._powers[k], self.tol))
+            self._factors[k] = self._cut(*np.linalg.svd(self._powers[k]))
         return self._factors[k]
 
     def image(self, k):

@@ -117,7 +117,8 @@ def reference_unit_state(psi, chi):
 def reference_zero_energy_states(b, bprime, tol=1e-9):
     """zero_energy_states as it was, one state at a time."""
     b = np.asarray(b, dtype=np.complex128)
-    fb, fbp, _ = factor_blocks(b, bprime, tol)
+    bp = np.asarray(bprime, dtype=np.complex128)
+    fb, fbp, _ = factor_blocks(b, bp, tol)
     n = b.shape[0]
     states = [reference_unit_state(np.zeros(n), chi) for chi in fb.kernel.T]
     states += [reference_unit_state(psi, np.zeros(n)) for psi in fbp.kernel.T]
