@@ -292,12 +292,14 @@ class BZCandidate:
     classification: _classify.EPClassification
 
 
-def _newton_roots(det, starts, lo, hi):
-    """Gauss-Newton on (Re f, Im f), f = ``det``, from each of ``starts``
-    (K, 2) in lockstep, each start exactly as alone. A step is one ``det``
-    call on the (k, 5, 2) momenta of the active starts and their neighbours
-    at +-w, and moves by -m pinv(J) (Re f, Im f) clipped to the box
-    [lo, hi]; J is the central difference over w.
+def _newton_roots(dets, starts, lo, hi):
+    """Gauss-Newton on (Re f, Im f) from the starts of every side in one
+    lockstep, each start exactly as alone: ``starts[i]`` (K_i, 2) are the
+    starts of side i, whose f is ``dets[i]``. A step calls each side's
+    ``det`` once, on the (k, 5, 2) momenta of that side's active starts
+    and their neighbours at +-w, and the rest of the step runs once for
+    the starts of all sides. A start moves by -m pinv(J) (Re f, Im f)
+    clipped to the box [lo, hi]; J is the central difference over w.
 
     m is the order of the start's zero, 1 until two plain steps in a row
     have each kept the same share (0.4 to 0.95, within 0.05) of the one
@@ -315,14 +317,19 @@ def _newton_roots(det, starts, lo, hi):
     outside), or after NEWTON_STEPS steps. It also stops, without taking
     the step, when its plain step is no smaller than the one before for
     the second step in a row: it has reached det's rounding noise, and from
-    there it would only wander. Returns the final points."""
+    there it would only wander. Returns the final points, side after
+    side."""
     eps = np.finfo(float).eps
     h = np.cbrt(eps) * np.max(hi - lo)
     reach = np.max(np.abs([lo, hi]))
     resolution, narrowest = eps * reach, np.sqrt(eps) * reach
     units = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                       [0.0, -1.0]])
-    q = np.array(starts, dtype=float)
+    q = np.concatenate([np.asarray(s, dtype=float).reshape(-1, 2)
+                        for s in starts])
+    # the starts of side i are rows ends[i]:ends[i + 1] of q; active stays
+    # sorted, so the active starts of each side are one run of it
+    ends = np.cumsum([0] + [len(s) for s in starts])
     active = np.arange(len(q))
     width, order = np.full(len(q), h), np.ones(len(q))
     last, kept_before = np.full(len(q), np.inf), np.zeros(len(q))
@@ -331,7 +338,10 @@ def _newton_roots(det, starts, lo, hi):
         if not len(active):
             break
         w = width[active]
-        f = det(q[active, None] + w[:, None, None] * units)
+        points = q[active, None] + w[:, None, None] * units
+        runs = np.searchsorted(active, ends).tolist()
+        f = np.concatenate([det(points[a:z]) for det, a, z
+                            in zip(dets, runs, runs[1:]) if z > a])
         slope = (f[:, [1, 3]] - f[:, [2, 4]]) / (2 * w[:, None])
         jac = np.stack([slope.real, slope.imag], axis=1)
         residual = np.stack([f[:, 0].real, f[:, 0].imag], axis=-1)
@@ -378,14 +388,17 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     |det(blocks / s)|^(1/N) * s, s the pair's :func:`sublattice.pow2_scale`,
     and ``scale`` is the largest s. At N = 1 the grid reads the entry
     itself: np.linalg.det would run an LU factorisation and a log-sum on
-    every 1 x 1 matrix. Each side's grid minima below COARSE_FRACTION *
-    scale (B first, row-major) go to :func:`_newton_roots` on
-    det(blocks / scale), which takes m-fold steps at a zero of order m (a
-    double zero at doublet-ep2, ep4-sqrt and yao-lee-ep4). A point is kept
-    when sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale, then
-    deduplicated, classified from the blocks evaluated for sigma_min, and
-    sorted by (qx, qy); an EpkitError in classification is kept as
-    Unclassified with ``evidence["error"]``.
+    every 1 x 1 matrix. The grid minima of both sides below
+    COARSE_FRACTION * scale (B first, row-major) start one lockstep of
+    :func:`_newton_roots`, each on det(blocks / scale) of its own side,
+    which takes m-fold steps at a zero of order m (a double zero at
+    doublet-ep2, ep4-sqrt and yao-lee-ep4). A point is kept when
+    sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale and then
+    deduplicated. The kept points are classified together, from the blocks
+    evaluated for sigma_min, in one stacked pass whose one-pair case is
+    :func:`classify.classify_point`, and sorted by (qx, qy); a point whose
+    classification raises an EpkitError is kept as Unclassified with
+    ``evidence["error"]``, and the others keep their verdicts.
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 16 or ny < 16:
@@ -415,39 +428,39 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
         scale = max(scale, float(s.max()))
 
     lo, hi = np.array(bounds, dtype=float).T
-    starts, roots = [], []
-    for side, side_sig in zip(sides, sig):
-        minima = _grid_minima(side_sig, COARSE_FRACTION * scale)
-        if not len(minima):
-            continue
-        side_starts = np.stack([qx[minima[:, 0]], qy[minima[:, 1]]], axis=-1)
-        starts.append(side_starts)
-        roots.append(_newton_roots(
-            lambda q, side=side: np.linalg.det(side(q) / scale),
-            side_starts, lo, hi))
-    if not starts:
+    minima = [_grid_minima(side_sig, COARSE_FRACTION * scale) for side_sig in sig]
+    if not any(len(m) for m in minima):
         return []
-    starts, roots = np.concatenate(starts), np.concatenate(roots)
+    starts = [np.stack([qx[m[:, 0]], qy[m[:, 1]]], axis=-1) for m in minima]
+    roots = _newton_roots(
+        [lambda q, side=side: np.linalg.det(side(q) / scale) for side in sides],
+        starts, lo, hi)
+    starts = np.concatenate(starts)
     b, bp = (side(roots) for side in sides)
     sigma = np.linalg.svd(np.stack([b, bp]) / scale,
                           compute_uv=False)[..., -1].min(axis=0) * scale
 
-    candidates = []
-    for q0, q_ref, f_ref, b_ref, bp_ref in zip(starts, roots, sigma, b, bp):
+    kept = []
+    for i, (q_ref, f_ref) in enumerate(zip(roots, sigma)):
         if f_ref > tol * scale:
             continue
-        if any(np.max(np.abs(q_ref - c.q_refined)) < 1e-6 for c in candidates):
+        if any(np.max(np.abs(q_ref - roots[j])) < 1e-6 for j in kept):
             continue
-        result = _classify_candidate(b_ref, bp_ref, tol)
-        candidates.append(BZCandidate(q0, q_ref, float(f_ref), result))
+        kept.append(i)
+    if not kept:
+        return []
+    results = _classify._classify_pairs(b[kept], bp[kept], tol)
+    candidates = [BZCandidate(starts[i], roots[i], float(sigma[i]), _verdict(r))
+                  for i, r in zip(kept, results)]
     candidates.sort(key=lambda c: (c.q_refined[0], c.q_refined[1]))
     return candidates
 
 
-def _classify_candidate(b, bp, tol):
-    try:
-        return _classify.classify_point(b, bp, tol)
-    except EpkitError as exc:  # tolerance pathology at an inexact point
+def _verdict(result):
+    """A candidate's classification, or Unclassified with
+    ``evidence["error"]`` for the EpkitError of a tolerance pathology at an
+    inexact point."""
+    if isinstance(result, EpkitError):
         return _classify.EPClassification(
-            _classify.EPKind.UNCLASSIFIED, {"error": str(exc)}
-        )
+            _classify.EPKind.UNCLASSIFIED, {"error": str(result)})
+    return result

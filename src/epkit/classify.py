@@ -45,11 +45,13 @@ from . import cmatrix, spectral
 from .cmatrix import DEFAULT_TOL
 from .errors import (
     CrossCheckMismatchError,
-    NotAnEigenvalueError,
+    DimensionTooLargeError,
+    EpkitError,
+    NonFiniteError,
     RankSequenceError,
     ZeroEigenvaluePresentError,
 )
-from .sublattice import _fill, _pair, factor_blocks, pow2_scale
+from .sublattice import _factor_pairs, _fill, _pair, pow2_scale
 
 
 class EPKind(str, Enum):
@@ -95,35 +97,42 @@ def _kind_of_blocks(blocks, n):
     return EPKind.UNCLASSIFIED
 
 
-def _read_chains(fb, fbp, scale, tol):
-    """The Jordan chains at E = 0, longest first, each as
-    ``{"length": k, "in_ker": "B" or "B'"}``, the kernel that holds its
-    eigenvector ("B" first among chains of one length).
+def _product_ranks(u, s, vh, cutoff, scale, tol):
+    """The ranks (r_k, r'_k), k = 0..2N, of the alternating products of B
+    and B' (module docstring) of each pair, shape (K, 2N + 1, 2), from the
+    full SVDs ``u, s, vh`` of the pairs' blocks, stacked (2, K, ...) with
+    B's first, their cutoffs (2, K) and the pair scales (K,).
 
     Each block is rebuilt at unit scale from its factorisation with the
-    singular values under the pair cutoff zeroed, as the power ladder of
+    singular values under its cutoff zeroed, as the power ladder of
     :mod:`spectral` denoises H, and with the same helper. The k-th products
     of both sublattices are cut together by the cut of H^k,
-    tol * max(sigma_max of both, 100 eps / tol), and their ranks are read
-    by :func:`_chains_from_ranks`.
+    tol * max(sigma_max of both, 100 eps / tol). The products of all pairs
+    are factorised in one stacked SVD.
     """
-    pair = np.array([(f.u * spectral._unit_denoised(f, scale)) @ f.vh
-                     for f in (fb, fbp)])
-    n = pair.shape[-1]
-    # products[k - 1]: the k-factor products whose rightmost factor is B, B'
+    unit = spectral._unit_denoised(s, cutoff[..., None], scale[:, None])
+    pair = (u * unit[..., None, :]) @ vh
+    k, n = pair.shape[1], pair.shape[-1]
+    # products[j - 1]: the j-factor products whose rightmost factor is B, B'
     products = [pair]
-    for k in range(2, 2 * n + 1):
-        products.append((pair[::-1] if k % 2 == 0 else pair) @ products[-1])
-    s = np.linalg.svd(np.array(products), compute_uv=False)
-    ranks = spectral._cut_ranks(s, tol)
-    return _chains_from_ranks(np.vstack([[n, n], ranks]))
+    for j in range(2, 2 * n + 1):
+        products.append((pair[::-1] if j % 2 == 0 else pair) @ products[-1])
+    sv = np.linalg.svd(np.array(products), compute_uv=False)
+    ranks = np.full((k, 2 * n + 1, 2), n)
+    # cut each product of each pair with its partner: groups (j, pair)
+    ranks[:, 1:] = spectral._cut_ranks(
+        sv.swapaxes(1, 2).reshape(-1, 2, n), tol).reshape(2 * n, k, 2).swapaxes(0, 1)
+    return ranks
 
 
 def _chains_from_ranks(ranks):
-    """The chain list of :func:`_read_chains` from the ranks, one row
-    ``(r_k, r'_k)`` per k >= 0 (module docstring), read until both stop
-    falling. Ranks that rise, or that count fewer chains of length >= k
-    than of length >= k + 1, raise RankSequenceError."""
+    """The Jordan chains at E = 0, longest first, each as
+    ``{"length": k, "in_ker": "B" or "B'"}``, the kernel that holds its
+    eigenvector ("B" first among chains of one length), from the ranks of
+    one pair's :func:`_product_ranks`, one row ``(r_k, r'_k)`` per k >= 0,
+    read until both stop falling. Ranks that rise, or that count fewer
+    chains of length >= k than of length >= k + 1, raise
+    RankSequenceError."""
     ranks = np.asarray(ranks)
     # drops[k - 1]: chains of length >= k in ker B and in ker B'; for even
     # k the products ending in B' count those in ker B
@@ -141,6 +150,77 @@ def _chains_from_ranks(ranks):
             for _ in range(count)]
 
 
+def _too_large(dim):
+    return DimensionTooLargeError(
+        f"dimension {dim} exceeds the cap of {cmatrix.MAX_DIM}")
+
+
+def _classify_pairs(b, bprime, tol):
+    """:func:`classify_point` of each pair of the stacks ``b``, ``bprime``
+    (K, N, N) of finite complex blocks, all pairs in one pass: one stacked
+    SVD of the blocks, one of the alternating products, and one each of
+    the bases and the powers of the cross-check's ladders.
+
+    Item k is pair k's EPClassification, or the EpkitError that
+    classify_point raises for it, with the same message; a pair that fails
+    leaves the others as they are, and any other exception propagates.
+    """
+    k, n = b.shape[0], b.shape[-1]
+    if n > cmatrix.MAX_DIM:
+        return [_too_large(n) for _ in range(k)]
+    out = [None] * k
+    u, s, vh, scale = _factor_pairs(b, bprime)
+    # pairs[j] is the pair in row j of the stacks. A pair whose norms
+    # overflow leaves them; one whose chains fail stays in them, and its
+    # reading of H is ignored
+    pairs = list(range(k))
+    finite = np.isfinite(scale)
+    if not finite.all():
+        for i in np.flatnonzero(~finite):
+            out[i] = NonFiniteError(cmatrix._NORM_OUT_OF_RANGE)
+        pairs = np.flatnonzero(finite).tolist()
+        if not pairs:
+            return out
+        b, bprime, u, s, vh, scale = (b[pairs], bprime[pairs], u[:, pairs],
+                                      s[:, pairs], vh[:, pairs], scale[pairs])
+    chains = {}
+    cutoff = cmatrix._cutoffs(s[..., 0], tol, scale)
+    for i, ranks in zip(pairs, _product_ranks(u, s, vh, cutoff, scale, tol)):
+        try:
+            chains[i] = _chains_from_ranks(ranks)
+        except RankSequenceError as exc:
+            out[i] = exc
+    if not chains:
+        return out
+    if 2 * n > cmatrix.MAX_DIM:  # H is 2N x 2N
+        for i in chains:
+            out[i] = _too_large(2 * n)
+        return out
+    units = scale[:, None, None]
+    blocks = spectral._zero_blocks(_fill(b / units, bprime / units), tol)
+    for j, (i, found) in enumerate(zip(pairs, blocks)):
+        if i not in chains:
+            continue
+        lengths = [c["length"] for c in chains[i]]
+        if isinstance(found, EpkitError):
+            out[i] = found
+        elif lengths != found:
+            out[i] = CrossCheckMismatchError(
+                f"B and B' give chains of lengths {lengths} but H has "
+                f"zero-energy blocks {found}")
+        else:
+            sides = [c["in_ker"] for c in chains[i]]
+            out[i] = EPClassification(_kind_of_blocks(found, n), {
+                "n": n,
+                "scale": float(scale[j]),
+                "dim_ker_b": sides.count("B"),
+                "dim_ker_bprime": sides.count("B'"),
+                "jordan_blocks_at_zero": found,
+                "chains": chains[i],
+            })
+    return out
+
+
 def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
     """Zero-energy verdict for a block pair of any N.
 
@@ -151,35 +231,17 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
     the ranks of the alternating products of B and B' (module docstring)
     and name the kind. ``evidence["chains"]`` lists them, longest first,
     each as ``{"length": k, "in_ker": "B" or "B'"}``. The chain lengths
-    must equal the Jordan blocks at zero of the assembled H, read by
-    :func:`spectral.jordan_structure`; otherwise CrossCheckMismatchError
-    (a tolerance pathology, not a physics answer) is raised.
+    must equal the Jordan blocks at zero of the assembled H, read as
+    :func:`spectral.jordan_structure` reads them; otherwise
+    CrossCheckMismatchError (a tolerance pathology, not a physics answer)
+    is raised. This is the one-pair case of the stacked reading that
+    :func:`epkit.analysis.bz_scan` runs on all its candidates at once.
     """
     b, bp = _pair(b, bprime)
-    n = b.shape[0]
-    fb, fbp, scale = factor_blocks(b, bp, tol)
-    chains = _read_chains(fb, fbp, scale, tol)
-    try:
-        blocks = spectral.jordan_structure(
-            _fill(b / scale, bp / scale), 0.0, tol,
-            with_chains=False).block_sizes
-    except NotAnEigenvalueError:
-        blocks = []
-    lengths = [c["length"] for c in chains]
-    if lengths != blocks:
-        raise CrossCheckMismatchError(
-            f"B and B' give chains of lengths {lengths} but H has "
-            f"zero-energy blocks {blocks}")
-    sides = [c["in_ker"] for c in chains]
-    evidence = {
-        "n": n,
-        "scale": float(scale),
-        "dim_ker_b": sides.count("B"),
-        "dim_ker_bprime": sides.count("B'"),
-        "jordan_blocks_at_zero": blocks,
-        "chains": chains,
-    }
-    return EPClassification(_kind_of_blocks(blocks, n), evidence)
+    [result] = _classify_pairs(b[None], bp[None], tol)
+    if isinstance(result, EpkitError):
+        raise result
+    return result
 
 
 def classify_zero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:

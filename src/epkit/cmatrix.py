@@ -36,6 +36,9 @@ MAX_DIM = 16
 #: Absolute floor below which a matrix counts as identically zero.
 _ABS_FLOOR = 1e-300
 
+#: What NonFiniteError says of a finite matrix whose norm overflows.
+_NORM_OUT_OF_RANGE = "the norm of the matrix leaves the double range"
+
 
 def as_matrix(m) -> np.ndarray:
     """Validate and convert input to a 2-d complex128 array."""
@@ -108,17 +111,24 @@ class SVD:
         return self.u[:, : self.rank]
 
 
-def _cut(u, s, vh, tol: float, scale: float | None = None) -> SVD:
-    """The factorisation ``u @ diag(s) @ vh`` of a finite matrix, cut at
-    ``tol * scale``; ``scale`` defaults to the norm ``s[0]``. A norm or
-    scale at or below the absolute floor makes everything count as zero,
-    and a norm beyond the double range raises NonFiniteError."""
-    if not math.isfinite(s[0]):
-        raise NonFiniteError("the norm of the matrix leaves the double range")
+def _cutoffs(norm, tol: float, scale=None) -> np.ndarray:
+    """The cutoffs ``tol * scale`` of finite matrices of norms ``norm``;
+    ``scale`` defaults to the norm, and both may be arrays that broadcast.
+    A norm or scale at or below the absolute floor makes everything count
+    as zero."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    scale = s[0] if scale is None else scale
-    return SVD(u, s, vh, np.inf if min(s[0], scale) <= _ABS_FLOOR else tol * scale)
+    scale = norm if scale is None else scale
+    return np.where(np.minimum(norm, scale) <= _ABS_FLOOR, np.inf, tol * scale)
+
+
+def _cut(u, s, vh, tol: float, scale: float | None = None) -> SVD:
+    """The factorisation ``u @ diag(s) @ vh`` of a finite matrix, cut at
+    :func:`_cutoffs`; a norm beyond the double range raises
+    NonFiniteError."""
+    if not math.isfinite(s[0]):
+        raise NonFiniteError(_NORM_OUT_OF_RANGE)
+    return SVD(u, s, vh, float(_cutoffs(s[0], tol, scale)))
 
 
 def factorize(m, tol: float = DEFAULT_TOL, scale: float | None = None) -> SVD:

@@ -5,8 +5,10 @@ of blocks of size >= k equals r_{k-1} - r_k. (H - E) is factorised once; that
 one SVD gives its kernel, its norm, and a unit-norm, denoised copy whose
 powers 2..n are factorised together in one stacked SVD, each cut at
 tol * max(sigma_max, 100 eps / tol). No overall magnitude of H can then
-underflow or overflow a power. The classifier reads the products of B and
-B' with the same denoising and the same cut.
+underflow or overflow a power. A stack of matrices takes the same two SVDs,
+each stacked, as the classifier's cross-check reads the H of all its pairs.
+The classifier reads the products of B and B' with the same denoising and
+the same cut.
 
 Chains are built bottom-up from a kernel seed, but each solve is restricted
 to the image of the appropriate power of (H - E) so the chain is guaranteed
@@ -19,6 +21,7 @@ these subspace operations is one SVD whose singular values are
 principal-angle sines, cut at the caller's ``tol``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +40,8 @@ from .errors import (
 #: because eigenvalues of a near-defective matrix scatter as eps**(1/k).
 DEFAULT_CLUSTER_FRACTION = 1e-7
 
-#: Chain residual bound as a fraction of ||H||.
+#: Residual bound of the chain equation (H - E) x = e_{j-1}, as a
+#: fraction of ||H - E|| * ||x||.
 DEFAULT_CHAIN_FRACTION = 1e-6
 
 #: Floating-point noise accumulated by k products of a unit-norm matrix
@@ -45,10 +49,10 @@ DEFAULT_CHAIN_FRACTION = 1e-6
 _NOISE_FLOOR = 100 * np.finfo(float).eps
 
 
-def _unit_denoised(f: cmatrix.SVD, scale: float) -> np.ndarray:
-    """The singular values of the factorised matrix with those at or under
-    ``f.cutoff`` zeroed and the rest divided by ``scale``."""
-    return np.where(f.s > f.cutoff, f.s / scale, 0.0)
+def _unit_denoised(s: np.ndarray, cutoff, scale) -> np.ndarray:
+    """Singular values ``s`` with those at or under ``cutoff`` zeroed and
+    the rest divided by ``scale``."""
+    return np.where(s > cutoff, s / scale, 0.0)
 
 
 def _cut_ranks(s: np.ndarray, tol: float) -> np.ndarray:
@@ -58,6 +62,48 @@ def _cut_ranks(s: np.ndarray, tol: float) -> np.ndarray:
     sigma_max = s.reshape(len(s), -1).max(axis=1)
     cut = tol * np.maximum(sigma_max, _NOISE_FLOOR / tol)
     return (s > cut.reshape((-1,) + (1,) * (s.ndim - 1))).sum(axis=-1)
+
+
+def _ladders(shifted: np.ndarray, tol: float):
+    """The power ladders (see :class:`_PowerLadder`) of the stack
+    ``shifted`` (K, n, n) of finite matrices, in one stacked SVD of the
+    matrices and, when one of them is rank-deficient, one of the powers
+    2..n of all of them.
+
+    Returns ``(u, s, vh, cutoff, ranks, powers)``: the full SVD of each
+    matrix and its cut, ``ranks`` (K, n) the ranks r_1..r_n of its powers
+    (n throughout when no power is formed), and ``powers`` the left
+    singular vectors (n - 1, K, n, n) of the powers 2..n, or None. A norm
+    beyond the double range raises NonFiniteError.
+    """
+    n = shifted.shape[-1]
+    u, s, vh = np.linalg.svd(shifted)
+    norm = s[:, 0]
+    if not np.isfinite(norm).all():
+        raise NonFiniteError(cmatrix._NORM_OUT_OF_RANGE)
+    cutoff = cmatrix._cutoffs(norm, tol)
+    unit = _unit_denoised(s, cutoff[:, None],
+                          np.maximum(norm, cmatrix._ABS_FLOOR)[:, None])
+    ranks = np.full((len(s), n), n)
+    ranks[:, 0] = _cut_ranks(unit[:, None], tol)[:, 0]
+    powers = None
+    if n > 1 and (ranks[:, 0] < n).any():
+        first = (u * unit[:, None]) @ vh
+        stack = [first]
+        for _ in range(2, n + 1):
+            stack.append(stack[-1] @ first)
+        powers, ps, _ = np.linalg.svd(np.array(stack[1:]))
+        ranks[:, 1:] = _cut_ranks(ps.reshape(-1, n), tol).reshape(n - 1, -1).T
+    return u, s, vh, cutoff, ranks, powers
+
+
+def _up_to_repeat(n: int, ranks: list[int]) -> list[int]:
+    """Ranks [r_1, r_2, ...] up to the first that repeats the one before
+    it (r_0 = n)."""
+    full = [n] + ranks
+    stop = next((k for k in range(1, len(full)) if full[k] == full[k - 1]),
+                len(ranks))
+    return ranks[:stop]
 
 
 class _PowerLadder:
@@ -73,7 +119,7 @@ class _PowerLadder:
     :func:`_cut_ranks`: self-relative, so that small but genuine powers of
     badly scale-mixed matrices keep their rank, and never below the
     rounding noise of k products, so that powers which vanish exactly count
-    as zero.
+    as zero. This is the one-matrix case of :func:`_ladders`.
 
     ``a`` is a matrix its caller has validated, so none of the arrays built
     from it is checked again; a non-finite shift E raises NonFiniteError
@@ -86,18 +132,12 @@ class _PowerLadder:
         self.n = n = a.shape[0]
         self.tol = tol
         self.shifted = a - complex(e) * np.eye(n)
-        base = cmatrix._cut(*np.linalg.svd(self.shifted), tol)
+        u, s, vh, cutoff, ranks, powers = _ladders(self.shifted[None], tol)
+        base = cmatrix.SVD(u[0], s[0], vh[0], float(cutoff[0]))
         self.norm = base.norm
         self.kernel = base.kernel
-        s = _unit_denoised(base, max(base.norm, cmatrix._ABS_FLOOR))
-        us, self._ranks = [base.u], _cut_ranks(s[None], tol).tolist()
-        if n > 1 and self._ranks[0] < n:
-            powers = [(base.u * s) @ base.vh]
-            for _ in range(2, n + 1):
-                powers.append(powers[-1] @ powers[0])
-            pu, ps, _ = np.linalg.svd(np.array(powers[1:]))
-            us += list(pu)
-            self._ranks += _cut_ranks(ps, tol).tolist()
+        self._ranks = ranks[0].tolist()
+        us = [base.u] if powers is None else [base.u, *powers[:, 0]]
         self._images = [np.eye(n, dtype=np.complex128)] + [
             u[:, :r] for u, r in zip(us, self._ranks)]
 
@@ -107,10 +147,7 @@ class _PowerLadder:
 
     def ranks(self) -> list[int]:
         """Ranks [r_1, r_2, ...] of the powers up to the first repeat."""
-        full = [self.n] + self._ranks
-        stop = next((k for k in range(1, len(full)) if full[k] == full[k - 1]),
-                    len(self._ranks))
-        return self._ranks[:stop]
+        return _up_to_repeat(self.n, self._ranks)
 
 
 @dataclass
@@ -235,10 +272,6 @@ def _restricted_minnorm_solve(op: np.ndarray, rhs: np.ndarray, basis: np.ndarray
     return x, residual
 
 
-def _default_chain_tol(a: np.ndarray) -> float:
-    return DEFAULT_CHAIN_FRACTION * max(np.linalg.norm(a, 2), cmatrix._ABS_FLOOR)
-
-
 def jordan_chain(h, e: complex, length: int, seed_vector=None,
                  tol: float = DEFAULT_TOL):
     """Generalized-eigenvector chain e_1..e_length at eigenvalue ``e``.
@@ -247,8 +280,9 @@ def jordan_chain(h, e: complex, length: int, seed_vector=None,
     ker(H - E) ∩ im((H - E)^(length-1)), the directions that admit a chain
     of the requested length. Each later vector is the minimum-norm solution
     of (H - E) x = e_{j-1} restricted to im((H - E)^(length-j)), so the
-    chain equations hold to DEFAULT_CHAIN_FRACTION * ||H|| and the result
-    is deterministic.
+    result is deterministic, and each chain equation holds to
+    DEFAULT_CHAIN_FRACTION * ||H - E|| * ||x||, a bound that scales with
+    the chain vectors, which grow like ||H - E||^-(j-1).
     """
     a = as_square_matrix(h)
     n = a.shape[0]
@@ -257,11 +291,13 @@ def jordan_chain(h, e: complex, length: int, seed_vector=None,
     ladder = _PowerLadder(a, e, tol)
     if ladder.kernel.shape[1] == 0:
         raise NotAnEigenvalueError(f"{e} is not an eigenvalue at tol={tol}")
-    return _chain(ladder, length, seed_vector, _default_chain_tol(a))
+    return _chain(ladder, length, seed_vector)
 
 
-def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
+def _chain(ladder: _PowerLadder, length: int, seed_vector):
     n = ladder.n
+    # the residual bound of a chain vector of unit norm
+    unit_tol = DEFAULT_CHAIN_FRACTION * ladder.norm
     if seed_vector is not None:
         seed = np.asarray(seed_vector, dtype=np.complex128).reshape(n)
         nrm = np.linalg.norm(seed)
@@ -269,7 +305,7 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
             raise SeedNotInKernelError("seed vector has zero norm")
         seed = seed / nrm
         resid = np.linalg.norm(ladder.shifted @ seed)
-        if resid > max(chain_tol, 10 * ladder.tol * ladder.norm):
+        if resid > max(unit_tol, 10 * ladder.tol * ladder.norm):
             raise SeedNotInKernelError(
                 f"seed is not in ker(H - E): residual {resid:.3e}"
             )
@@ -286,6 +322,8 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector, chain_tol: float):
     for j in range(2, length + 1):
         x, residual = _restricted_minnorm_solve(
             ladder.shifted, chain[-1], ladder.image(length - j))
+        # hypot keeps the norm of a vector of a tiny H - E from overflowing
+        chain_tol = unit_tol * math.hypot(*np.abs(x))
         if not residual <= chain_tol:  # a NaN residual fails too
             raise ChainSolveFailedError(
                 f"chain equation at level {j} has residual {residual:.3e} "
@@ -309,7 +347,6 @@ def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
     if not with_chains:
         return structure
 
-    chain_tol = _default_chain_tol(a)
     kern = ladder.kernel
     used_seeds = np.zeros((n, 0), dtype=np.complex128)
     for size in sizes:
@@ -326,9 +363,26 @@ def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
                 f"could not find an independent seed for a block of size {size}"
             )
         seed = candidates[:, 0]
-        structure.chains.append(_chain(ladder, size, seed, chain_tol))
+        structure.chains.append(_chain(ladder, size, seed))
         used_seeds = np.hstack([used_seeds, seed.reshape(-1, 1)])
     return structure
+
+
+def _zero_blocks(h: np.ndarray, tol: float) -> list:
+    """The Jordan block sizes at E = 0 of each matrix of the stack ``h``
+    (K, n, n) of finite matrices, as :func:`jordan_structure` reads them,
+    all from one :func:`_ladders` pass. Item k is a descending list, [] when
+    0 is not an eigenvalue at ``tol``, or the RankSequenceError that the
+    ranks of matrix k raise."""
+    n = h.shape[-1]
+    sizes = []
+    for ranks in _ladders(h, tol)[4].tolist():
+        ranks = _up_to_repeat(n, ranks)
+        try:
+            sizes.append(_block_sizes_from_ranks(n, ranks) if ranks[0] < n else [])
+        except RankSequenceError as exc:
+            sizes.append(exc)
+    return sizes
 
 
 def ep_report(h, tol: float = DEFAULT_TOL) -> EPReport:

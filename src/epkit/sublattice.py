@@ -136,17 +136,32 @@ def factor_blocks(b, bprime, tol: float = DEFAULT_TOL):
     counts as zero even when it is not exactly zero. Returns
     ``(svd_b, svd_bprime, scale)``.
     """
-    u, s, vh = np.linalg.svd(np.array([b, bprime]))
-    scale = max(*s[:, 0].tolist(), cmatrix._ABS_FLOOR)
+    u, s, vh, scale = _factor_pairs(b, bprime)
+    scale = float(scale)
     fb, fbp = (cmatrix._cut(*f, tol, scale) for f in zip(u, s, vh))
     return fb, fbp, scale
 
 
+def _factor_pairs(b, bprime):
+    """The full SVDs ``(u, s, vh)`` of both blocks of each pair of the
+    validated stacks ``b``, ``bprime`` (..., N, N), in one stacked call,
+    B's first: shape (2, ..., N, N) and (2, ..., N). Also returns the scale
+    max(||B||, ||B'||) of each pair, floored at the absolute floor."""
+    u, s, vh = np.linalg.svd(np.array([b, bprime]))
+    return u, s, vh, np.maximum(s[..., 0].max(axis=0), cmatrix._ABS_FLOOR)
+
+
 def _pow2_scales(b, bprime) -> np.ndarray:
     """:func:`pow2_scale` of each pair of the stacks ``b``, ``bprime`` of
-    shape (..., N, N)."""
+    shape (..., N, N). The peak modulus is the elementwise maximum of the
+    moduli of both blocks, then of its N^2 entry planes, each made one
+    contiguous row: a reduction over the two trailing axes would run
+    numpy's inner loop once per pair, over N^2 entries."""
+    n = b.shape[-1]
     with np.errstate(over="ignore"):
-        peak = np.abs(np.concatenate((b, bprime), axis=-2)).max(axis=(-2, -1))
+        peak = np.maximum(np.abs(b), np.abs(bprime))
+    planes = np.ascontiguousarray(peak.reshape(-1, n * n).T)
+    peak = planes.max(axis=0).reshape(peak.shape[:-2])
     # a modulus beyond the double range reads inf, whose frexp exponent is 0
     exponent = np.where(np.isinf(peak), 1023, np.frexp(peak)[1])
     return np.ldexp(1.0, np.clip(exponent, -1021, 1023))

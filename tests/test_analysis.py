@@ -754,14 +754,15 @@ def reference_newton_roots(det, starts, lo, hi):
 
 
 def newton_runs(monkeypatch, bh, grid, window):
-    """The (det, starts, lo, hi) of every _newton_roots call of one
-    bz_scan, B side first."""
+    """The (det, starts, lo, hi) of every side with starts in the one
+    _newton_roots lockstep of a bz_scan, B side first."""
     runs = []
     newton = analysis._newton_roots
 
-    def recorded(det, starts, lo, hi):
-        runs.append((det, starts, lo, hi))
-        return newton(det, starts, lo, hi)
+    def recorded(dets, starts, lo, hi):
+        runs.extend((det, side_starts, lo, hi)
+                    for det, side_starts in zip(dets, starts) if len(side_starts))
+        return newton(dets, starts, lo, hi)
 
     monkeypatch.setattr(analysis, "_newton_roots", recorded)
     bz_scan(bh, grid, window)
@@ -773,17 +774,19 @@ class TestNewtonRoots:
     @pytest.mark.parametrize("name,params", [
         ("yao-lee-ep4", None), ("kitaev", {"phi1": 0.3, "phi2": 0.1})])
     def test_each_start_as_alone(self, name, params, rng):
+        # the starts of both sides in one lockstep, side after side
         bh = build_model(name, params)
         lo, hi = bh.q_star - 0.4, bh.q_star + 0.4
-
-        def det(q):
-            return np.linalg.det(bh.b(q))
-
-        starts = rng.uniform(lo, hi, (16, 2))
-        roots = analysis._newton_roots(det, starts, lo, hi)
-        for k in range(len(starts)):
-            alone = analysis._newton_roots(det, starts[k:k + 1], lo, hi)
-            assert_same_bits(alone[0], roots[k])
+        dets = [lambda q: np.linalg.det(bh.b(q)),
+                lambda q: np.linalg.det(bh.b_prime(q))]
+        starts = [rng.uniform(lo, hi, (16, 2)), rng.uniform(lo, hi, (9, 2))]
+        roots = analysis._newton_roots(dets, starts, lo, hi)
+        alone = [analysis._newton_roots([det], [start[None]], lo, hi)[0]
+                 for det, side_starts in zip(dets, starts)
+                 for start in side_starts]
+        assert len(roots) == len(alone) == 25
+        for root, ref in zip(roots, alone):
+            assert_same_bits(root, ref)
 
     def test_no_start_leaves_the_box(self, rng):
         # the zeros of A(q) lie outside this box, so starts walk to its edge
@@ -797,7 +800,7 @@ class TestNewtonRoots:
             centres.append(q[:, 0])
             return bh.b(q)[..., 0, 0]
 
-        roots = analysis._newton_roots(det, starts, lo, hi)
+        roots = analysis._newton_roots([det], [starts], lo, hi)
         assert not kitaev_zeros(zip(lo, hi), 1.0, 1.0, 1.0, 0.3, 0.1)
         assert np.any((roots == lo) | (roots == hi))
         for q in [roots, *centres]:
@@ -811,7 +814,7 @@ class TestNewtonRoots:
         def det(q):
             return (q[..., 0] - a) + 2j * (q[..., 1] - b)
 
-        [root] = analysis._newton_roots(det, [[0.9, 0.4]], lo, hi)
+        [root] = analysis._newton_roots([det], [[[0.9, 0.4]]], lo, hi)
         np.testing.assert_allclose(root, [a, b], rtol=0, atol=1e-15)
 
     def test_double_zero_within_the_step_cap(self):
@@ -823,7 +826,7 @@ class TestNewtonRoots:
             calls.append(len(q))
             return (q[..., 0] + 1j * q[..., 1]) ** 2
 
-        [root] = analysis._newton_roots(det, [[0.05, -0.03]], lo, hi)
+        [root] = analysis._newton_roots([det], [[[0.05, -0.03]]], lo, hi)
         assert len(calls) < analysis.NEWTON_STEPS
         assert np.max(np.abs(root)) < 1e-15
 
@@ -835,7 +838,7 @@ class TestNewtonRoots:
             return np.ones(q.shape[:-1], dtype=complex)
 
         starts = np.array([[0.1, 0.2], [0.3, -0.4]])
-        roots = analysis._newton_roots(det, starts, np.array([-1.0, -1.0]),
+        roots = analysis._newton_roots([det], [starts], np.array([-1.0, -1.0]),
                                        np.array([1.0, 1.0]))
         assert calls == [(2, 5, 2)]
         assert_same_bits(roots, starts)
@@ -850,7 +853,7 @@ class TestNewtonRoots:
             calls.append(len(q))
             return (q[..., 0] + 1j * q[..., 1]) ** 40
 
-        analysis._newton_roots(det, [[0.5, 0.25]], np.array([-1.0, -1.0]),
+        analysis._newton_roots([det], [[[0.5, 0.25]]], np.array([-1.0, -1.0]),
                                np.array([1.0, 1.0]))
         assert len(calls) == analysis.NEWTON_STEPS
 
@@ -862,9 +865,11 @@ class TestNewtonRoots:
         runs = newton_runs(monkeypatch, kitaev_model(*couplings), (128, 128),
                            KITAEV_BOUNDS)
         assert len(runs) == 2
-        for det, starts, lo, hi in runs:
-            assert_same_bits(analysis._newton_roots(det, starts, lo, hi),
-                             reference_newton_roots(det, starts, lo, hi))
+        dets, starts, (lo, _), (hi, _) = zip(*runs)
+        assert_same_bits(
+            analysis._newton_roots(dets, starts, lo, hi),
+            np.concatenate([reference_newton_roots(det, side_starts, lo, hi)
+                            for det, side_starts in zip(dets, starts)]))
 
     def test_simple_zeros_as_before(self, rng):
         a, b = 0.3125, -0.7
@@ -874,7 +879,7 @@ class TestNewtonRoots:
             return (q[..., 0] - a) + 2j * (q[..., 1] - b)
 
         starts = rng.uniform(lo, hi, (12, 2))
-        assert_same_bits(analysis._newton_roots(det, starts, lo, hi),
+        assert_same_bits(analysis._newton_roots([det], [starts], lo, hi),
                          reference_newton_roots(det, starts, lo, hi))
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
@@ -892,7 +897,7 @@ class TestNewtonRoots:
             return ((q[..., 0] - a) + 2j * (q[..., 1] - b)) ** order
 
         starts = rng.uniform(lo, hi, (12, 2))
-        roots = analysis._newton_roots(det, starts, lo, hi)
+        roots = analysis._newton_roots([det], [starts], lo, hi)
         assert len(calls) <= 5
         assert np.max(np.abs(roots - [a, b])) <= (1e-15 if order == 2 else 1e-7)
 
@@ -908,7 +913,7 @@ class TestNewtonRoots:
             calls.append(len(q))
             return det(q)
 
-        [root] = analysis._newton_roots(counted, starts, lo, hi)
+        [root] = analysis._newton_roots([counted], [starts], lo, hi)
         assert len(calls) <= 16
         assert np.max(np.abs(root - bh.q_star)) < 1e-11
 
@@ -925,7 +930,7 @@ class TestNewtonRoots:
             widths.append(q[0, 1, 0] - q[0, 0, 0])
             return det(q)
 
-        [root] = analysis._newton_roots(counted, starts, lo, hi)
+        [root] = analysis._newton_roots([counted], [starts], lo, hi)
         assert len(widths) <= 10
         assert np.max(np.abs(root - bh.q_star)) < 1e-14
         assert widths[-1] < 0.1 * widths[0]
@@ -945,7 +950,7 @@ class TestNewtonRoots:
                 calls.append(len(q))
                 return det(q)
 
-            analysis._newton_roots(counted, starts, lo, hi)
+            analysis._newton_roots([counted], [starts], lo, hi)
             assert len(calls) <= 8
         [candidate] = bz_scan(bh, (64, 64), window)
         assert np.max(np.abs(candidate.q_refined - bh.q_star)) < 1e-15
@@ -961,7 +966,7 @@ class TestNewtonRoots:
             centres.append(q[0, 0].copy())
             return np.array([[next(residuals), 1.0, -1.0, 1j, -1j]])
 
-        [root] = analysis._newton_roots(det, [[0.0, 0.0]],
+        [root] = analysis._newton_roots([det], [[[0.0, 0.0]]],
                                         np.array([-4.0, -4.0]),
                                         np.array([4.0, 4.0]))
         assert len(centres) == 4
@@ -1107,23 +1112,26 @@ class TestBZScan:
         runs = []
         newton = analysis._newton_roots
 
-        def recorded(det, starts, lo, hi):
+        def recorded(dets, starts, lo, hi):
             first = {label: len(calls) for label, calls in shapes.items()}
-            roots = newton(det, starts, lo, hi)
-            runs.append((len(starts), {label: calls[first[label]:]
-                                       for label, calls in shapes.items()}))
+            roots = newton(dets, starts, lo, hi)
+            runs.append(([len(s) for s in starts],
+                         {label: calls[first[label]:]
+                          for label, calls in shapes.items()}))
             return roots
 
         monkeypatch.setattr(analysis, "_newton_roots", recorded)
         bz_scan(counted, (64, 64), KITAEV_BOUNDS)
-        assert len(runs) == 2
-        for (k, calls), own, other in zip(runs, ("B", "B'"), ("B'", "B")):
-            assert k >= 2 and calls[other] == []
-            assert calls[own][0] == (k, 5, 2)
-            assert all(s[1:] == (5, 2) and 1 <= s[0] <= k for s in calls[own])
-            assert len(calls[own]) <= analysis.NEWTON_STEPS
+        # both sides in one lockstep: per step one call per side with
+        # active starts, on those starts only
+        [(counts, calls)] = runs
+        for k, side in zip(counts, ("B", "B'")):
+            assert k >= 2
+            assert calls[side][0] == (k, 5, 2)
+            assert all(s[1:] == (5, 2) and 1 <= s[0] <= k for s in calls[side])
+            assert len(calls[side]) <= analysis.NEWTON_STEPS
         # sigma_min of every refined point from one call per side
-        total = sum(k for k, _ in runs)
+        total = sum(counts)
         for label in ("B", "B'"):
             assert [s for s in shapes[label] if len(s) == 2] == [(total, 2)]
 
@@ -1191,10 +1199,10 @@ class TestBZScan:
             bz_scan(bh, (32, 32), KITAEV_BOUNDS, tol=tol)
 
     def test_classification_error_is_kept(self, monkeypatch):
-        def mismatch(*args, **kwargs):
-            raise CrossCheckMismatchError("planted mismatch")
+        def mismatch(b, bprime, tol):
+            return [CrossCheckMismatchError("planted mismatch")] * len(b)
 
-        monkeypatch.setattr(analysis._classify, "classify_point", mismatch)
+        monkeypatch.setattr(analysis._classify, "_classify_pairs", mismatch)
         bh = ep4_sqrt_model(q_star=(0.3, 0.7))
         [candidate] = bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))
         assert candidate.classification.kind is EPKind.UNCLASSIFIED
@@ -1209,7 +1217,7 @@ class TestBZScan:
         def bug(*args, **kwargs):
             raise RuntimeError("planted bug")
 
-        monkeypatch.setattr(analysis._classify, "classify_point", bug)
+        monkeypatch.setattr(analysis._classify, "_classify_pairs", bug)
         bh = ep4_sqrt_model(q_star=(0.3, 0.7))
         with pytest.raises(RuntimeError, match="planted bug"):
             bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))

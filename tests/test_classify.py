@@ -9,6 +9,7 @@ from epkit import cmatrix, spectral
 from epkit.classify import (
     EPKind,
     _chains_from_ranks,
+    _classify_pairs,
     check_ep2n,
     classify_nonzero_energy,
     classify_point,
@@ -17,11 +18,12 @@ from epkit.classify import (
 )
 from epkit.errors import (
     CrossCheckMismatchError,
-    NotAnEigenvalueError,
+    EpkitError,
+    NonFiniteError,
     RankSequenceError,
     ZeroEigenvaluePresentError,
 )
-from epkit.spectral import JordanStructure, ep_report, jordan_structure
+from epkit.spectral import ep_report, jordan_structure
 from epkit.sublattice import assemble_blocks
 
 from conftest import RISING_PAIR, block_diag, jordan_block, random_conditioned
@@ -347,24 +349,59 @@ def test_svd_budget_n3(entry, name, svd_calls):
 @pytest.mark.parametrize("pair", [*CANONICAL.values(), *N3_PAIRS.values()],
                          ids=[*(kind.value for kind in CANONICAL), *N3_PAIRS])
 def test_each_array_validated_once(pair, monkeypatch):
-    # B and B' by the pair check, H by the cross-check's jordan_structure;
-    # the factorisations behind them take the validated arrays as they are
+    # B and B' by the pair check; every array built from them, H included,
+    # is taken as it is
     calls = []
     as_matrix = cmatrix.as_matrix
     monkeypatch.setattr(cmatrix, "as_matrix",
                         lambda m: calls.append(1) or as_matrix(m))
     classify_point(*pair)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def stack_outcomes(results):
+    """The items of a _classify_pairs stack with each error as its type and
+    message, as classify_point's outcome reads them."""
+    return [(type(r), str(r)) if isinstance(r, EpkitError) else r for r in results]
+
+
+def test_stacked_equals_alone(rng):
+    # one N = 3 stack: basis-changed and scaled N3_PAIRS, including the
+    # Nondegenerate pair, the rising root, whose ranks fit no Jordan
+    # structure, and a pair whose norm leaves the double range
+    pairs = []
+    for b, bp in N3_PAIRS.values():
+        for scale in (1.0, 1e-4, 1e5):
+            v = random_conditioned(rng, 3, 20.0)
+            w = random_conditioned(rng, 3, 20.0)
+            pairs.append((scale * v @ b @ np.linalg.inv(w),
+                          scale * w @ bp @ np.linalg.inv(v)))
+    pairs[5:5] = [RISING_PAIR]
+    pairs.append((np.full((3, 3), 1.5e308 + 1.5e308j), np.eye(3)))
+    alone = []
+    for b, bp in pairs:
+        try:
+            alone.append(classify_point(b, bp, 1e-6))
+        except EpkitError as exc:
+            alone.append((type(exc), str(exc)))
+    b, bp = (np.array(side, dtype=complex) for side in zip(*pairs))
+    stacked = stack_outcomes(_classify_pairs(b, bp, 1e-6))
+    assert stacked == alone
+    failing = [i for i, r in enumerate(alone) if isinstance(r, tuple)]
+    assert [alone[i][0] for i in failing] == [RankSequenceError, NonFiniteError]
+    # without the failing pairs, every other pair reads the same
+    rest = [i for i in range(len(pairs)) if i not in failing]
+    assert stack_outcomes(_classify_pairs(b[rest], bp[rest], 1e-6)) == [
+        alone[i] for i in rest]
 
 
 def plant_blocks(monkeypatch, blocks):
-    """Make the classifier's Jordan cross-check see ``blocks`` at E = 0."""
-    def planted(h, e, tol, with_chains=True):
-        if not blocks:
-            raise NotAnEigenvalueError("planted: no zero mode")
-        return JordanStructure(complex(e), list(blocks))
+    """Make the classifier's Jordan cross-check see ``blocks`` at E = 0
+    ([] for no zero mode) in every H of its stack."""
+    def planted(h, tol):
+        return [list(blocks) for _ in h]
 
-    monkeypatch.setattr(spectral, "jordan_structure", planted)
+    monkeypatch.setattr(spectral, "_zero_blocks", planted)
 
 
 class TestCrossCheckMismatch:

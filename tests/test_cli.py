@@ -220,11 +220,11 @@ class TestBZScanCommand:
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_classification_error_reported(self, fail, monkeypatch, capsys):
-        def mismatch(*args, **kwargs):
-            raise CrossCheckMismatchError("planted mismatch")
+        def mismatch(b, bprime, tol):
+            return [CrossCheckMismatchError("planted mismatch")] * len(b)
 
         if fail:
-            monkeypatch.setattr("epkit.classify.classify_point", mismatch)
+            monkeypatch.setattr("epkit.classify._classify_pairs", mismatch)
         argv = ["bz-scan", "--model", "ep4-sqrt", "grid_nx=24", "grid_ny=24"]
         assert cli.main(argv + ["--json"]) == 0
         [row] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

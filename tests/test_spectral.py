@@ -249,6 +249,34 @@ class TestJordanChain:
             assert all(np.all(np.isfinite(v)) for c in chains for v in c)
 
 
+#: Canonical N = 2 pairs whose H has a 4-chain or a 3-chain at zero.
+CHAIN_PAIRS = {
+    "EP4": ((np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [3.0, 0.0]])),
+            [4]),
+    "EP3Mixed": ((np.array([[0.0, 1.0], [0.0, 0.0]]),
+                  np.array([[1.0, 2.0], [0.0, 0.0]])), [3, 1]),
+}
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e3, 1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("kind", list(CHAIN_PAIRS))
+def test_chain_bound_is_scale_free(kind, scale, rng):
+    # chain vector k grows like ||H||^-(k-1), so a bound fixed by ||H|| alone
+    # refused level 3 of these chains at every scale <= 1e-6
+    (b, bp), blocks = CHAIN_PAIRS[kind]
+    for _ in range(5):
+        v, w = random_conditioned(rng, 2, 50.0), random_conditioned(rng, 2, 50.0)
+        h = assemble_blocks(scale * v @ b @ np.linalg.inv(w),
+                            scale * w @ bp @ np.linalg.inv(v))
+        structure = jordan_structure(h, 0.0)
+        assert structure.block_sizes == blocks
+        norm = np.linalg.norm(h, 2)
+        for chain in structure.chains:
+            for before, x in zip(chain, chain[1:]):
+                residual = np.linalg.norm(h @ x - before)
+                assert residual <= 1e-12 * norm * np.linalg.norm(x)
+
+
 class TestEpReport:
     def test_doublet_is_compound(self):
         report = ep_report(block_diag(jordan_block(2), jordan_block(2)))

@@ -15,6 +15,7 @@ from epkit.models import (
 )
 from epkit.sublattice import (
     BlockHamiltonian,
+    _pow2_scales,
     assemble,
     assemble_blocks,
     factor_blocks,
@@ -262,6 +263,39 @@ class TestReducedSpectrum:
         assert pow2_scale(np.array([[1e308]]), np.zeros((1, 1))) == 2.0 ** 1023
         assert pow2_scale(np.array([[1e-320]]), np.zeros((1, 1))) == 2.0 ** -1021
         assert pow2_scale(np.array([[1.5e308 + 1.5e308j]]), np.zeros((1, 1))) == 2.0 ** 1023
+
+
+def reference_pow2_scales(b, bprime):
+    """_pow2_scales as it was before the entry planes: one reduction over
+    the two trailing axes of both blocks stacked; kept as the bitwise
+    reference."""
+    with np.errstate(over="ignore"):
+        peak = np.abs(np.concatenate((b, bprime), axis=-2)).max(axis=(-2, -1))
+    exponent = np.where(np.isinf(peak), 1023, np.frexp(peak)[1])
+    return np.ldexp(1.0, np.clip(exponent, -1021, 1023))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_pow2_scales_as_the_trailing_reduction(n, rng):
+    # entries over the whole double range, zero blocks, subnormal entries
+    # and a modulus that overflows to inf
+    shape = (7, 5, n, n)
+    size = 10.0 ** rng.uniform(-330, 308, (2,) + shape)
+    b, bp = size * np.exp(2j * np.pi * rng.uniform(size=(2,) + shape))
+    b[0, 0] = bp[0, 0] = 0.0
+    b[0, 1] = 0.0
+    bp[0, 2] = 0.0
+    b[1, 0] = 5e-324
+    bp[1, 0] = 0.0
+    b[1, 1, -1, -1] = 1.5e308 + 1.5e308j
+    bp[1, 2] = 1e-310j
+    b[2, :, 0, 0] = np.nan_to_num(np.inf)
+    for got, want in ((_pow2_scales(b, bp), reference_pow2_scales(b, bp)),
+                      (_pow2_scales(b[0, 0], bp[3, 4]),
+                       reference_pow2_scales(b[0, 0], bp[3, 4]))):
+        assert_same_bits(got, want)
+    assert _pow2_scales(b, bp)[0, 0] == 1.0
+    assert _pow2_scales(b, bp)[1, 1] == 2.0 ** 1023
 
 
 class TestPairing:
