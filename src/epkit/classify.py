@@ -17,7 +17,9 @@ r_k and r'_k the ranks of the two k-th products, and r_0 = r'_0 = N,
                      odd k, in ker B for even k
 
 The ranks of the products give every chain at zero with its sublattice,
-for every N, and r_k + r'_k = rank H^k. The chain lengths name the kind:
+for every N, and r_k + r'_k = rank H^k; the drops of all pairs are read in
+one :func:`spectral._weyr` call, together with those of the powers of
+their H. The chain lengths name the kind:
 
     no zero mode                         -> Nondegenerate
     only chains of length 1              -> Diabolic
@@ -125,31 +127,6 @@ def _product_ranks(u, s, vh, cutoff, scale, tol):
     return ranks
 
 
-def _chains_from_ranks(ranks):
-    """The Jordan chains at E = 0, longest first, each as
-    ``{"length": k, "in_ker": "B" or "B'"}``, the kernel that holds its
-    eigenvector ("B" first among chains of one length), from the ranks of
-    one pair's :func:`_product_ranks`, one row ``(r_k, r'_k)`` per k >= 0,
-    read until both stop falling. Ranks that rise, or that count fewer
-    chains of length >= k than of length >= k + 1, raise
-    RankSequenceError."""
-    ranks = np.asarray(ranks)
-    # drops[k - 1]: chains of length >= k in ker B and in ker B'; for even
-    # k the products ending in B' count those in ker B
-    drops = ranks[:-1] - ranks[1:]
-    drops[1::2] = drops[1::2, ::-1]
-    plateau = np.append(drops.any(axis=1), False).argmin()
-    at_least = np.vstack([drops[:plateau], [0, 0]])
-    exactly = at_least[:-1] - at_least[1:]
-    if (at_least < 0).any() or (exactly < 0).any():
-        raise RankSequenceError(
-            f"ranks {ranks[:, 0].tolist()} and {ranks[:, 1].tolist()} of the "
-            "alternating products of B and B' fit no Jordan structure")
-    return [{"length": k, "in_ker": side} for k in range(len(exactly), 0, -1)
-            for side, count in zip(("B", "B'"), exactly[k - 1].tolist())
-            for _ in range(count)]
-
-
 def _too_large(dim):
     return DimensionTooLargeError(
         f"dimension {dim} exceeds the cap of {cmatrix.MAX_DIM}")
@@ -158,8 +135,9 @@ def _too_large(dim):
 def _classify_pairs(b, bprime, tol):
     """:func:`classify_point` of each pair of the stacks ``b``, ``bprime``
     (K, N, N) of finite complex blocks, all pairs in one pass: one stacked
-    SVD of the blocks, one of the alternating products, and one each of
-    the bases and the powers of the cross-check's ladders.
+    SVD of the blocks, one of the alternating products, one each of the
+    bases and the powers of the cross-check's ladders, and one
+    :func:`spectral._weyr` reading of the chains and of the powers.
 
     Item k is pair k's EPClassification, or the EpkitError that
     classify_point raises for it, with the same message; a pair that fails
@@ -183,40 +161,48 @@ def _classify_pairs(b, bprime, tol):
             return out
         b, bprime, u, s, vh, scale = (b[pairs], bprime[pairs], u[:, pairs],
                                       s[:, pairs], vh[:, pairs], scale[pairs])
-    chains = {}
     cutoff = cmatrix._cutoffs(s[..., 0], tol, scale)
-    for i, ranks in zip(pairs, _product_ranks(u, s, vh, cutoff, scale, tol)):
-        try:
-            chains[i] = _chains_from_ranks(ranks)
-        except RankSequenceError as exc:
-            out[i] = exc
-    if not chains:
-        return out
-    if 2 * n > cmatrix.MAX_DIM:  # H is 2N x 2N
-        for i in chains:
-            out[i] = _too_large(2 * n)
-        return out
-    units = scale[:, None, None]
-    blocks = spectral._zero_blocks(_fill(b / units, bprime / units), tol)
-    for j, (i, found) in enumerate(zip(pairs, blocks)):
-        if i not in chains:
-            continue
-        lengths = [c["length"] for c in chains[i]]
-        if isinstance(found, EpkitError):
-            out[i] = found
-        elif lengths != found:
+    ranks = _product_ranks(u, s, vh, cutoff, scale, tol)
+    # drops[:, k - 1]: chains of length >= k in ker B and in ker B'; for
+    # even k the products ending in B' count those in ker B
+    drops = ranks[:, :-1] - ranks[:, 1:]
+    drops[:, 1::2] = drops[:, 1::2, ::-1]
+    fits = 2 * n <= cmatrix.MAX_DIM  # H is 2N x 2N
+    if fits:
+        # the powers of each H, in the first column, are read with the
+        # chains; a block at the absolute floor is zero in H as in them
+        scaled = np.array([b, bprime]) / scale[:, None, None]
+        scaled[np.isinf(cutoff)] = 0
+        powers = spectral._zero_ranks(_fill(*scaled), tol)
+        drops = np.concatenate([drops, spectral._power_drops(powers) * [1, 0]])
+    readings = spectral._weyr(drops)
+    found = ([spectral._read_powers(r, reading)[1] for r, reading
+              in zip(powers.tolist(), readings[len(pairs):])] if fits
+             else [_too_large(2 * n) for _ in pairs])
+    for j, (i, blocks) in enumerate(zip(pairs, found)):
+        _, counts, bad = readings[j]
+        chains = [{"length": length, "in_ker": ("B", "B'")[side]}
+                  for length, side in spectral._lengths(counts)]
+        lengths = [c["length"] for c in chains]
+        if bad:
+            out[i] = RankSequenceError(
+                f"ranks {ranks[j, :, 0].tolist()} and {ranks[j, :, 1].tolist()} "
+                "of the alternating products of B and B' fit no Jordan structure")
+        elif isinstance(blocks, EpkitError):
+            out[i] = blocks
+        elif lengths != blocks:
             out[i] = CrossCheckMismatchError(
                 f"B and B' give chains of lengths {lengths} but H has "
-                f"zero-energy blocks {found}")
+                f"zero-energy blocks {blocks}")
         else:
-            sides = [c["in_ker"] for c in chains[i]]
-            out[i] = EPClassification(_kind_of_blocks(found, n), {
+            sides = [c["in_ker"] for c in chains]
+            out[i] = EPClassification(_kind_of_blocks(blocks, n), {
                 "n": n,
                 "scale": float(scale[j]),
                 "dim_ker_b": sides.count("B"),
                 "dim_ker_bprime": sides.count("B'"),
-                "jordan_blocks_at_zero": found,
-                "chains": chains[i],
+                "jordan_blocks_at_zero": blocks,
+                "chains": chains,
             })
     return out
 
@@ -280,7 +266,7 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
     lams, _ = cmatrix.eig(product)
     if any(abs(lam) <= tol * scale for lam in lams):
         raise ZeroEigenvaluePresentError(
-            "B B' has a (near-)zero eigenvalue; use classify_zero_energy"
+            "B B' has a (near-)zero eigenvalue; use classify_point"
         )
     clusters = spectral.cluster_eigenvalues(
         lams, spectral.DEFAULT_CLUSTER_FRACTION * scale)

@@ -45,7 +45,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise NonSquareError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise NonFiniteError("matrix contains NaN or Inf entries")
     return a
 
@@ -163,7 +163,7 @@ def _orthonormal_columns(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[1] > v.shape[0]:
         raise AmbientMismatchError(f"basis shape {v.shape} is not (n, k), k <= n")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise NonFiniteError("basis contains NaN or Inf entries")
     if v.size and np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > 1e-12:
         raise ValueError("basis vectors are not orthonormal to 1e-12")

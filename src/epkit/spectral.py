@@ -8,7 +8,9 @@ tol * max(sigma_max, 100 eps / tol). No overall magnitude of H can then
 underflow or overflow a power. A stack of matrices takes the same two SVDs,
 each stacked, as the classifier's cross-check reads the H of all its pairs.
 The classifier reads the products of B and B' with the same denoising and
-the same cut.
+the same cut. One stacked reader, :func:`_weyr`, turns the rank drops of
+every such sequence into chain counts (the Weyr characteristic; Kågström &
+Ruhe, ACM TOMS 6:398, 1980).
 
 Chains are built bottom-up from a kernel seed, but each solve is restricted
 to the image of the appropriate power of (H - E) so the chain is guaranteed
@@ -71,10 +73,10 @@ def _ladders(shifted: np.ndarray, tol: float):
     2..n of all of them.
 
     Returns ``(u, s, vh, cutoff, ranks, powers)``: the full SVD of each
-    matrix and its cut, ``ranks`` (K, n) the ranks r_1..r_n of its powers
-    (n throughout when no power is formed), and ``powers`` the left
-    singular vectors (n - 1, K, n, n) of the powers 2..n, or None. A norm
-    beyond the double range raises NonFiniteError.
+    matrix and its cut, ``ranks`` (K, n + 1) the ranks r_0 = n, r_1..r_n
+    of its powers (n throughout when no power is formed), and ``powers``
+    the left singular vectors (n - 1, K, n, n) of the powers 2..n, or None.
+    A norm beyond the double range raises NonFiniteError.
     """
     n = shifted.shape[-1]
     u, s, vh = np.linalg.svd(shifted)
@@ -84,26 +86,66 @@ def _ladders(shifted: np.ndarray, tol: float):
     cutoff = cmatrix._cutoffs(norm, tol)
     unit = _unit_denoised(s, cutoff[:, None],
                           np.maximum(norm, cmatrix._ABS_FLOOR)[:, None])
-    ranks = np.full((len(s), n), n)
-    ranks[:, 0] = _cut_ranks(unit[:, None], tol)[:, 0]
+    ranks = np.full((len(s), n + 1), n)
+    ranks[:, 1] = _cut_ranks(unit[:, None], tol)[:, 0]
     powers = None
-    if n > 1 and (ranks[:, 0] < n).any():
+    if n > 1 and (ranks[:, 1] < n).any():
         first = (u * unit[:, None]) @ vh
         stack = [first]
         for _ in range(2, n + 1):
             stack.append(stack[-1] @ first)
         powers, ps, _ = np.linalg.svd(np.array(stack[1:]))
-        ranks[:, 1:] = _cut_ranks(ps.reshape(-1, n), tol).reshape(n - 1, -1).T
+        ranks[:, 2:] = _cut_ranks(ps.reshape(-1, n), tol).reshape(n - 1, -1).T
     return u, s, vh, cutoff, ranks, powers
 
 
-def _up_to_repeat(n: int, ranks: list[int]) -> list[int]:
-    """Ranks [r_1, r_2, ...] up to the first that repeats the one before
-    it (r_0 = n)."""
-    full = [n] + ranks
-    stop = next((k for k in range(1, len(full)) if full[k] == full[k - 1]),
-                len(ranks))
-    return ranks[:stop]
+def _zero_ranks(h: np.ndarray, tol: float) -> np.ndarray:
+    """The ranks of the powers at E = 0 of each matrix of the stack ``h``
+    of finite matrices, as :func:`_ladders` gives them."""
+    return _ladders(h, tol)[4]
+
+
+def _power_drops(ranks: np.ndarray) -> np.ndarray:
+    """The drops (K, n, 1) of the ranks (K, n + 1) of :func:`_ladders`."""
+    return (ranks[:, :-1] - ranks[:, 1:])[..., None]
+
+
+def _weyr(drops: np.ndarray) -> list:
+    """Read the rank drops ``drops`` (K, L, c) of K items at once. Row
+    k - 1 of each column counts the chains of length >= k.
+
+    An item is read up to its plateau, the first row where every column has
+    stopped falling (L when none has). Item i is ``(plateau, counts, bad)``:
+    ``counts[k - 1][j]`` chains of length exactly k in column j, and
+    ``bad`` when a rank rises or fewer chains reach length k than k + 1.
+    """
+    live = np.logical_and.accumulate(drops.any(axis=2), axis=1)
+    exactly = drops * live[..., None]
+    exactly[:, :-1] -= exactly[:, 1:]
+    # a count of length >= k sums exact counts, so it is >= 0 when they are
+    bad = (exactly < 0).any(axis=(1, 2))
+    return list(zip(live.sum(axis=1).tolist(), exactly.tolist(), bad.tolist()))
+
+
+def _lengths(counts: list) -> list[tuple[int, int]]:
+    """``(length, column)`` of each chain that one item's ``counts`` of
+    :func:`_weyr` name, longest first and in column order at one length."""
+    return [(k, j) for k in range(len(counts), 0, -1)
+            for j, count in enumerate(counts[k - 1]) for _ in range(count)]
+
+
+def _read_powers(ranks: list[int], reading) -> tuple:
+    """The ranks [r_1, r_2, ...] of one matrix's [r_0, ..., r_n] up to the
+    first repeat, and, from its :func:`_weyr` ``reading``, its descending
+    block sizes or the RankSequenceError of ranks that fit none (H^k cut
+    against its own norm can rise when the scales of H differ by about
+    the tolerance)."""
+    plateau, counts, bad = reading
+    ranks = ranks[1:plateau + 2]
+    if bad:
+        return ranks, RankSequenceError(
+            f"ranks {ranks} of successive powers fit no Jordan structure")
+    return ranks, [k for k, _ in _lengths(counts)]
 
 
 class _PowerLadder:
@@ -136,18 +178,19 @@ class _PowerLadder:
         base = cmatrix.SVD(u[0], s[0], vh[0], float(cutoff[0]))
         self.norm = base.norm
         self.kernel = base.kernel
-        self._ranks = ranks[0].tolist()
+        self._ranks = ranks
         us = [base.u] if powers is None else [base.u, *powers[:, 0]]
         self._images = [np.eye(n, dtype=np.complex128)] + [
-            u[:, :r] for u, r in zip(us, self._ranks)]
+            u[:, :r] for u, r in zip(us, ranks[0, 1:].tolist())]
 
     def image(self, k: int) -> np.ndarray:
         """Orthonormal columns spanning im((H - E)^k); k = 0 gives I."""
         return self._images[k]
 
-    def ranks(self) -> list[int]:
-        """Ranks [r_1, r_2, ...] of the powers up to the first repeat."""
-        return _up_to_repeat(self.n, self._ranks)
+    def read(self) -> tuple:
+        """:func:`_read_powers` of the ranks of the powers."""
+        [reading] = _weyr(_power_drops(self._ranks))
+        return _read_powers(self._ranks[0].tolist(), reading)
 
 
 @dataclass
@@ -227,26 +270,7 @@ def cluster_eigenvalues(eigenvalues, cluster_tol: float) -> list[EigenvalueClust
 
 def rank_sequence(h, e: complex, tol: float = DEFAULT_TOL) -> list[int]:
     """Ranks [r_1, r_2, ...] of powers (H - E)^k until the plateau."""
-    return _PowerLadder(as_square_matrix(h), e, tol).ranks()
-
-
-def _block_sizes_from_ranks(n: int, ranks: list[int]) -> list[int]:
-    """Descending block sizes; #blocks of size >= k is r_{k-1} - r_k.
-
-    A sequence that rises, or whose drops grow, fits no Jordan structure
-    (H^k cut against its own norm can do this when the scales of H differ
-    by about the tolerance) and raises RankSequenceError.
-    """
-    full = [n] + list(ranks)
-    while len(full) >= 2 and full[-1] == full[-2]:
-        full.pop()
-    # at_least[k-1] = number of blocks of size >= k
-    at_least = [full[k - 1] - full[k] for k in range(1, len(full))] + [0]
-    exactly = [at_least[k - 1] - at_least[k] for k in range(1, len(at_least))]
-    if min(at_least + exactly) < 0:
-        raise RankSequenceError(
-            f"ranks {list(ranks)} of successive powers fit no Jordan structure")
-    return [k for k in range(len(exactly), 0, -1) for _ in range(exactly[k - 1])]
+    return _PowerLadder(as_square_matrix(h), e, tol).read()[0]
 
 
 def _subspace_intersection(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -339,10 +363,11 @@ def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
     a = as_square_matrix(h)
     n = a.shape[0]
     ladder = _PowerLadder(a, e, tol)
-    ranks = ladder.ranks()
+    ranks, sizes = ladder.read()
     if ranks[0] == n:
         raise NotAnEigenvalueError(f"{e} is not an eigenvalue at tol={tol}")
-    sizes = _block_sizes_from_ranks(n, ranks)
+    if isinstance(sizes, RankSequenceError):
+        raise sizes
     structure = JordanStructure(complex(e), sizes)
     if not with_chains:
         return structure
@@ -366,23 +391,6 @@ def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
         structure.chains.append(_chain(ladder, size, seed))
         used_seeds = np.hstack([used_seeds, seed.reshape(-1, 1)])
     return structure
-
-
-def _zero_blocks(h: np.ndarray, tol: float) -> list:
-    """The Jordan block sizes at E = 0 of each matrix of the stack ``h``
-    (K, n, n) of finite matrices, as :func:`jordan_structure` reads them,
-    all from one :func:`_ladders` pass. Item k is a descending list, [] when
-    0 is not an eigenvalue at ``tol``, or the RankSequenceError that the
-    ranks of matrix k raise."""
-    n = h.shape[-1]
-    sizes = []
-    for ranks in _ladders(h, tol)[4].tolist():
-        ranks = _up_to_repeat(n, ranks)
-        try:
-            sizes.append(_block_sizes_from_ranks(n, ranks) if ranks[0] < n else [])
-        except RankSequenceError as exc:
-            sizes.append(exc)
-    return sizes
 
 
 def ep_report(h, tol: float = DEFAULT_TOL) -> EPReport:

@@ -15,7 +15,11 @@ line reads ``label | verdict | jordan | zero_modes``:
 - ``zero_modes``: the same digest of ``zero_energy_states``.
 
 A call that raises reads ``error: <class> <message>`` in its place. The
-pairs are
+last line counts the pairs whose outcome differs when each round's pairs
+are classified together, in one ``_classify_pairs`` call per (N, tol),
+from ``classify_point``'s on the pair alone: it reads 0 when every stacked
+pair has the same verdict and evidence, or the same error class and text.
+The pairs are
 
 - those of the ``classify-taxonomy`` benchmark workload's rounds for the
   given seeds (140 pairs and the two fault pairs each, drawn by
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from epkit.classify import classify_point
+from epkit.classify import _classify_pairs, classify_point
 from epkit.cmatrix import DEFAULT_TOL
 from epkit.errors import EpkitError
 from epkit.models import MODEL_CATALOG, build_model
@@ -67,10 +71,11 @@ def catalog_pairs():
             yield f"{name} d={d!r} tol={tol!r}", bh.b(q), bh.b_prime(q), tol
 
 
-def pairs(seeds):
+def rounds(seeds):
+    """The pairs of each taxonomy round, then those of the catalog."""
     for seed in seeds:
-        yield from taxonomy_pairs(seed)
-    yield from catalog_pairs()
+        yield list(taxonomy_pairs(seed))
+    yield list(catalog_pairs())
 
 
 def _digest(array):
@@ -104,6 +109,34 @@ def _part(fn, *args):
         return f"error: {type(exc).__name__} {exc}"
 
 
+def _outcome(result):
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return result
+
+
+def _alone(b, bprime, tol):
+    try:
+        return classify_point(b, bprime, tol)
+    except (EpkitError, ValueError) as exc:
+        return exc
+
+
+def stacked_mismatches(pairs):
+    """The number of ``pairs`` whose outcome in one ``_classify_pairs``
+    call per (N, tol) differs from ``classify_point``'s alone."""
+    groups = {}
+    for _, b, bprime, tol in pairs:
+        groups.setdefault((len(b), tol), []).append((b, bprime))
+    differ = 0
+    for (_, tol), group in groups.items():
+        b, bprime = (np.array(side, dtype=np.complex128) for side in zip(*group))
+        stacked = _classify_pairs(b, bprime, tol)
+        differ += sum(_outcome(got) != _outcome(_alone(*pair, tol))
+                      for got, pair in zip(stacked, group))
+    return differ
+
+
 def line(label, b, bprime, tol):
     """Classify one pair and format the result."""
     parts = (_part(fn, b, bprime, tol) for fn in (_verdict, _jordan, _zero_modes))
@@ -120,8 +153,13 @@ def main(argv=None):
     parser.add_argument("--seeds", type=_seed_range, default=range(10),
                         help="classify-taxonomy seeds, as FIRST-LAST (default 0-9)")
     args = parser.parse_args(argv)
-    for pair in pairs(args.seeds):
-        print(line(*pair), flush=True)
+    differ = total = 0
+    for pairs in rounds(args.seeds):
+        for pair in pairs:
+            print(line(*pair), flush=True)
+        differ += stacked_mismatches(pairs)
+        total += len(pairs)
+    print(f"stacked: {differ} of {total} pairs differ from classify_point alone")
 
 
 if __name__ == "__main__":

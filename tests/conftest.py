@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,71 @@ def rising_model(name="rising"):
 
     return BlockHamiltonian(3, lambda q: b0 + bump(q), lambda q: bp0 + bump(q),
                             name=name, q_star=np.zeros(2))
+
+
+# The readings of rank drops before spectral._weyr read them all in one
+# stacked call; kept as the references of that reader.
+
+def reference_up_to_repeat(n, ranks):
+    """Ranks [r_1, r_2, ...] up to the first that repeats the one before
+    it (r_0 = n)."""
+    full = [n] + ranks
+    stop = next((k for k in range(1, len(full)) if full[k] == full[k - 1]),
+                len(ranks))
+    return ranks[:stop]
+
+
+def reference_block_sizes_from_ranks(n, ranks):
+    """Descending block sizes; #blocks of size >= k is r_{k-1} - r_k. A
+    sequence that rises, or whose drops grow, raises RankSequenceError."""
+    from epkit.errors import RankSequenceError
+
+    full = [n] + list(ranks)
+    while len(full) >= 2 and full[-1] == full[-2]:
+        full.pop()
+    # at_least[k-1] = number of blocks of size >= k
+    at_least = [full[k - 1] - full[k] for k in range(1, len(full))] + [0]
+    exactly = [at_least[k - 1] - at_least[k] for k in range(1, len(at_least))]
+    if min(at_least + exactly) < 0:
+        raise RankSequenceError(
+            f"ranks {list(ranks)} of successive powers fit no Jordan structure")
+    return [k for k in range(len(exactly), 0, -1) for _ in range(exactly[k - 1])]
+
+
+def reference_chains_from_ranks(ranks):
+    """The chains at E = 0, longest first, "B" first at one length, from
+    one pair's rows (r_k, r'_k) of the ranks of the alternating products,
+    read until both stop falling; ranks that fit no Jordan structure
+    raise RankSequenceError."""
+    from epkit.errors import RankSequenceError
+
+    ranks = np.asarray(ranks)
+    drops = ranks[:-1] - ranks[1:]
+    drops[1::2] = drops[1::2, ::-1]
+    plateau = np.append(drops.any(axis=1), False).argmin()
+    at_least = np.vstack([drops[:plateau], [0, 0]])
+    exactly = at_least[:-1] - at_least[1:]
+    if (at_least < 0).any() or (exactly < 0).any():
+        raise RankSequenceError(
+            f"ranks {ranks[:, 0].tolist()} and {ranks[:, 1].tolist()} of the "
+            "alternating products of B and B' fit no Jordan structure")
+    return [{"length": k, "in_ker": side} for k in range(len(exactly), 0, -1)
+            for side, count in zip(("B", "B'"), exactly[k - 1].tolist())
+            for _ in range(count)]
+
+
+def all_rank_tables(n, rows, columns):
+    """Every table of ``rows`` rows of ``columns`` ranks in 0..n below the
+    row r_0 = n, shape (count, rows + 1, columns)."""
+    tables = np.array(list(itertools.product(range(n + 1), repeat=rows * columns)))
+    tables = tables.reshape(-1, rows, columns)
+    return np.concatenate([np.full((len(tables), 1, columns), n), tables], axis=1)
+
+
+def ranks_of_blocks(n, blocks):
+    """The ranks r_0..r_n of the powers of an n x n matrix whose Jordan
+    blocks at zero are ``blocks``."""
+    return [n - sum(min(size, k) for size in blocks) for k in range(n + 1)]
 
 
 def random_conditioned(rng, n, cond_cap):

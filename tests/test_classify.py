@@ -5,10 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epkit import cmatrix, spectral
+from epkit import classify, cmatrix, spectral
 from epkit.classify import (
     EPKind,
-    _chains_from_ranks,
     _classify_pairs,
     check_ep2n,
     classify_nonzero_energy,
@@ -18,6 +17,7 @@ from epkit.classify import (
 )
 from epkit.errors import (
     CrossCheckMismatchError,
+    DimensionTooLargeError,
     EpkitError,
     NonFiniteError,
     RankSequenceError,
@@ -26,7 +26,17 @@ from epkit.errors import (
 from epkit.spectral import ep_report, jordan_structure
 from epkit.sublattice import assemble_blocks
 
-from conftest import RISING_PAIR, block_diag, jordan_block, random_conditioned
+from conftest import (
+    RISING_PAIR,
+    all_rank_tables,
+    block_diag,
+    jordan_block,
+    random_conditioned,
+    ranks_of_blocks,
+    reference_block_sizes_from_ranks,
+    reference_chains_from_ranks,
+    reference_up_to_repeat,
+)
 
 #: Few, reproducible examples: the property tests share Tier-1's time budget.
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True,
@@ -294,9 +304,15 @@ class TestChainReading:
         [[2, 2], [1, 2], [1, 0], [0, 0]],   # two 2-chains in ker B, one 1-chain
         [[2, 2], [1, 1], [2, 0]],           # the sum stays, r rises, r' falls
     ])
-    def test_impossible_ranks_refused(self, ranks):
-        with pytest.raises(RankSequenceError):
-            _chains_from_ranks(ranks)
+    def test_impossible_ranks_refused(self, ranks, monkeypatch):
+        # the table's last row repeated up to 2N + 1 rows
+        table = ranks + ranks[-1:] * (5 - len(ranks))
+        plant_ranks(monkeypatch, [table], [ranks_of_blocks(4, [])])
+        message = (f"ranks {[r for r, _ in table]} and {[r for _, r in table]} "
+                   "of the alternating products of B and B' fit no Jordan structure")
+        with pytest.raises(RankSequenceError) as refused:
+            classify_point(np.eye(2), np.eye(2))
+        assert str(refused.value) == message
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(planted=planted_chains(), seed=st.integers(0, 2**32 - 1), x=SCALES,
@@ -395,13 +411,105 @@ def test_stacked_equals_alone(rng):
         alone[i] for i in rest]
 
 
+@pytest.mark.parametrize("c", [1e-320, 1e-305, 0.0])
+def test_pair_at_the_absolute_floor(c):
+    # the chains cut both blocks at or under 1e-300 as zero; the H of the
+    # cross-check, divided by the floored pair scale, must see them so too
+    b, bp = c * np.eye(2), c * jordan_block(2)
+    result = classify_point(b, bp)
+    assert result.kind is EPKind.DIABOLIC
+    assert result.evidence["jordan_blocks_at_zero"] == [1, 1, 1, 1]
+    # one block at the floor beside a regular one reads as zero too
+    assert classify_point(b, np.eye(2)).evidence["chains"] == [
+        {"length": 2, "in_ker": "B"}, {"length": 2, "in_ker": "B"}]
+
+
 def plant_blocks(monkeypatch, blocks):
     """Make the classifier's Jordan cross-check see ``blocks`` at E = 0
     ([] for no zero mode) in every H of its stack."""
     def planted(h, tol):
-        return [list(blocks) for _ in h]
+        return np.array([ranks_of_blocks(h.shape[-1], blocks)] * len(h))
 
-    monkeypatch.setattr(spectral, "_zero_blocks", planted)
+    monkeypatch.setattr(spectral, "_zero_ranks", planted)
+
+
+def plant_ranks(monkeypatch, tables, powers):
+    """Make the classifier read the ranks ``tables`` (K, 2N + 1, 2) of the
+    alternating products and ``powers`` (K, 2N + 1) of the powers of H for
+    the K pairs of its stack."""
+    monkeypatch.setattr(classify, "_product_ranks", lambda *args: np.array(tables))
+    monkeypatch.setattr(spectral, "_zero_ranks", lambda h, tol: np.array(powers))
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type and text of the EpkitError it raises."""
+    try:
+        return fn()
+    except EpkitError as exc:
+        return type(exc), str(exc)
+
+
+def identity_pairs(count, n):
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
+    return eye, eye
+
+
+def test_h_over_the_cap(monkeypatch):
+    # N = 9: the chains are read, but H, 18 x 18, is over the cap
+    too_large = (DimensionTooLargeError, "dimension 18 exceeds the cap of 16")
+    assert outcome(lambda: classify_point(np.eye(9), np.eye(9))) == too_large
+    # chains that fit no Jordan structure are refused first
+    table = [[9, 9], [8, 8], [9, 8]] + [[9, 8]] * 16
+    plant_ranks(monkeypatch, [table, [[9, 9]] * 19], [])
+    b, bp = identity_pairs(2, 9)
+    assert [r[0] for r in stack_outcomes(_classify_pairs(b, bp, 1e-9))] == [
+        RankSequenceError, DimensionTooLargeError]
+
+
+class TestWeyrReading:
+    """One stacked reading of every rank table of N <= 2 gives the chains,
+    the blocks of H and the errors of the per-pair references."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_chain_table(self, n, monkeypatch):
+        tables = all_rank_tables(n, 2 * n, 2)
+        want = [outcome(lambda: reference_chains_from_ranks(t)) for t in tables]
+        # H has the blocks of the reference's chains, so the chains decide
+        lengths = [[c["length"] for c in w] if isinstance(w, list) else []
+                   for w in want]
+        plant_ranks(monkeypatch, tables, [ranks_of_blocks(2 * n, b) for b in lengths])
+        got = stack_outcomes(_classify_pairs(*identity_pairs(len(tables), n), 1e-9))
+        assert len(got) == (n + 1) ** (4 * n) == len(tables)
+        for result, chains, blocks in zip(got, want, lengths):
+            if isinstance(chains, tuple):
+                assert result == chains
+            else:
+                assert result.evidence["chains"] == chains
+                assert result.evidence["jordan_blocks_at_zero"] == blocks
+        refused = sum(isinstance(w, tuple) for w in want)
+        assert 0 < refused < len(want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_power_table(self, n, monkeypatch):
+        # no chain at all, so H decides: no zero mode, a mismatch that names
+        # its blocks, or the error of its ranks
+        powers = all_rank_tables(2 * n, 2 * n, 1)[..., 0]
+        plant_ranks(monkeypatch, np.full((len(powers), 2 * n + 1, 2), n), powers)
+        got = stack_outcomes(_classify_pairs(*identity_pairs(len(powers), n), 1e-9))
+        seen = set()
+        for result, ranks in zip(got, powers.tolist()):
+            ranks = reference_up_to_repeat(2 * n, ranks[1:])
+            blocks = outcome(lambda: reference_block_sizes_from_ranks(2 * n, ranks))
+            if isinstance(blocks, tuple):
+                assert result == blocks
+            elif blocks:
+                assert result == (CrossCheckMismatchError,
+                                  f"B and B' give chains of lengths [] but H "
+                                  f"has zero-energy blocks {blocks}")
+            else:
+                assert result.kind is EPKind.NONDEGENERATE
+            seen.add(type(blocks))
+        assert seen == {tuple, list}
 
 
 class TestCrossCheckMismatch:
@@ -493,6 +601,14 @@ class TestNonzeroEnergy:
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(ZeroEigenvaluePresentError):
             classify_nonzero_energy(np.diag([0.0, 1.0]), np.eye(2))
+
+    def test_zero_eigenvalue_names_the_any_n_classifier(self):
+        # classify_zero_energy refuses N = 3; classify_point reads it
+        b, bp = np.diag([0.0, 1.0, 2.0]), np.eye(3)
+        with pytest.raises(ZeroEigenvaluePresentError,
+                           match=r"zero eigenvalue; use classify_point$"):
+            classify_nonzero_energy(b, bp)
+        assert classify_point(b, bp).kind is EPKind.EP2
 
     def test_one_eigendecomposition(self, monkeypatch):
         calls = []

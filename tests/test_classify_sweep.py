@@ -49,3 +49,32 @@ def test_each_round_gives_its_pairs_and_the_two_fault_pairs():
 def test_seed_ranges():
     assert classify_sweep._seed_range("3") == range(3, 4)
     assert classify_sweep._seed_range("0-9") == range(10)
+
+
+def small_round():
+    return [*itertools.islice(classify_sweep.taxonomy_pairs(3), 6),
+            *[p for p in classify_sweep.catalog_pairs() if p[0].startswith("ep3 ")]]
+
+
+def test_stacked_outcomes_are_counted(monkeypatch):
+    pairs = small_round()
+    assert classify_sweep.stacked_mismatches(pairs) == 0
+    # one stacked item that reads differently from the pair alone counts once
+    stacked = classify_sweep._classify_pairs
+
+    def one_off(b, bprime, tol):
+        out = stacked(b, bprime, tol)
+        return [RuntimeError("changed")] + out[1:]
+
+    monkeypatch.setattr(classify_sweep, "_classify_pairs", one_off)
+    groups = {(len(b), tol) for _, b, _, tol in pairs}
+    assert classify_sweep.stacked_mismatches(pairs) == len(groups) > 1
+
+
+def test_the_last_line_sums_every_round(monkeypatch, capsys):
+    monkeypatch.setattr(classify_sweep, "rounds", lambda seeds: [small_round()] * 2)
+    classify_sweep.main(["--seeds", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    total = 2 * len(small_round())
+    assert len(lines) == total + 1
+    assert lines[-1] == f"stacked: 0 of {total} pairs differ from classify_point alone"

@@ -87,6 +87,24 @@ class TestClassifyCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ranks ")
 
+    def test_kitaev_point_at_any_coupling_scale(self, capsys):
+        # the closed-form point once overflowed (1e200) or divided by zero
+        # (1e-200) in its triangle law
+        first = []
+        for j in ("1e-200", "1e-100", "1", "1e100", "1e200", "1e300"):
+            couplings = [f"j{i}={j}" for i in (1, 2, 3)]
+            assert cli.main(["classify", "--model", "kitaev", *couplings,
+                             "phi1=0.3", "phi2=-0.2"]) == 0
+            first.append(capsys.readouterr().out.splitlines()[:2])
+        assert first[0][0] == "EP2, blocks [2]"
+        assert first == first[:1] * len(first)
+
+    def test_pair_at_the_absolute_floor(self):
+        # both blocks at or under 1e-300 count as zero, in H as in the chains
+        proc = run_epkit("classify", "--model", "doublet-ep2", "c=1e-320")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "Diabolic, blocks [1, 1, 1, 1]"
+
     def test_away_from_degeneracy_point(self):
         proc = run_epkit("classify", "--model", "ep3", "qx=0.2", "qy=0.1",
                          "--json")

@@ -264,6 +264,25 @@ class TestKitaev:
                 h = kitaev_bloch(q, j1, j2, 1.0, p1, p2)
                 assert abs(h[0, 1]) <= 1e-9 * 2 * (j1 + j2 + 1.0)
 
+    @pytest.mark.parametrize("couplings", [
+        (1.0, 1.0, 1.0, 0.3, -0.2), (0.9, 1.1, 1.0, 0.3, 0.1),
+        (1.2, 0.8, -1.0, -0.4, 0.2), (1.0, 1.0, 1.0, 0.0, 0.0),
+    ])
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_locations_keep_their_bits_at_any_scale(self, couplings, k):
+        # 2**600 squared overflows and 2**-600 squared underflows
+        *j, p1, p2 = couplings
+        want = kitaev_ep_locations(*j, p1, p2)
+        got = kitaev_ep_locations(*(2.0 ** k * x for x in j), p1, p2)
+        assert len(want) == 2
+        assert len(got) == len(want)
+        for q, ref in zip(got, want):
+            assert_same_bits(q, ref)
+
+    def test_complex_coupling_gives_no_point(self):
+        # the triangle law needs real couplings; a complex one is not refused
+        assert kitaev_ep_locations(1.0 + 0.1j, 1.0, 1.0, 0.3, 0.1) == []
+
     def test_nilpotent_two_block_at_point(self):
         locs = kitaev_ep_locations(1.0, 1.0, 1.0, 0.3, 0.1)
         for q in locs:

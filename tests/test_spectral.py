@@ -12,7 +12,6 @@ from epkit.errors import (
 )
 from epkit.spectral import (
     EigenvalueCluster,
-    _block_sizes_from_ranks,
     _PowerLadder,
     _subspace_intersection,
     cluster_eigenvalues,
@@ -25,11 +24,14 @@ from epkit.sublattice import assemble_blocks
 
 from conftest import (
     RISING_PAIR,
+    all_rank_tables,
     assert_same_bits,
     block_diag,
     direction_mismatch,
     jordan_block,
     random_conditioned,
+    reference_block_sizes_from_ranks,
+    reference_up_to_repeat,
 )
 
 
@@ -143,11 +145,19 @@ class TestJordanStructure:
         with pytest.raises(RankSequenceError, match=r"\[5, 4, 3, 4, 2, 0\]"):
             jordan_structure(h, 0.0, 1e-6, with_chains=False)
 
-    @pytest.mark.parametrize("ranks", [[3, 4, 0], [3, 0], [2, 1, 1, 2]])
-    def test_impossible_rank_sequences_refused(self, ranks):
-        # a rise, or drops that grow (blocks [2, 2, 2] in 4 x 4 for [3, 0])
+    @pytest.mark.parametrize("ranks", [[3, 4, 0, 0], [3, 0, 0, 0], [2, 1, 2, 0]])
+    def test_impossible_rank_sequences_refused(self, ranks, monkeypatch):
+        # a rise, or drops that grow (blocks [2, 2, 2] in 4 x 4 for [3, 0, ...])
+        plant_ladder(monkeypatch, ranks)
         with pytest.raises(RankSequenceError):
-            _block_sizes_from_ranks(4, ranks)
+            jordan_structure(np.zeros((4, 4)), 0.0, with_chains=False)
+
+    def test_read_up_to_the_plateau(self, monkeypatch):
+        # the rise after the repeat is never read
+        plant_ladder(monkeypatch, [2, 1, 1, 2])
+        assert rank_sequence(np.zeros((4, 4)), 0.0) == [2, 1, 1]
+        assert jordan_structure(np.zeros((4, 4)), 0.0,
+                                with_chains=False).block_sizes == [2, 1]
 
     @pytest.mark.parametrize("scale", [1e-250, 1e-200, 1e160, 1e300])
     def test_extreme_overall_scale(self, scale):
@@ -344,6 +354,13 @@ class ReferenceLadder:
             prev = r
         return ranks
 
+    def read(self):
+        ranks = self.ranks()
+        try:
+            return ranks, reference_block_sizes_from_ranks(self.n, ranks)
+        except RankSequenceError as exc:
+            return ranks, exc
+
 
 def reference_clusters(eigenvalues, cluster_tol):
     """Union-find single linkage, one Python pair test at a time; kept as
@@ -410,6 +427,52 @@ def same_chains(got, want):
             assert_same_bits(vec, ref_vec)
 
 
+def plant_ladder(monkeypatch, ranks):
+    """Make the power ladder of every matrix read the ranks r_1..r_n
+    ``ranks`` of its powers."""
+    ladders = spectral._ladders
+
+    def planted(shifted, tol):
+        u, s, vh, cutoff, _, _ = ladders(shifted, tol)
+        full = [shifted.shape[-1], *ranks]
+        return u, s, vh, cutoff, np.array([full] * len(shifted)), None
+
+    monkeypatch.setattr(spectral, "_ladders", planted)
+
+
+class TestWeyrReading:
+    """The stacked reader gives the ranks, blocks and errors of the
+    per-matrix references on every rank ladder of n <= 4."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_ladder(self, n, monkeypatch):
+        tables = all_rank_tables(n, n, 1)[..., 0]
+        assert len(tables) == (n + 1) ** n
+        readings = spectral._weyr(spectral._power_drops(tables))
+        zero = np.zeros((n, n))
+        seen = set()
+        for table, reading in zip(tables.tolist(), readings):
+            ranks = reference_up_to_repeat(n, table[1:])
+            blocks = outcome(lambda: reference_block_sizes_from_ranks(n, ranks))
+            got_ranks, got = spectral._read_powers(table, reading)
+            if isinstance(got, RankSequenceError):
+                got = type(got), str(got)
+            assert (got_ranks, got) == (ranks, blocks)
+            # and alone, through the public readers
+            with monkeypatch.context() as m:
+                plant_ladder(m, table[1:])
+                assert rank_sequence(zero, 0.0) == ranks
+                alone = outcome(lambda: jordan_structure(
+                    zero, 0.0, with_chains=False).block_sizes)
+            if ranks[0] == n:
+                assert alone == (NotAnEigenvalueError,
+                                 "0.0 is not an eigenvalue at tol=1e-09")
+            else:
+                assert alone == blocks
+            seen.add(type(blocks))
+        assert seen == ({list} if n == 1 else {list, tuple})
+
+
 class TestMatchesReference:
     """The eager ladder and the vectorised clustering give the bits of the
     lazy ladder and of union-find."""
@@ -421,10 +484,11 @@ class TestMatchesReference:
             n = a.shape[0]
             for e in SHIFTS:
                 ladder, ref = _PowerLadder(a, e, tol), ReferenceLadder(a, e, tol)
-                assert ladder.ranks() == ref.ranks()
+                ranks = ladder.read()[0]
+                assert ranks == ref.ranks()
                 assert_same_bits(ladder.kernel, ref.kernel)
                 assert ladder.norm == ref.norm
-                top = n if ladder.ranks()[0] < n else 1
+                top = n if ranks[0] < n else 1
                 for k in range(top + 1):
                     assert_same_bits(ladder.image(k), ref.image(k))
 
