@@ -173,16 +173,16 @@ def _classify_pairs(b, bprime, tol):
         # chains; a block at the absolute floor is zero in H as in them
         scaled = np.array([b, bprime]) / scale[:, None, None]
         scaled[np.isinf(cutoff)] = 0
-        powers = spectral._zero_ranks(_fill(*scaled), tol)
+        powers = spectral._ladders(_fill(*scaled), tol)[4]
         drops = np.concatenate([drops, spectral._power_drops(powers) * [1, 0]])
     readings = spectral._weyr(drops)
     found = ([spectral._read_powers(r, reading)[1] for r, reading
               in zip(powers.tolist(), readings[len(pairs):])] if fits
              else [_too_large(2 * n) for _ in pairs])
     for j, (i, blocks) in enumerate(zip(pairs, found)):
-        _, counts, bad = readings[j]
+        _, read, bad = readings[j]
         chains = [{"length": length, "in_ker": ("B", "B'")[side]}
-                  for length, side in spectral._lengths(counts)]
+                  for length, side in read]
         lengths = [c["length"] for c in chains]
         if bad:
             out[i] = RankSequenceError(

@@ -219,8 +219,10 @@ def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     keeping the ones that actually vanish. Returns Cartesian momenta sorted
     lexicographically, wrapped to reciprocal coordinates in [-pi, pi);
     empty list in the gapped phase (arccos argument outside [-1, 1]).
-    The couplings are first divided, exactly, by the power of two at or
-    under the largest |J|, so that no square below overflows or underflows.
+    The couplings are first divided by the power of two at or under the
+    largest |J|, which brings that |J| into [1, 2), so that no square below
+    overflows; a coupling more than about 2^1022 below the largest may
+    still round, or square to zero.
     """
     unit = math.ldexp(1.0, math.frexp(max(abs(j1), abs(j2), abs(j3)))[1] - 1)
     j1, j2, j3 = j1 / unit, j2 / unit, j3 / unit

@@ -99,12 +99,6 @@ def _ladders(shifted: np.ndarray, tol: float):
     return u, s, vh, cutoff, ranks, powers
 
 
-def _zero_ranks(h: np.ndarray, tol: float) -> np.ndarray:
-    """The ranks of the powers at E = 0 of each matrix of the stack ``h``
-    of finite matrices, as :func:`_ladders` gives them."""
-    return _ladders(h, tol)[4]
-
-
 def _power_drops(ranks: np.ndarray) -> np.ndarray:
     """The drops (K, n, 1) of the ranks (K, n + 1) of :func:`_ladders`."""
     return (ranks[:, :-1] - ranks[:, 1:])[..., None]
@@ -115,23 +109,21 @@ def _weyr(drops: np.ndarray) -> list:
     k - 1 of each column counts the chains of length >= k.
 
     An item is read up to its plateau, the first row where every column has
-    stopped falling (L when none has). Item i is ``(plateau, counts, bad)``:
-    ``counts[k - 1][j]`` chains of length exactly k in column j, and
-    ``bad`` when a rank rises or fewer chains reach length k than k + 1.
+    stopped falling (L when none has). Item i is ``(plateau, chains, bad)``:
+    ``chains`` the ``(length, column)`` of each chain, longest first and in
+    column order at one length, and ``bad`` when a rank rises or fewer
+    chains reach length k than k + 1.
     """
     live = np.logical_and.accumulate(drops.any(axis=2), axis=1)
     exactly = drops * live[..., None]
     exactly[:, :-1] -= exactly[:, 1:]
     # a count of length >= k sums exact counts, so it is >= 0 when they are
     bad = (exactly < 0).any(axis=(1, 2))
-    return list(zip(live.sum(axis=1).tolist(), exactly.tolist(), bad.tolist()))
-
-
-def _lengths(counts: list) -> list[tuple[int, int]]:
-    """``(length, column)`` of each chain that one item's ``counts`` of
-    :func:`_weyr` name, longest first and in column order at one length."""
-    return [(k, j) for k in range(len(counts), 0, -1)
-            for j, count in enumerate(counts[k - 1]) for _ in range(count)]
+    return [(plateau, [(k, j) for k in range(len(counts), 0, -1)
+                       for j, count in enumerate(counts[k - 1])
+                       for _ in range(count)], flag)
+            for plateau, counts, flag in zip(
+                live.sum(axis=1).tolist(), exactly.tolist(), bad.tolist())]
 
 
 def _read_powers(ranks: list[int], reading) -> tuple:
@@ -140,12 +132,12 @@ def _read_powers(ranks: list[int], reading) -> tuple:
     block sizes or the RankSequenceError of ranks that fit none (H^k cut
     against its own norm can rise when the scales of H differ by about
     the tolerance)."""
-    plateau, counts, bad = reading
+    plateau, chains, bad = reading
     ranks = ranks[1:plateau + 2]
     if bad:
         return ranks, RankSequenceError(
             f"ranks {ranks} of successive powers fit no Jordan structure")
-    return ranks, [k for k, _ in _lengths(counts)]
+    return ranks, [k for k, _ in chains]
 
 
 class _PowerLadder:

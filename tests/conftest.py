@@ -127,6 +127,16 @@ def ranks_of_blocks(n, blocks):
     return [n - sum(min(size, k) for size in blocks) for k in range(n + 1)]
 
 
+def outcome(fn):
+    """What ``fn()`` returns, or the type and text of the EpkitError it raises."""
+    from epkit.errors import EpkitError
+
+    try:
+        return fn()
+    except EpkitError as exc:
+        return type(exc), str(exc)
+
+
 def random_conditioned(rng, n, cond_cap):
     """Random invertible complex matrix with condition number under the cap."""
     while True:

@@ -31,6 +31,7 @@ from conftest import (
     all_rank_tables,
     block_diag,
     jordan_block,
+    outcome,
     random_conditioned,
     ranks_of_blocks,
     reference_block_sizes_from_ranks,
@@ -424,13 +425,22 @@ def test_pair_at_the_absolute_floor(c):
         {"length": 2, "in_ker": "B"}, {"length": 2, "in_ker": "B"}]
 
 
+def plant_powers(monkeypatch, ranks_of):
+    """Make the power ladders of every stack ``h`` read the ranks
+    ``ranks_of(h)`` (K, 2N + 1) of their powers."""
+    ladders = spectral._ladders
+
+    def planted(h, tol):
+        u, s, vh, cutoff, _, powers = ladders(h, tol)
+        return u, s, vh, cutoff, np.array(ranks_of(h)), powers
+
+    monkeypatch.setattr(spectral, "_ladders", planted)
+
+
 def plant_blocks(monkeypatch, blocks):
     """Make the classifier's Jordan cross-check see ``blocks`` at E = 0
     ([] for no zero mode) in every H of its stack."""
-    def planted(h, tol):
-        return np.array([ranks_of_blocks(h.shape[-1], blocks)] * len(h))
-
-    monkeypatch.setattr(spectral, "_zero_ranks", planted)
+    plant_powers(monkeypatch, lambda h: [ranks_of_blocks(h.shape[-1], blocks)] * len(h))
 
 
 def plant_ranks(monkeypatch, tables, powers):
@@ -438,15 +448,7 @@ def plant_ranks(monkeypatch, tables, powers):
     alternating products and ``powers`` (K, 2N + 1) of the powers of H for
     the K pairs of its stack."""
     monkeypatch.setattr(classify, "_product_ranks", lambda *args: np.array(tables))
-    monkeypatch.setattr(spectral, "_zero_ranks", lambda h, tol: np.array(powers))
-
-
-def outcome(fn):
-    """What ``fn()`` returns, or the type and text of the EpkitError it raises."""
-    try:
-        return fn()
-    except EpkitError as exc:
-        return type(exc), str(exc)
+    plant_powers(monkeypatch, lambda h: powers)
 
 
 def identity_pairs(count, n):

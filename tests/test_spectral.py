@@ -4,7 +4,6 @@ import pytest
 from epkit import cmatrix, spectral
 from epkit.errors import (
     ChainSolveFailedError,
-    EpkitError,
     NonFiniteError,
     NotAnEigenvalueError,
     RankSequenceError,
@@ -29,6 +28,7 @@ from conftest import (
     block_diag,
     direction_mismatch,
     jordan_block,
+    outcome,
     random_conditioned,
     reference_block_sizes_from_ranks,
     reference_up_to_repeat,
@@ -409,14 +409,6 @@ def random_jordan_matrices(rng, count):
 
 #: Eigenvalue 0, eigenvalue 1 or none (the last shift is no eigenvalue).
 SHIFTS = (0.0, 1.0, 0.5 + 0.25j)
-
-
-def outcome(fn):
-    """What ``fn()`` returns, or the type and text of the EpkitError it raises."""
-    try:
-        return fn()
-    except EpkitError as exc:
-        return type(exc), str(exc)
 
 
 def same_chains(got, want):
