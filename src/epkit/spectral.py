@@ -9,8 +9,8 @@ underflow or overflow a power. A stack of matrices takes the same two SVDs,
 each stacked, as the classifier's cross-check reads the H of all its pairs.
 The classifier reads the products of B and B' with the same denoising and
 the same cut. One stacked reader, :func:`_weyr`, turns the rank drops of
-every such sequence into chain counts (the Weyr characteristic; Kågström &
-Ruhe, ACM TOMS 6:398, 1980).
+every such sequence into chains (through the Weyr characteristic;
+Kågström & Ruhe, ACM TOMS 6:398, 1980).
 
 Chains are built bottom-up from a kernel seed, but each solve is restricted
 to the image of the appropriate power of (H - E) so the chain is guaranteed
