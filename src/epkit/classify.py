@@ -5,21 +5,25 @@ sublattice onto the other. So a Jordan basis of H at E = 0 can be chosen
 sublattice-pure, and each chain alternates between the sublattices. A
 chain's eigenvector is (0, chi) with chi in ker B or (psi, 0) with psi in
 ker B'; its k-th vector lies on the eigenvector's sublattice for odd k and
-on the other one for even k. On the lower sublattice H^k acts, up to a
-phase, as the alternating product of k blocks whose rightmost factor is B
-(B, B'B, BB'B, ...), and on the upper one as the product whose rightmost
-factor is B'. H^k annihilates the first k vectors of every chain, so with
-r_k and r'_k the ranks of the two k-th products, and r_0 = r'_0 = N,
+on the other one for even k. The chains are read by deflating the pair
+(:func:`spectral._staircase`): level 1 counts ker B and ker B', then B is
+compressed onto the complements of both kernels, from the complement of
+ker B into that of ker B', and B' the other way, and the next level counts
+their kernels, until none is left. With c_k and c'_k the kernels of the
+deflated B and B' at level k,
 
-    r_{k-1} - r_k    chains of length >= k with eigenvector in ker B for
-                     odd k, in ker B' for even k
-    r'_{k-1} - r'_k  chains of length >= k with eigenvector in ker B' for
-                     odd k, in ker B for even k
+    c_k    chains of length >= k with eigenvector in ker B for odd k,
+           in ker B' for even k
+    c'_k   chains of length >= k with eigenvector in ker B' for odd k,
+           in ker B for even k
 
-The ranks of the products give every chain at zero with its sublattice,
-for every N, and r_k + r'_k = rank H^k; the drops of all pairs are read in
-one :func:`spectral._weyr` call, together with those of the powers of
-their H. The chain lengths name the kind:
+as c_k + c'_k is the k-th count of the staircase of H, whose kernel splits
+between the sublattices at every level. The counts give every chain at
+zero with its sublattice, for every N; every level is cut once, at tol
+times the pair scale, so the counts fit a Jordan structure by
+construction. The staircase of the pair and that of H, from its own SVD,
+run in one stacked pass, and the counts of all pairs are read in one
+:func:`spectral._weyr` call. The chain lengths name the kind:
 
     no zero mode                         -> Nondegenerate
     only chains of length 1              -> Diabolic
@@ -31,9 +35,9 @@ their H. The chain lengths name the kind:
 
 EP3Mixed is the paper's odd-order EP, a mixture of even-order ones: at
 the canonical pair it reads one 3-chain in ker B and one 1-chain in
-ker B'. Every verdict is cross-checked against the Jordan blocks that
-:mod:`spectral` reads off the powers of the assembled H; disagreement
-raises CrossCheckMismatchError. Unclassified is a first-class answer:
+ker B'. Every verdict is cross-checked against the Jordan blocks of the
+assembled H, read by its own staircase; disagreement raises
+CrossCheckMismatchError. Unclassified is a first-class answer:
 generic perturbed inputs legitimately fall outside the exact taxonomy.
 """
 
@@ -99,53 +103,39 @@ def _kind_of_blocks(blocks, n):
     return EPKind.UNCLASSIFIED
 
 
-def _product_ranks(u, s, vh, cutoff, scale, tol):
-    """The ranks (r_k, r'_k), k = 0..2N, of the alternating products of B
-    and B' (module docstring) of each pair, shape (K, 2N + 1, 2), from the
-    full SVDs ``u, s, vh`` of the pairs' blocks, stacked (2, K, ...) with
-    B's first, their cutoffs (2, K) and the pair scales (K,).
-
-    Each block is rebuilt at unit scale from its factorisation with the
-    singular values under its cutoff zeroed, as the power ladder of
-    :mod:`spectral` denoises H, and with the same helper. The k-th products
-    of both sublattices are cut together by the cut of H^k,
-    tol * max(sigma_max of both, 100 eps / tol). The products of all pairs
-    are factorised in one stacked SVD.
-    """
-    unit = spectral._unit_denoised(s, cutoff[..., None], scale[:, None])
-    pair = (u * unit[..., None, :]) @ vh
-    k, n = pair.shape[1], pair.shape[-1]
-    # products[j - 1]: the j-factor products whose rightmost factor is B, B'
-    products = [pair]
-    for j in range(2, 2 * n + 1):
-        products.append((pair[::-1] if j % 2 == 0 else pair) @ products[-1])
-    sv = np.linalg.svd(np.array(products), compute_uv=False)
-    ranks = np.full((k, 2 * n + 1, 2), n)
-    # cut each product of each pair with its partner: groups (j, pair)
-    ranks[:, 1:] = spectral._cut_ranks(
-        sv.swapaxes(1, 2).reshape(-1, 2, n), tol).reshape(2 * n, k, 2).swapaxes(0, 1)
-    return ranks
-
-
 def _too_large(dim):
     return DimensionTooLargeError(
         f"dimension {dim} exceeds the cap of {cmatrix.MAX_DIM}")
 
 
+def _around(pair, of_h):
+    """The factors ``pair`` (2, K, ...) of B and B', zero-padded to the
+    shape of those of H, ``of_h`` (K, ...), stacked around them: reversed,
+    the stack (B, H, B') maps each matrix into the domain of its next."""
+    n = pair.shape[-1]
+    stack = np.zeros((3, *of_h.shape), dtype=of_h.dtype)
+    stack[(slice(None, None, 2), ...) + (slice(n),) * (pair.ndim - 2)] = pair
+    stack[1] = of_h
+    return stack
+
+
 def _classify_pairs(b, bprime, tol):
     """:func:`classify_point` of each pair of the stacks ``b``, ``bprime``
-    (K, N, N) of finite complex blocks, all pairs in one pass: one stacked
-    SVD of the blocks, one of the alternating products, one each of the
-    bases and the powers of the cross-check's ladders, and one
-    :func:`spectral._weyr` reading of the chains and of the powers.
+    (K, N, N) of finite complex blocks, all pairs in one pass: the
+    staircase of the cycle (B, B') of each pair, whose first level is the
+    stacked SVD of the blocks, and the staircase of its H, from its own
+    SVD, run together in one :func:`spectral._staircase` (one stacked SVD
+    per level), and one :func:`spectral._weyr` reading of the chains and of
+    the blocks of H.
 
     Item k is pair k's EPClassification, or the EpkitError that
     classify_point raises for it, with the same message; a pair that fails
     leaves the others as they are, and any other exception propagates.
+    A pair whose H, 2N x 2N, is over the cap is refused unread.
     """
     k, n = b.shape[0], b.shape[-1]
-    if n > cmatrix.MAX_DIM:
-        return [_too_large(n) for _ in range(k)]
+    if 2 * n > cmatrix.MAX_DIM:
+        return [_too_large(n if n > cmatrix.MAX_DIM else 2 * n) for _ in range(k)]
     out = [None] * k
     u, s, vh, scale = _factor_pairs(b, bprime)
     # pairs[j] is the pair in row j of the stacks. A pair whose norms
@@ -162,31 +152,33 @@ def _classify_pairs(b, bprime, tol):
         b, bprime, u, s, vh, scale = (b[pairs], bprime[pairs], u[:, pairs],
                                       s[:, pairs], vh[:, pairs], scale[pairs])
     cutoff = cmatrix._cutoffs(s[..., 0], tol, scale)
-    ranks = _product_ranks(u, s, vh, cutoff, scale, tol)
-    # drops[:, k - 1]: chains of length >= k in ker B and in ker B'; for
-    # even k the products ending in B' count those in ker B
-    drops = ranks[:, :-1] - ranks[:, 1:]
+    # H divided by the pair scale; a block at the absolute floor is zero
+    # in H as in the chains
+    scaled = np.array([b, bprime]) / scale[:, None, None]
+    scaled[np.isinf(cutoff)] = 0
+    h = np.linalg.svd(_fill(*scaled))
+    cutoff = np.array([cutoff[0], cmatrix._cutoffs(h[1][:, 0], tol), cutoff[1]])
+    # counts[:, k - 1]: the kernels of the deflated B, H and B' at level k.
+    # Those of B and B' count the chains of length >= k in ker B and in
+    # ker B' for odd k, and in ker B' and ker B for even k; those of H
+    # count its blocks of size >= k
+    counts = spectral._staircase(*map(_around, (u, s, vh), h), cutoff,
+                                 np.array([[n], [2 * n], [n]]))
+    drops = counts[..., ::2].copy()
     drops[:, 1::2] = drops[:, 1::2, ::-1]
-    fits = 2 * n <= cmatrix.MAX_DIM  # H is 2N x 2N
-    if fits:
-        # the powers of each H, in the first column, are read with the
-        # chains; a block at the absolute floor is zero in H as in them
-        scaled = np.array([b, bprime]) / scale[:, None, None]
-        scaled[np.isinf(cutoff)] = 0
-        powers = spectral._ladders(_fill(*scaled), tol)[4]
-        drops = np.concatenate([drops, spectral._power_drops(powers) * [1, 0]])
-    readings = spectral._weyr(drops)
-    found = ([spectral._read_powers(r, reading)[1] for r, reading
-              in zip(powers.tolist(), readings[len(pairs):])] if fits
-             else [_too_large(2 * n) for _ in pairs])
-    for j, (i, blocks) in enumerate(zip(pairs, found)):
+    readings = spectral._weyr(np.concatenate([drops, counts[..., 1:2] * [1, 0]]))
+    for j, i in enumerate(pairs):
         _, read, bad = readings[j]
+        blocks = spectral._read_powers(
+            2 * n, counts[j, :, 1], readings[len(pairs) + j])[1]
         chains = [{"length": length, "in_ker": ("B", "B'")[side]}
                   for length, side in read]
         lengths = [c["length"] for c in chains]
         if bad:
+            lower, upper = (
+                [n, *r] for r in (n - counts[j, :, ::2].cumsum(axis=0)).T.tolist())
             out[i] = RankSequenceError(
-                f"ranks {ranks[j, :, 0].tolist()} and {ranks[j, :, 1].tolist()} "
+                f"ranks {lower} and {upper} "
                 "of the alternating products of B and B' fit no Jordan structure")
         elif isinstance(blocks, EpkitError):
             out[i] = blocks
@@ -212,11 +204,10 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
 
     Both blocks are measured against their common magnitude
     max(sigma_max(B), sigma_max(B')), so that "zero" means small against
-    the pair and not against one block, and are divided by it, so that no
-    product can underflow or overflow. The chains at zero are read from
-    the ranks of the alternating products of B and B' (module docstring)
-    and name the kind. ``evidence["chains"]`` lists them, longest first,
-    each as ``{"length": k, "in_ker": "B" or "B'"}``. The chain lengths
+    the pair and not against one block. The chains at zero are read from
+    the kernels of the deflated B and B' (module docstring) and name the
+    kind. ``evidence["chains"]`` lists them, longest first, each as
+    ``{"length": k, "in_ker": "B" or "B'"}``. The chain lengths
     must equal the Jordan blocks at zero of the assembled H, read as
     :func:`spectral.jordan_structure` reads them; otherwise
     CrossCheckMismatchError (a tolerance pathology, not a physics answer)

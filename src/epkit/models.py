@@ -210,6 +210,11 @@ def kitaev_bloch(q, j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> np.ndarray:
     return _matrix([[0.0, 1j * a], [-1j * am, 0.0]])
 
 
+def _fold_sign(j, phi):
+    """A negative real coupling ``j`` as the positive one at phase phi + pi."""
+    return (-j, phi + math.pi) if j == -abs(j) != 0 else (j, phi)
+
+
 def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     """Closed-form degeneracy locations of the Kitaev Bloch matrix.
 
@@ -222,8 +227,10 @@ def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     The couplings are first divided by the power of two at or under the
     largest |J|, which brings that |J| into [1, 2), so that no square below
     overflows; a coupling more than about 2^1022 below the largest may
-    still round, or square to zero.
+    still round, or square to zero. A negative J1 or J2 is first folded
+    into its phase, J e^{i phi} = |J| e^{i (phi + pi)}.
     """
+    (j1, phi1), (j2, phi2) = _fold_sign(j1, phi1), _fold_sign(j2, phi2)
     unit = math.ldexp(1.0, math.frexp(max(abs(j1), abs(j2), abs(j3)))[1] - 1)
     j1, j2, j3 = j1 / unit, j2 / unit, j3 / unit
     a1, a2, a3 = abs(j1), abs(j2), abs(j3)

@@ -1,26 +1,24 @@
 """Eigenvalue clustering, Jordan block detection, and chain construction.
 
-Block sizes are read off the rank sequence r_k = rank((H - E)^k): the number
-of blocks of size >= k equals r_{k-1} - r_k. (H - E) is factorised once; that
-one SVD gives its kernel, its norm, and a unit-norm, denoised copy whose
-powers 2..n are factorised together in one stacked SVD, each cut at
-tol * max(sigma_max, 100 eps / tol). No overall magnitude of H can then
-underflow or overflow a power. A stack of matrices takes the same two SVDs,
-each stacked, as the classifier's cross-check reads the H of all its pairs.
-The classifier reads the products of B and B' with the same denoising and
-the same cut. One stacked reader, :func:`_weyr`, turns the rank drops of
-every such sequence into chains (through the Weyr characteristic;
-Kågström & Ruhe, ACM TOMS 6:398, 1980).
+Jordan structure at E is read by deflation, the nilpotent step of
+Kågström & Ruhe (ACM TOMS 6:398, 1980) and of GUPTRI (Demmel & Kågström,
+ACM TOMS 19, 1993): :func:`_staircase` factorises (H - E), counts its
+kernel at tol * ||H - E||, compresses it onto the complement of that
+kernel and factorises again, with that one cutoff, until no kernel is
+left. Level k counts the blocks of size >= k (the Weyr characteristic),
+so rank((H - E)^k) is n less the first k counts; as every level is cut
+once, the counts fit a Jordan structure by construction. One stacked
+reader, :func:`_weyr`, turns them into chains, for the classifier too.
 
 Chains are built bottom-up from a kernel seed, but each solve is restricted
 to the image of the appropriate power of (H - E) so the chain is guaranteed
 to extend to its full length; within that restriction the minimum-norm
 solution is taken. This is the deterministic gauge all chain output carries:
 generalized eigenvectors are defined only up to kernel additions, and the
-image-restricted minimum-norm representative pins them down. Seeds come from
-ker(H - E) ∩ im((H - E)^(k-1)), less the seeds of earlier blocks; each of
-these subspace operations is one SVD whose singular values are
-principal-angle sines, cut at the caller's ``tol``.
+image-restricted minimum-norm representative pins them down. Seeds come
+from ker(H - E) ∩ im((H - E)^(k-1)), less the seeds of earlier blocks.
+Each image, intersection and seed removal is one SVD that keeps as many
+directions as the staircase counts, so no second cut is made.
 """
 
 import math
@@ -46,73 +44,55 @@ DEFAULT_CLUSTER_FRACTION = 1e-7
 #: fraction of ||H - E|| * ||x||.
 DEFAULT_CHAIN_FRACTION = 1e-6
 
-#: Floating-point noise accumulated by k products of a unit-norm matrix
-#: stays below 100 eps; singular values under that floor are fp debris.
-_NOISE_FLOOR = 100 * np.finfo(float).eps
 
+def _staircase(u, s, vh, cutoff, dims) -> np.ndarray:
+    """Kernel counts, level by level, of the deflation of c stacks of K
+    square matrices, from their full SVDs ``u, s, vh`` (c, K, n, n) and
+    (c, K, n), cutoffs (c, K) and the dimensions ``dims`` of their domains,
+    which broadcast to (c, K); a matrix on a smaller domain comes
+    zero-padded to n x n.
 
-def _unit_denoised(s: np.ndarray, cutoff, scale) -> np.ndarray:
-    """Singular values ``s`` with those at or under ``cutoff`` zeroed and
-    the rest divided by ``scale``."""
-    return np.where(s > cutoff, s / scale, 0.0)
-
-
-def _cut_ranks(s: np.ndarray, tol: float) -> np.ndarray:
-    """Ranks of stacked singular values ``s``, shape ``(K, ..., m)``; each
-    of the K leading-axis groups is cut together at
-    tol * max(sigma_max of the group, 100 eps / tol)."""
-    sigma_max = s.reshape(len(s), -1).max(axis=1)
-    cut = tol * np.maximum(sigma_max, _NOISE_FLOOR / tol)
-    return (s > cut.reshape((-1,) + (1,) * (s.ndim - 1))).sum(axis=-1)
-
-
-def _ladders(shifted: np.ndarray, tol: float):
-    """The power ladders (see :class:`_PowerLadder`) of the stack
-    ``shifted`` (K, n, n) of finite matrices, in one stacked SVD of the
-    matrices and, when one of them is rank-deficient, one of the powers
-    2..n of all of them.
-
-    Returns ``(u, s, vh, cutoff, ranks, powers)``: the full SVD of each
-    matrix and its cut, ``ranks`` (K, n + 1) the ranks r_0 = n, r_1..r_n
-    of its powers (n throughout when no power is formed), and ``powers``
-    the left singular vectors (n - 1, K, n, n) of the powers 2..n, or None.
-    A norm beyond the double range raises NonFiniteError.
+    Matrix i maps into the domain of matrix c - 1 - i: H - E alone, the
+    cycle (B, B'), or both cycles around an H, (B, H, B'). A level counts
+    the kernel of each matrix on what is left of its domain, compresses it
+    onto the complements of the kernels, M <- V_next^H M V, as one product
+    of its singular factors with the deflated rows and columns zeroed, and
+    factorises again; every level is cut at the first one's cutoff, until
+    no kernel is left. Returns the counts (K, n, c), zero after the last
+    level.
     """
-    n = shifted.shape[-1]
-    u, s, vh = np.linalg.svd(shifted)
-    norm = s[:, 0]
-    if not np.isfinite(norm).all():
-        raise NonFiniteError(cmatrix._NORM_OUT_OF_RANGE)
-    cutoff = cmatrix._cutoffs(norm, tol)
-    unit = _unit_denoised(s, cutoff[:, None],
-                          np.maximum(norm, cmatrix._ABS_FLOOR)[:, None])
-    ranks = np.full((len(s), n + 1), n)
-    ranks[:, 1] = _cut_ranks(unit[:, None], tol)[:, 0]
-    powers = None
-    if n > 1 and (ranks[:, 1] < n).any():
-        first = (u * unit[:, None]) @ vh
-        stack = [first]
-        for _ in range(2, n + 1):
-            stack.append(stack[-1] @ first)
-        powers, ps, _ = np.linalg.svd(np.array(stack[1:]))
-        ranks[:, 2:] = _cut_ranks(ps.reshape(-1, n), tol).reshape(n - 1, -1).T
-    return u, s, vh, cutoff, ranks, powers
-
-
-def _power_drops(ranks: np.ndarray) -> np.ndarray:
-    """The drops (K, n, 1) of the ranks (K, n + 1) of :func:`_ladders`."""
-    return (ranks[:, :-1] - ranks[:, 1:])[..., None]
+    c, k, n = s.shape
+    cutoff = cutoff[..., None]
+    ranks = [np.zeros((c, k), dtype=int) + dims]
+    live = ranks[0].ravel().tolist()
+    while True:
+        keep = s > cutoff
+        ranks.append(keep.sum(axis=-1))
+        left = ranks[-1].ravel().tolist()
+        # what is left of every domain fits in the leading m coordinates
+        m = max(left)
+        if left == live or not m or len(ranks) > n:
+            break
+        live = left
+        keep = keep[..., :m]
+        u, s, vh = np.linalg.svd((vh[..., :m, :] * keep[..., None])[::-1]
+                                 @ (u[..., :m] * (s[..., :m] * keep)[..., None, :]))
+    ranks = np.array(ranks)
+    counts = np.zeros((n, c, k), dtype=int)
+    counts[:len(ranks) - 1] = ranks[:-1] - ranks[1:]
+    return counts.transpose(2, 0, 1)
 
 
 def _weyr(drops: np.ndarray) -> list:
-    """Read the rank drops ``drops`` (K, L, c) of K items at once. Row
-    k - 1 of each column counts the chains of length >= k.
+    """Read the counts ``drops`` (K, L, c) of K items at once, such as the
+    kernels of a staircase or the drops of a rank sequence. Row k - 1 of
+    each column counts the chains of length >= k.
 
-    An item is read up to its plateau, the first row where every column has
-    stopped falling (L when none has). Item i is ``(plateau, chains, bad)``:
-    ``chains`` the ``(length, column)`` of each chain, longest first and in
-    column order at one length, and ``bad`` when a rank rises or fewer
-    chains reach length k than k + 1.
+    An item is read up to its plateau, the first row where every column
+    counts none (L when there is none). Item i is ``(plateau, chains,
+    bad)``: ``chains`` the ``(length, column)`` of each chain, longest
+    first and in column order at one length, and ``bad`` when a count is
+    negative or fewer chains reach length k than k + 1.
     """
     live = np.logical_and.accumulate(drops.any(axis=2), axis=1)
     exactly = drops * live[..., None]
@@ -126,14 +106,13 @@ def _weyr(drops: np.ndarray) -> list:
                 live.sum(axis=1).tolist(), exactly.tolist(), bad.tolist())]
 
 
-def _read_powers(ranks: list[int], reading) -> tuple:
-    """The ranks [r_1, r_2, ...] of one matrix's [r_0, ..., r_n] up to the
-    first repeat, and, from its :func:`_weyr` ``reading``, its descending
-    block sizes or the RankSequenceError of ranks that fit none (H^k cut
-    against its own norm can rise when the scales of H differ by about
-    the tolerance)."""
+def _read_powers(n: int, counts: np.ndarray, reading) -> tuple:
+    """The ranks [r_1, r_2, ...] of the powers of an n x n matrix whose
+    staircase counts ``counts`` (L,), up to the first repeat, and, from
+    its :func:`_weyr` ``reading``, its descending block sizes or the
+    RankSequenceError of counts that fit none (a count that grows)."""
     plateau, chains, bad = reading
-    ranks = ranks[1:plateau + 2]
+    ranks = (n - np.cumsum(counts))[:plateau + 1].tolist()
     if bad:
         return ranks, RankSequenceError(
             f"ranks {ranks} of successive powers fit no Jordan structure")
@@ -141,19 +120,17 @@ def _read_powers(ranks: list[int], reading) -> tuple:
 
 
 class _PowerLadder:
-    """Ranks and images of the powers of the unit-norm, denoised (H - E).
+    """Staircase counts, kernel and power images of (H - E).
 
-    One SVD of (H - E) gives its kernel and norm; the singular directions
-    below tol * ||H - E|| are zeroed in it before it is divided by its norm,
-    so directions the working tolerance declares zero (e.g. the residual
-    coupling at a refined-but-inexact degeneracy point) are removed before
-    any power can amplify or smear them. That factorisation is the first
-    power's; when the first power is rank-deficient, powers 2..n are formed
-    and factorised in one stacked SVD. Each power is cut by
-    :func:`_cut_ranks`: self-relative, so that small but genuine powers of
-    badly scale-mixed matrices keep their rank, and never below the
-    rounding noise of k products, so that powers which vanish exactly count
-    as zero. This is the one-matrix case of :func:`_ladders`.
+    One SVD of (H - E) gives its kernel and norm and is the first level of
+    :func:`_staircase`, cut at tol * ||H - E||; ``counts[k - 1]`` is the
+    number of blocks of size >= k. Only chains need the images of the
+    powers, so :meth:`image` forms the powers of (H - E) with the singular
+    directions under its cutoff zeroed (the residual coupling at a
+    refined-but-inexact degeneracy point, say, which a power would smear)
+    and divided by its norm, so that none can underflow or overflow. The
+    image of the k-th power is its leading rank((H - E)^k) left singular
+    vectors, with the rank the staircase counts.
 
     ``a`` is a matrix its caller has validated, so none of the arrays built
     from it is checked again; a non-finite shift E raises NonFiniteError
@@ -166,23 +143,35 @@ class _PowerLadder:
         self.n = n = a.shape[0]
         self.tol = tol
         self.shifted = a - complex(e) * np.eye(n)
-        u, s, vh, cutoff, ranks, powers = _ladders(self.shifted[None], tol)
-        base = cmatrix.SVD(u[0], s[0], vh[0], float(cutoff[0]))
+        self._base = base = cmatrix._cut(*np.linalg.svd(self.shifted), tol)
         self.norm = base.norm
         self.kernel = base.kernel
-        self._ranks = ranks
-        us = [base.u] if powers is None else [base.u, *powers[:, 0]]
-        self._images = [np.eye(n, dtype=np.complex128)] + [
-            u[:, :r] for u, r in zip(us, ranks[0, 1:].tolist())]
+        self.counts = _staircase(base.u[None, None], base.s[None, None],
+                                 base.vh[None, None],
+                                 np.array([[base.cutoff]]), n)[0, :, 0]
+        self._ranks = n - np.cumsum(self.counts)
+        self._images = [np.eye(n, dtype=np.complex128), base.image]
 
     def image(self, k: int) -> np.ndarray:
         """Orthonormal columns spanning im((H - E)^k); k = 0 gives I."""
+        have = len(self._images)
+        if k >= have:
+            base = self._base
+            unit = np.where(base.s > base.cutoff,
+                            base.s / max(base.norm, cmatrix._ABS_FLOOR), 0.0)
+            first = (base.u * unit) @ base.vh
+            powers = [first]
+            for _ in range(2, k + 1):
+                powers.append(powers[-1] @ first)
+            us = np.linalg.svd(np.array(powers[have - 1:]))[0]
+            self._images += [u[:, :r] for u, r in
+                             zip(us, self._ranks[have - 1:k].tolist())]
         return self._images[k]
 
     def read(self) -> tuple:
-        """:func:`_read_powers` of the ranks of the powers."""
-        [reading] = _weyr(_power_drops(self._ranks))
-        return _read_powers(self._ranks[0].tolist(), reading)
+        """:func:`_read_powers` of the staircase counts."""
+        [reading] = _weyr(self.counts[None, :, None])
+        return _read_powers(self.n, self.counts, reading)
 
 
 @dataclass
@@ -265,17 +254,17 @@ def rank_sequence(h, e: complex, tol: float = DEFAULT_TOL) -> list[int]:
     return _PowerLadder(as_square_matrix(h), e, tol).read()[0]
 
 
-def _subspace_intersection(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of span(a) ∩ span(b); a, b have orthonormal columns.
+def _subspace_intersection(a: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` orthonormal directions of span(a) nearest span(b);
+    a, b have orthonormal columns.
 
     The singular values of (I - b b^H) a are the principal-angle sines
-    between span(a) and span(b), so a direction of span(a) is shared when
-    its sine is at most ``tol``, as in :func:`cmatrix.subspace_equal`.
+    between span(a) and span(b); the directions of the ``count`` smallest
+    are kept. With ``count`` the dimension of span(a) ∩ span(b), as the
+    staircase counts it, they span the intersection.
     """
-    if a.shape[1] == 0:
-        return a
     outside = a - b @ (b.conj().T @ a)
-    return a @ cmatrix._cut(*np.linalg.svd(outside), tol, 1.0).kernel
+    return a @ np.linalg.svd(outside)[2][a.shape[1] - count:].conj().T
 
 
 def _restricted_minnorm_solve(op: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
@@ -326,13 +315,13 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector):
                 f"seed is not in ker(H - E): residual {resid:.3e}"
             )
     else:
-        inter = _subspace_intersection(
-            ladder.kernel, ladder.image(length - 1), ladder.tol)
-        if inter.shape[1] == 0:
+        count = int(ladder.counts[length - 1])
+        if count == 0:
             raise ChainSolveFailedError(
                 f"no kernel direction admits a chain of length {length}"
             )
-        seed = inter[:, 0]
+        seed = _subspace_intersection(
+            ladder.kernel, ladder.image(length - 1), count)[:, 0]
 
     chain = [seed]
     for j in range(2, length + 1):
@@ -351,7 +340,9 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector):
 
 def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
                      with_chains: bool = True) -> JordanStructure:
-    """Block sizes and chains of the generalized eigenspace at ``e``."""
+    """Block sizes and chains of the generalized eigenspace at ``e``. The
+    seed of the i-th block, of size k, is the leading direction of a space
+    of dimension counts[k - 1] - (i - 1) >= 1, so one always exists."""
     a = as_square_matrix(h)
     n = a.shape[0]
     ladder = _PowerLadder(a, e, tol)
@@ -370,15 +361,12 @@ def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
         if size == 1:
             candidates = kern
         else:
-            candidates = _subspace_intersection(kern, ladder.image(size - 1), tol)
+            candidates = _subspace_intersection(
+                kern, ladder.image(size - 1), int(ladder.counts[size - 1]))
         # Remove directions already consumed by earlier (larger) blocks.
-        if used_seeds.shape[1] and candidates.shape[1]:
+        if used_seeds.shape[1]:
             rest = candidates - used_seeds @ (used_seeds.conj().T @ candidates)
-            candidates = cmatrix._cut(*np.linalg.svd(rest), tol, 1.0).image
-        if candidates.shape[1] == 0:
-            raise ChainSolveFailedError(
-                f"could not find an independent seed for a block of size {size}"
-            )
+            candidates = np.linalg.svd(rest)[0]
         seed = candidates[:, 0]
         structure.chains.append(_chain(ladder, size, seed))
         used_seeds = np.hstack([used_seeds, seed.reshape(-1, 1)])

@@ -55,7 +55,9 @@ def _eval_generator(fn, q, n, label) -> np.ndarray:
     if q.ndim == 0 or q.shape[-1] != 2:
         raise ValueError(f"momenta must have shape (..., 2), got {q.shape}")
     shape = q.shape[:-1] + (n, n)
-    out = np.asarray(fn(q), dtype=np.complex128)
+    # an entry that overflows is refused below, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(fn(q), dtype=np.complex128)
     try:
         out = np.broadcast_to(out, shape)
     except ValueError:

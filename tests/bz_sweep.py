@@ -16,7 +16,6 @@ floats in hex. The scans are
   33 x 47.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from epkit.analysis import bz_scan
 from epkit.models import MODEL_CATALOG, build_model, kitaev_model
+from sweeps import run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import bz_lattice  # noqa: E402
@@ -86,18 +86,9 @@ def line(label, bh, grid, window):
     return f"{label} | {window} | {grid[0]}x{grid[1]} | {points}"
 
 
-def _seed_range(text):
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=_seed_range, default=range(40),
-                        help="bz-lattice seeds, as FIRST-LAST (default 0-39)")
-    args = parser.parse_args(argv)
-    for scan in scans(args.seeds):
-        print(line(*scan), flush=True)
+    run(__doc__, lambda seeds: (line(*scan) for scan in scans(seeds)), argv,
+        seeds=("bz-lattice", "0-39"))
 
 
 if __name__ == "__main__":

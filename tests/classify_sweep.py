@@ -28,8 +28,6 @@ The pairs are
   1e-3, at tol 1e-6 and 1e-9.
 """
 
-import argparse
-import hashlib
 import itertools
 import sys
 from pathlib import Path
@@ -42,6 +40,7 @@ from epkit.errors import EpkitError
 from epkit.models import MODEL_CATALOG, build_model
 from epkit.spectral import jordan_structure
 from epkit.sublattice import assemble_blocks, zero_energy_states
+from sweeps import _digest, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import classify_taxonomy  # noqa: E402
@@ -76,12 +75,6 @@ def rounds(seeds):
     for seed in seeds:
         yield list(taxonomy_pairs(seed))
     yield list(catalog_pairs())
-
-
-def _digest(array):
-    array = np.ascontiguousarray(array)
-    head = f"{array.shape} {array.dtype}".encode()
-    return hashlib.sha256(head + array.tobytes()).hexdigest()[:16]
 
 
 def _verdict(b, bprime, tol):
@@ -143,23 +136,19 @@ def line(label, b, bprime, tol):
     return " | ".join((label, *parts))
 
 
-def _seed_range(text):
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+def lines(seeds):
+    """The line of every pair, round after round, then the stacked count."""
+    differ = total = 0
+    for pairs in rounds(seeds):
+        for pair in pairs:
+            yield line(*pair)
+        differ += stacked_mismatches(pairs)
+        total += len(pairs)
+    yield f"stacked: {differ} of {total} pairs differ from classify_point alone"
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=_seed_range, default=range(10),
-                        help="classify-taxonomy seeds, as FIRST-LAST (default 0-9)")
-    args = parser.parse_args(argv)
-    differ = total = 0
-    for pairs in rounds(args.seeds):
-        for pair in pairs:
-            print(line(*pair), flush=True)
-        differ += stacked_mismatches(pairs)
-        total += len(pairs)
-    print(f"stacked: {differ} of {total} pairs differ from classify_point alone")
+    run(__doc__, lines, argv, seeds=("classify-taxonomy", "0-9"))
 
 
 if __name__ == "__main__":

@@ -18,13 +18,12 @@ depend on where it ran. An exception that escapes ``main`` reads
 - for every catalog model, ``classify --json``, ``path-scan`` and ``fit``
   at its degeneracy point, and ``bz-scan`` as CSV and ``--json`` over the
   command's default window;
-- one ``bz-scan`` whose candidate is not classified, as CSV, ``--json``
-  and ``--out``;
+- one ``bz-scan`` at a loose ``ep_tol``, as CSV, ``--json`` and
+  ``--out``;
 - bad input: one invocation for each way of getting exit 2 or a
   command-specific refusal, in the order the CLI checks them.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -35,6 +34,7 @@ from pathlib import Path
 import test_cli
 from epkit import cli
 from epkit.models import MODEL_CATALOG
+from sweeps import run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = ("classify", "path-scan", "fit", "bz-scan")
@@ -92,12 +92,11 @@ def invocations():
         yield f"fit {name}", ["fit", "--model", name]
         yield f"bz-scan {name}", ["bz-scan", "--model", name]
         yield f"bz-scan {name} --json", ["bz-scan", "--model", name, "--json"]
-    # a candidate whose ranks fit no Jordan structure at this ep_tol: a
-    # warning line on stderr in CSV mode, an error key in JSON
-    unread = ["bz-scan", "--model", "yao-lee-ep4", "ep_tol=1e-2"]
-    yield "unclassified", unread
-    yield "unclassified --json", [*unread, "--json"]
-    yield "unclassified --out", [*unread, "--out", "{out}"]
+    # a candidate classified at a loose ep_tol
+    loose = ["bz-scan", "--model", "yao-lee-ep4", "ep_tol=1e-2"]
+    yield "loose-ep-tol", loose
+    yield "loose-ep-tol --json", [*loose, "--json"]
+    yield "loose-ep-tol --out", [*loose, "--out", "{out}"]
     for label, args in BAD_INPUTS.items():
         yield f"bad {label}", args
 
@@ -125,12 +124,9 @@ def line(label, args):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.parse_args(argv)
     # argparse wraps its usage lines to the terminal width
     os.environ["COLUMNS"] = "80"
-    for invocation in invocations():
-        print(line(*invocation), flush=True)
+    run(__doc__, lambda: (line(*invocation) for invocation in invocations()), argv)
 
 
 if __name__ == "__main__":

@@ -62,6 +62,26 @@ def rising_model(name="rising"):
                             name=name, q_star=np.zeros(2))
 
 
+def plant_counts(monkeypatch, plant):
+    """Make every staircase of epkit.spectral return ``plant(counts)``
+    for the counts (K, n, c) it reads."""
+    from epkit import spectral
+
+    staircase = spectral._staircase
+    monkeypatch.setattr(spectral, "_staircase",
+                        lambda *args: plant(staircase(*args)))
+
+
+def rising_chains(counts):
+    """The classifier's counts (K, 2N, 3) of B, H and B' with those of B
+    and B' replaced by one chain in ker B of which two have length >= 2,
+    which no Jordan structure has."""
+    counts = counts.copy()
+    counts[..., ::2] = 0
+    counts[:, :2, ::2] = [[1, 0], [0, 2]]
+    return counts
+
+
 # The readings of rank drops before spectral._weyr read them all in one
 # stacked call; kept as the references of that reader.
 

@@ -19,8 +19,6 @@ kilobytes), every float in hex. A ray that raises reads
   from 3e-2 and the workload's 48 radii from 1e-2, all down to 1e-6.
 """
 
-import argparse
-import hashlib
 import inspect
 import itertools
 import sys
@@ -31,6 +29,7 @@ import numpy as np
 from epkit.analysis import DEFAULT_RADII, path_scan
 from epkit.errors import EpkitError
 from epkit.models import MODEL_CATALOG, build_model
+from sweeps import _digest, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import ray_coalescence  # noqa: E402
@@ -67,12 +66,6 @@ def rays(seeds):
     yield from catalog_rays()
 
 
-def _digest(array):
-    array = np.ascontiguousarray(array)
-    head = f"{array.shape} {array.dtype}".encode()
-    return hashlib.sha256(head + array.tobytes()).hexdigest()[:16]
-
-
 def line(label, bh, q_star, theta, radii, tol):
     """Run one ray and format its result."""
     try:
@@ -86,18 +79,9 @@ def line(label, bh, q_star, theta, radii, tol):
     return f"{label} | {arrays} | {skipped} | {switches} | {scan.min_overlap.hex()}"
 
 
-def _seed_range(text):
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=_seed_range, default=range(10),
-                        help="ray-coalescence seeds, as FIRST-LAST (default 0-9)")
-    args = parser.parse_args(argv)
-    for ray in rays(args.seeds):
-        print(line(*ray), flush=True)
+    run(__doc__, lambda seeds: (line(*ray) for ray in rays(seeds)), argv,
+        seeds=("ray-coalescence", "0-9"))
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from epkit.models import (
 )
 from epkit.sublattice import BlockHamiltonian, _pow2_scales, reduced_spectrum
 
-from conftest import assert_same_bits, rising_model
+from conftest import assert_same_bits, plant_counts, rising_chains, rising_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KITAEV_BOUNDS = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
@@ -1208,7 +1208,8 @@ class TestBZScan:
         assert candidate.classification.kind is EPKind.UNCLASSIFIED
         assert candidate.classification.evidence == {"error": "planted mismatch"}
 
-    def test_rising_ranks_kept_as_error(self):
+    def test_rising_ranks_kept_as_error(self, monkeypatch):
+        plant_counts(monkeypatch, rising_chains)
         [candidate] = bz_scan(rising_model(), (17, 17), ((-1.0, 1.0), (-1.0, 1.0)))
         assert candidate.classification.kind is EPKind.UNCLASSIFIED
         assert "fit no Jordan structure" in candidate.classification.evidence["error"]

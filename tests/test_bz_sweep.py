@@ -23,6 +23,9 @@ def test_a_subset_prints_the_same_lines_twice():
     assert first[2].endswith(" EP4")
 
 
-def test_seed_ranges():
-    assert bz_sweep._seed_range("3") == range(3, 4)
-    assert bz_sweep._seed_range("0-39") == range(40)
+def test_seed_ranges(monkeypatch, capsys):
+    monkeypatch.setattr(bz_sweep, "scans", lambda seeds: [(seeds,)])
+    monkeypatch.setattr(bz_sweep, "line", str)
+    bz_sweep.main(["--seeds", "3"])
+    bz_sweep.main([])
+    assert capsys.readouterr().out.splitlines() == ["range(3, 4)", "range(0, 40)"]

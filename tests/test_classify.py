@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epkit import classify, cmatrix, spectral
+from epkit import cmatrix, spectral
 from epkit.classify import (
     EPKind,
     _classify_pairs,
@@ -23,6 +23,7 @@ from epkit.errors import (
     RankSequenceError,
     ZeroEigenvaluePresentError,
 )
+from epkit.models import build_model
 from epkit.spectral import ep_report, jordan_structure
 from epkit.sublattice import assemble_blocks
 
@@ -32,11 +33,13 @@ from conftest import (
     block_diag,
     jordan_block,
     outcome,
+    plant_counts,
     random_conditioned,
     ranks_of_blocks,
     reference_block_sizes_from_ranks,
     reference_chains_from_ranks,
     reference_up_to_repeat,
+    rising_chains,
 )
 
 #: Few, reproducible examples: the property tests share Tier-1's time budget.
@@ -338,12 +341,18 @@ class TestChainReading:
         assert classify_point(bp, b).evidence["chains"] == flipped(chains)
 
 
+#: The SVD calls of one classification: the blocks', then one per level
+#: of the staircase of (B, H, B'), H's first. There are as many levels as
+#: the longest chain is long, and one more that finds no kernel where
+#: something is left.
+SVD_CALLS = {"DoubletEP2": 3, "EP4": 5, "EP3Mixed": 4, "Nondegenerate": 2,
+             "EP6": 7, "EP4+gap": 6, "DoubletEP2x3": 3}
+
+
 @pytest.mark.parametrize("kind", list(CANONICAL))
 def test_svd_budget(kind, svd_calls):
-    # one stacked call for the pair, one for the products of B and B', and
-    # at most two for the powers of H: H itself, then the rest stacked
     classify_zero_energy(*CANONICAL[kind])
-    assert 0 < len(svd_calls) <= 4
+    assert len(svd_calls) == SVD_CALLS[kind.value]
 
 
 N3_PAIRS = {
@@ -358,9 +367,8 @@ N3_PAIRS = {
                          ids=["classify_point", "check_ep2n"])
 @pytest.mark.parametrize("name", list(N3_PAIRS))
 def test_svd_budget_n3(entry, name, svd_calls):
-    # as at N = 2: the budget does not grow with N
     entry(*N3_PAIRS[name])
-    assert 0 < len(svd_calls) <= 4
+    assert len(svd_calls) == SVD_CALLS[name]
 
 
 @pytest.mark.parametrize("pair", [*CANONICAL.values(), *N3_PAIRS.values()],
@@ -382,10 +390,20 @@ def stack_outcomes(results):
     return [(type(r), str(r)) if isinstance(r, EpkitError) else r for r in results]
 
 
-def test_stacked_equals_alone(rng):
+def test_stacked_equals_alone(rng, monkeypatch):
     # one N = 3 stack: basis-changed and scaled N3_PAIRS, including the
-    # Nondegenerate pair, the rising root, whose ranks fit no Jordan
-    # structure, and a pair whose norm leaves the double range
+    # Nondegenerate pair, the rising pair, planted here with chains that fit
+    # no Jordan structure, and a pair whose norm leaves the double range
+    staircase = spectral._staircase
+    marker = np.linalg.norm(RISING_PAIR[0], 2)
+
+    def planted(u, s, vh, cutoff, dims):
+        counts = staircase(u, s, vh, cutoff, dims)
+        rising = np.isclose(s[0, :, 0], marker, rtol=1e-12)
+        counts[rising] = rising_chains(counts[rising])
+        return counts
+
+    monkeypatch.setattr(spectral, "_staircase", planted)
     pairs = []
     for b, bp in N3_PAIRS.values():
         for scale in (1.0, 1e-4, 1e5):
@@ -425,30 +443,25 @@ def test_pair_at_the_absolute_floor(c):
         {"length": 2, "in_ker": "B"}, {"length": 2, "in_ker": "B"}]
 
 
-def plant_powers(monkeypatch, ranks_of):
-    """Make the power ladders of every stack ``h`` read the ranks
-    ``ranks_of(h)`` (K, 2N + 1) of their powers."""
-    ladders = spectral._ladders
-
-    def planted(h, tol):
-        u, s, vh, cutoff, _, powers = ladders(h, tol)
-        return u, s, vh, cutoff, np.array(ranks_of(h)), powers
-
-    monkeypatch.setattr(spectral, "_ladders", planted)
-
-
 def plant_blocks(monkeypatch, blocks):
     """Make the classifier's Jordan cross-check see ``blocks`` at E = 0
     ([] for no zero mode) in every H of its stack."""
-    plant_powers(monkeypatch, lambda h: [ranks_of_blocks(h.shape[-1], blocks)] * len(h))
+    def plant(counts):
+        counts[..., 1] = [sum(size >= k for size in blocks)
+                          for k in range(1, counts.shape[1] + 1)]
+        return counts
+
+    plant_counts(monkeypatch, plant)
 
 
 def plant_ranks(monkeypatch, tables, powers):
-    """Make the classifier read the ranks ``tables`` (K, 2N + 1, 2) of the
-    alternating products and ``powers`` (K, 2N + 1) of the powers of H for
-    the K pairs of its stack."""
-    monkeypatch.setattr(classify, "_product_ranks", lambda *args: np.array(tables))
-    plant_powers(monkeypatch, lambda h: powers)
+    """Make the classifier's staircase count the kernels that drop the
+    ranks ``tables`` (K, 2N + 1, 2) of the alternating products of B and
+    B' and ``powers`` (K, 2N + 1) of the powers of H, for the K pairs of
+    its stack."""
+    pair, h = -np.diff(tables, axis=1), -np.diff(powers, axis=1)
+    plant_counts(monkeypatch,
+                 lambda counts: np.stack([pair[..., 0], h, pair[..., 1]], axis=-1))
 
 
 def identity_pairs(count, n):
@@ -456,16 +469,14 @@ def identity_pairs(count, n):
     return eye, eye
 
 
-def test_h_over_the_cap(monkeypatch):
-    # N = 9: the chains are read, but H, 18 x 18, is over the cap
+def test_h_over_the_cap(svd_calls):
+    # N = 9: H, 18 x 18, is over the cap, so no verdict can be reached, and
+    # the pairs are refused unread
     too_large = (DimensionTooLargeError, "dimension 18 exceeds the cap of 16")
     assert outcome(lambda: classify_point(np.eye(9), np.eye(9))) == too_large
-    # chains that fit no Jordan structure are refused first
-    table = [[9, 9], [8, 8], [9, 8]] + [[9, 8]] * 16
-    plant_ranks(monkeypatch, [table, [[9, 9]] * 19], [])
     b, bp = identity_pairs(2, 9)
-    assert [r[0] for r in stack_outcomes(_classify_pairs(b, bp, 1e-9))] == [
-        RankSequenceError, DimensionTooLargeError]
+    assert stack_outcomes(_classify_pairs(b, bp, 1e-9)) == [too_large] * 2
+    assert not svd_calls
 
 
 class TestWeyrReading:
@@ -646,6 +657,36 @@ def assert_same_unscaled(result, ref, key, c, exact):
     np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
+class TestNearExactPoints:
+    """Just off the catalog EPs the products of B and B' and the powers of
+    H, each cut against its own norm, once read drops that fit no Jordan
+    structure; every level of the staircase is cut once."""
+
+    # at d = 1e-9 and tol 1e-9 the point is resolved off the EP
+    @pytest.mark.parametrize("d,tol", [(1e-12, 1e-6), (1e-12, 1e-9), (1e-9, 1e-6)])
+    @pytest.mark.parametrize("name,kind,blocks", [
+        ("ep4-sqrt", EPKind.EP4, [4]), ("ep3", EPKind.EP3_MIXED, [3, 1])])
+    def test_catalog_points(self, name, kind, blocks, d, tol):
+        bh = build_model(name)
+        q = bh.q_star + d * np.array([1.0, 0.3])
+        b, bp = bh.b(q), bh.b_prime(q)
+        result = classify_point(b, bp, tol)
+        assert result.kind is kind
+        assert result.evidence["jordan_blocks_at_zero"] == blocks
+        structure = jordan_structure(assemble_blocks(b, bp), 0.0, tol)
+        assert structure.block_sizes == blocks
+        assert [len(chain) for chain in structure.chains] == blocks
+
+    def test_yao_lee_ep4_chain(self):
+        # the seed of the 4-chain, cut at tol on principal-angle sines, was
+        # once missed where the ranks read a 4-block
+        bh = build_model("yao-lee-ep4")
+        q = bh.q_star + 1e-9 * np.array([1.0, 0.3])
+        structure = jordan_structure(assemble_blocks(bh.b(q), bh.b_prime(q)), 0.0, 1e-9)
+        assert structure.block_sizes == [4]
+        assert len(structure.chains[0]) == 4
+
+
 class TestHighestOrderCondition:
     def test_n2_instances(self):
         b, bp = CANONICAL[EPKind.EP4]
@@ -744,11 +785,19 @@ class TestGenericNFallback:
         assert result.kind is EPKind.EP2
         assert result.evidence["jordan_blocks_at_zero"] == [2]
 
-    def test_rising_ranks_refused(self):
-        # one block about 1e-5 of the other: H^k cut against its own norm
-        # reads ranks that rise, which no Jordan structure has
+    def test_rising_ranks_refused(self, monkeypatch):
+        # one block about 1e-5 of the other: the products of B and B', each
+        # cut against its own norm, once read ranks that rise. Every level
+        # of the staircase is cut at one cutoff: it reads one 2-chain, as
+        # the staircase of H does
         b, bp = RISING_PAIR
-        with pytest.raises(RankSequenceError, match=r"\[3, 2, 2, 2, 2, 2, 0\]"):
+        assert classify_point(b, bp, 1e-6).evidence["chains"] == [
+            {"length": 2, "in_ker": "B"}]
+        # chains that fit no Jordan structure are refused
+        plant_counts(monkeypatch, rising_chains)
+        message = (r"ranks \[3, 2, 2, 2, 2, 2, 2\] and \[3, 3, 1, 1, 1, 1, 1\] "
+                   "of the alternating products")
+        with pytest.raises(RankSequenceError, match=message):
             classify_point(b, bp, 1e-6)
         with pytest.raises(RankSequenceError):
             check_ep2n(b, bp, 1e-6)

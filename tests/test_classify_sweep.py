@@ -46,9 +46,11 @@ def test_each_round_gives_its_pairs_and_the_two_fault_pairs():
     assert labels[-2:] == ["taxonomy 0 140 EP3Mixed n=2", "taxonomy 0 141 EP3Mixed n=2"]
 
 
-def test_seed_ranges():
-    assert classify_sweep._seed_range("3") == range(3, 4)
-    assert classify_sweep._seed_range("0-9") == range(10)
+def test_seed_ranges(monkeypatch, capsys):
+    monkeypatch.setattr(classify_sweep, "lines", lambda seeds: [str(seeds)])
+    classify_sweep.main(["--seeds", "3-5"])
+    classify_sweep.main([])
+    assert capsys.readouterr().out.splitlines() == ["range(3, 6)", "range(0, 10)"]
 
 
 def small_round():

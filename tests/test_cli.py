@@ -11,7 +11,7 @@ from epkit import cli
 from epkit.errors import CrossCheckMismatchError
 from epkit.models import MODEL_CATALOG, build_model, kitaev_ep_locations
 
-from conftest import rising_model
+from conftest import plant_counts, rising_chains, rising_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,6 +81,7 @@ class TestClassifyCommand:
 
     def test_rising_ranks_give_one_error_line(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_model", lambda name, params: rising_model(name))
+        plant_counts(monkeypatch, rising_chains)
         assert cli.main(["classify", "--model", "ep3", "tol=1e-6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -98,6 +99,18 @@ class TestClassifyCommand:
             first.append(capsys.readouterr().out.splitlines()[:2])
         assert first[0][0] == "EP2, blocks [2]"
         assert first == first[:1] * len(first)
+
+    def test_loose_tolerance_at_yao_lee_ep4(self, capsys):
+        # the products of B and B', each cut by itself, once read drops that
+        # fit no Jordan structure here
+        assert cli.main(["classify", "--model", "yao-lee-ep4", "tol=1e-2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "EP4, blocks [4]"
+
+    def test_negative_kitaev_coupling(self, capsys):
+        # a negative J2 is the positive one at phase phi2 + pi
+        assert cli.main(["classify", "--model", "kitaev", "j1=0.9", "j2=-1.1",
+                         "phi1=0.3", "phi2=0.1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "EP2, blocks [2]"
 
     def test_pair_at_the_absolute_floor(self):
         # both blocks at or under 1e-300 count as zero, in H as in the chains
@@ -376,6 +389,9 @@ BAD_INPUTS = {
     "unknown-key": ["classify", "--model", "ep3", "bogus=1"],
     "unparsable-number": ["classify", "--model", "ep3", "b2=1.0.0"],
     "missing-config": ["classify", "--config", "{tmp}/missing.cfg"],
+    "kitaev-coupling-overflow": ["classify", "--model", "kitaev", "j1=1.7e308",
+                                 "j2=1.7e308", "j3=1.7e308", "phi1=0.3",
+                                 "phi2=-0.2"],
 }
 
 

@@ -9,7 +9,7 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 
 def test_a_subset_prints_the_same_lines_twice():
     wanted = {"config classify-ep3.cfg", "config classify-ep3.cfg --json --out",
-              "models --json", "unclassified", "bad unwritable-out-classify",
+              "models --json", "loose-ep-tol", "bad unwritable-out-classify",
               "bad unknown-key"}
     subset = [inv for inv in cli_sweep.invocations() if inv[0] in wanted]
     assert len(subset) == len(wanted)
@@ -21,8 +21,9 @@ def test_a_subset_prints_the_same_lines_twice():
     assert lines["config classify-ep3.cfg"][2:] == [EMPTY, "-"]
     code, stdout, stderr, out = lines["config classify-ep3.cfg --json --out"]
     assert (code, stdout, stderr) == ("0", EMPTY, EMPTY) and out != "-"
-    # the unclassified candidate's warning goes to stderr
-    assert lines["unclassified"][2] != EMPTY
+    # the candidate at a loose ep_tol is classified, with no warning
+    code, _, stderr, _ = lines["loose-ep-tol"]
+    assert (code, stderr) == ("0", EMPTY)
     for label in ("bad unwritable-out-classify", "bad unknown-key"):
         code, stdout, stderr, out = lines[label]
         assert (code, stdout, out) == ("2", EMPTY, "-") and stderr != EMPTY

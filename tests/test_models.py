@@ -279,6 +279,23 @@ class TestKitaev:
         for q, ref in zip(got, want):
             assert_same_bits(q, ref)
 
+    def test_negative_couplings_fold_into_the_phase(self, rng):
+        # J e^{i phi} = |J| e^{i (phi + pi)}: a negative J1 or J2 once gave
+        # no point, though A~ vanishes at those of the folded phase
+        for _ in range(20):
+            j1, j2 = rng.uniform(0.8, 1.2, 2) * rng.choice([-1.0, 1.0], 2)
+            j3 = float(rng.choice([-1.0, 1.0]))
+            p1, p2 = rng.uniform(-0.5, 0.5, 2)
+            locs = kitaev_ep_locations(j1, j2, j3, p1, p2)
+            assert len(locs) == 2
+            for q in locs:
+                h = kitaev_bloch(q, j1, j2, j3, p1, p2)
+                assert abs(h[0, 1]) <= 1e-9 * 2 * (abs(j1) + abs(j2) + 1.0)
+            folded = kitaev_ep_locations(abs(j1), abs(j2), j3, p1 + np.pi * (j1 < 0),
+                                         p2 + np.pi * (j2 < 0))
+            for q, ref in zip(locs, folded):
+                assert_same_bits(q, ref)
+
     def test_complex_coupling_gives_no_point(self):
         # the triangle law needs real couplings; a complex one is not refused
         assert kitaev_ep_locations(1.0 + 0.1j, 1.0, 1.0, 0.3, 0.1) == []

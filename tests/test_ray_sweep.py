@@ -34,6 +34,9 @@ def test_a_raising_ray_gives_an_error_line():
     assert text == f"{label} | error: ValueError radii must span at least two decades"
 
 
-def test_seed_ranges():
-    assert ray_sweep._seed_range("3") == range(3, 4)
-    assert ray_sweep._seed_range("0-9") == range(10)
+def test_seed_ranges(monkeypatch, capsys):
+    monkeypatch.setattr(ray_sweep, "rays", lambda seeds: [(seeds,)])
+    monkeypatch.setattr(ray_sweep, "line", str)
+    ray_sweep.main(["--seeds", "3"])
+    ray_sweep.main([])
+    assert capsys.readouterr().out.splitlines() == ["range(3, 4)", "range(0, 10)"]
