@@ -20,7 +20,7 @@ from . import classify as _classify
 from . import cmatrix
 from .cmatrix import DEFAULT_TOL
 from .errors import EpkitError, NoiseFloorReachedError, ZeroVectorError
-from .sublattice import BlockHamiltonian, _pow2_scales, _spectra
+from .sublattice import BlockHamiltonian, _grid_blocks, _pow2_scales, _spectra
 
 #: 12 log-spaced radii across the asymptotic window. Below ~1e-6 the
 #: conditioning of near-defective eigenproblems starts eating the signal.
@@ -384,15 +384,20 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
 
     H is singular exactly where det B or det B' vanishes, and its singular
     values are those of B and B', so H is never formed. Each grid row chunk
-    is one generator call per side; a side's objective is
+    takes both blocks from :func:`sublattice._grid_blocks`: the model's grid
+    form when it has one (Kitaev's outer products of 1-D phase factors),
+    else one generator call per side. A side's objective is
     |det(blocks / s)|^(1/N) * s, s the pair's :func:`sublattice.pow2_scale`,
     and ``scale`` is the largest s. At N = 1 the grid reads the entry
     itself: np.linalg.det would run an LU factorisation and a log-sum on
     every 1 x 1 matrix. The grid minima of both sides below
     COARSE_FRACTION * scale (B first, row-major) start one lockstep of
-    :func:`_newton_roots`, each on det(blocks / scale) of its own side,
-    which takes m-fold steps at a zero of order m (a double zero at
-    doublet-ep2, ep4-sqrt and yao-lee-ep4). A point is kept when
+    :func:`_newton_roots`, each on det(blocks / scale) of its own side
+    from the pointwise generators, which takes m-fold steps at a zero of
+    order m (a double zero at doublet-ep2, ep4-sqrt and yao-lee-ep4). The
+    grid only chooses the starts and the scale, so a grid form moves a
+    point only where its rounding moves a grid minimum or the scale's
+    power of two. A point is kept when
     sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale and then
     deduplicated. The kept points are classified together, from the blocks
     evaluated for sigma_min, in one stacked pass whose one-pair case is
@@ -414,13 +419,10 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     qx = np.linspace(qx_min, qx_max, nx)
     qy = np.linspace(qy_min, qy_max, ny)
     rows = max(1, GRID_CHUNK_ENTRIES // (ny * (2 * bh.n) ** 2))
-    sides = (bh.b, bh.b_prime)
     sig = np.empty((2, nx, ny))
     scale = 0.0
     for start in range(0, nx, rows):
-        chunk = np.stack(np.meshgrid(qx[start:start + rows], qy, indexing="ij"),
-                         axis=-1)
-        blocks = np.stack([side(chunk) for side in sides])
+        blocks = _grid_blocks(bh, qx[start:start + rows], qy)
         s = _pow2_scales(*blocks)
         scaled = blocks / s[..., None, None]
         dets = scaled[..., 0, 0] if bh.n == 1 else np.linalg.det(scaled)
@@ -432,6 +434,7 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     if not any(len(m) for m in minima):
         return []
     starts = [np.stack([qx[m[:, 0]], qy[m[:, 1]]], axis=-1) for m in minima]
+    sides = (bh.b, bh.b_prime)
     roots = _newton_roots(
         [lambda q, side=side: np.linalg.det(side(q) / scale) for side in sides],
         starts, lo, hi)

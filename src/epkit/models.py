@@ -203,6 +203,27 @@ def _a_of_phases(qt, j1, j2, j3, phi1, phi2):
     )
 
 
+def _a_grids(qx, qy, j1, j2, j3, phi1, phi2):
+    """A~(q) and A~(-q) at every (qx[i], qy[j]) of the 1-D momenta ``qx``,
+    ``qy``, shape (2, nx, ny), from three 1-D phase factors.
+
+    On the rectilinear grid q.r1 = qx and q.r2 = qx / 2 + (sqrt(3) / 2) qy,
+    so A~(q) = 2 (c1 e^{i qx} + c2 e^{i qx / 2} e^{i sqrt(3) qy / 2} + j3)
+    with c_k = j_k e^{i phi_k}: one outer product and one broadcast add per
+    side, and A~(-q) takes the conjugated factors. The 2 multiplies the
+    sum, as in :func:`_a_of_phases`, so both forms overflow at the same
+    couplings; the entries agree with it to rounding, not bit for bit.
+    """
+    factors = (np.exp(1j * qx), np.exp(0.5j * qx), np.exp(1j * (R2[1] * qy)))
+    c1, c2 = j1 * cmath.exp(1j * phi1), j2 * cmath.exp(1j * phi2)
+    out = np.empty((2, len(qx), len(qy)), dtype=np.complex128)
+    for a, (e1, e2, e3) in zip(out, (factors, [f.conj() for f in factors])):
+        np.multiply((c2 * e2)[:, None], e3, out=a)
+        a += (c1 * e1 + j3)[:, None]
+        a *= 2.0
+    return out
+
+
 def kitaev_bloch(q, j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> np.ndarray:
     """2 x 2 Majorana Bloch matrix [[0, i A(q)], [-i A(-q), 0]]."""
     a = _a_tilde(q, j1, j2, j3, phi1, phi2)
@@ -258,7 +279,8 @@ def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
 
 
 def kitaev_model(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> BlockHamiltonian:
-    """One-flavour honeycomb Majorana model as a BlockHamiltonian (N = 1)."""
+    """One-flavour honeycomb Majorana model as a BlockHamiltonian (N = 1),
+    with a grid form built from 1-D phase factors (:func:`_a_grids`)."""
     locations = kitaev_ep_locations(j1, j2, j3, phi1, phi2)
     q_star = locations[0] if locations else None
 
@@ -268,9 +290,13 @@ def kitaev_model(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> BlockHamiltonian
     def block_prime(q):
         return _matrix([[_a_tilde(-q, j1, j2, j3, phi1, phi2)]])
 
+    def grid(qx, qy):
+        return _a_grids(qx, qy, j1, j2, j3, phi1, phi2)[..., None, None]
+
     return BlockHamiltonian(
         1, block, block_prime, name="kitaev", q_star=q_star,
         params={"j1": j1, "j2": j2, "j3": j3, "phi1": phi1, "phi2": phi2},
+        grid=grid,
     )
 
 

@@ -34,6 +34,15 @@ class BlockHamiltonian:
     ``(..., N, N)``; a single point is the case ``q.shape == (2,)``. Output
     that broadcasts to that shape is accepted, so a constant generator may
     return one N x N matrix for any ``q``.
+
+    ``grid``, when given, is the same pair on a rectilinear grid:
+    ``grid(qx, qy)`` for 1-D ``qx`` (nx,) and ``qy`` (ny,) returns both
+    blocks at every (qx[i], qy[j]), B's first, shape (2, nx, ny, N, N) or
+    broadcastable to it. A separable model builds it from 1-D factors
+    instead of one generator call on nx * ny momenta; only the grid of
+    :func:`epkit.analysis.bz_scan` reads it (see :func:`_grid_blocks`). It
+    must agree with the generators to rounding, so a copy made with
+    ``dataclasses.replace`` that swaps a generator must swap or drop it.
     """
 
     n: int
@@ -42,6 +51,7 @@ class BlockHamiltonian:
     name: str = ""
     q_star: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
+    grid: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def b(self, q) -> np.ndarray:
         return _eval_generator(self.block, q, self.n, "B")
@@ -54,19 +64,50 @@ def _eval_generator(fn, q, n, label) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim == 0 or q.shape[-1] != 2:
         raise ValueError(f"momenta must have shape (..., 2), got {q.shape}")
-    shape = q.shape[:-1] + (n, n)
     # an entry that overflows is refused below, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(fn(q), dtype=np.complex128)
-    try:
-        out = np.broadcast_to(out, shape)
-    except ValueError:
+    return _checked([out], q.shape[:-1] + (n, n), [label])[0]
+
+
+def _checked(outs, shape, labels):
+    """Each generator output of ``outs`` broadcast to ``shape``; the shapes
+    of all are checked before the entries of any, each in the order of
+    ``labels``."""
+    shaped = []
+    for out, label in zip(outs, labels):
+        try:
+            shaped.append(np.broadcast_to(out, shape))
+        except ValueError:
+            raise GeneratorFailureError(
+                f"{label}(q) returned shape {out.shape}, expected {shape}"
+            ) from None
+    for out, label in zip(shaped, labels):
+        if not np.all(np.isfinite(out)):
+            raise GeneratorFailureError(f"{label}(q) returned non-finite entries")
+    return shaped
+
+
+def _grid_blocks(bh: BlockHamiltonian, qx, qy) -> np.ndarray:
+    """Both blocks of ``bh`` at every (qx[i], qy[j]) of the 1-D momenta
+    ``qx``, ``qy``, B's first: shape (2, nx, ny, N, N).
+
+    A model with a grid form is read through it, with the checks and
+    messages of :meth:`BlockHamiltonian.b`: the shape of each block, then
+    its entries. A model without one is one call of each generator on the
+    nx * ny momenta.
+    """
+    if bh.grid is None:
+        q = np.stack(np.meshgrid(qx, qy, indexing="ij"), axis=-1)
+        return np.stack([bh.b(q), bh.b_prime(q)])
+    shape = (len(qx), len(qy), bh.n, bh.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(bh.grid(qx, qy), dtype=np.complex128)
+    if out.ndim == 0 or len(out) != 2:
         raise GeneratorFailureError(
-            f"{label}(q) returned shape {out.shape}, expected {shape}"
-        ) from None
-    if not np.all(np.isfinite(out)):
-        raise GeneratorFailureError(f"{label}(q) returned non-finite entries")
-    return out
+            f"grid returned shape {out.shape}, expected {(2,) + shape}")
+    _checked(out, shape, ("B", "B'"))
+    return np.broadcast_to(out, (2,) + shape)
 
 
 def _fill(b, bp) -> np.ndarray:

@@ -12,6 +12,9 @@ floats in hex. The scans are
   (nine scans each, drawn by perfbench/bz_lattice.py itself);
 - 40 Kitaev coupling sets with small phases, |phi| in [0.005, 0.06], over
   the full zone at 128 x 128, where the zeros of A(q) and A(-q) lie close;
+- 40 Kitaev coupling sets with signed J (Hermitian, small or larger
+  phases), each at the overall scales 1, 1e-200, 1e200, 2^-1000 and
+  5e307 / 3, over the full zone at 128 x 128;
 - the q* +- 0.4 window of every catalog model at 16^2, 32^2, 64^2 and
   33 x 47.
 """
@@ -23,6 +26,7 @@ import numpy as np
 
 from epkit.analysis import bz_scan
 from epkit.models import MODEL_CATALOG, build_model, kitaev_model
+from conftest import KITAEV_SCALES, signed_kitaev_couplings
 from sweeps import run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -30,6 +34,7 @@ import bz_lattice  # noqa: E402
 from oracles import KITAEV_WINDOW, yao_lee_qstar  # noqa: E402
 
 SMALL_PHASE_SETS = 40
+SIGNED_SETS = 40
 CATALOG_GRIDS = [(16, 16), (32, 32), (64, 64), (33, 47)]
 HALF_WIDTH = 0.4
 
@@ -63,6 +68,16 @@ def small_phase_scans():
                (128, 128), KITAEV_WINDOW)
 
 
+def signed_scans():
+    rng = np.random.default_rng(1)
+    for k in range(SIGNED_SETS):
+        *j, phi1, phi2 = signed_kitaev_couplings(rng)
+        for scale in KITAEV_SCALES:
+            params = (*(scale * x for x in j), phi1, phi2)
+            yield (f"signed {k} kitaev {params}", kitaev_model(*params),
+                   (128, 128), KITAEV_WINDOW)
+
+
 def catalog_scans():
     for name in MODEL_CATALOG:
         bh = build_model(name)
@@ -74,6 +89,7 @@ def scans(seeds):
     for seed in seeds:
         yield from lattice_scans(seed)
     yield from small_phase_scans()
+    yield from signed_scans()
     yield from catalog_scans()
 
 

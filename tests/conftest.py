@@ -147,6 +147,28 @@ def ranks_of_blocks(n, blocks):
     return [n - sum(min(size, k) for size in blocks) for k in range(n + 1)]
 
 
+#: Overall scales of the signed Kitaev coupling sets: the unit, far into
+#: both ends of the double range, and 5e307 / 3, at which the largest
+#: |A~| = 2 (|J1| + |J2| + |J3|) of a set comes within 2 of overflow.
+KITAEV_SCALES = (1.0, 1e-200, 1e200, 2.0 ** -1000, 5e307 / 3)
+
+
+def signed_kitaev_couplings(rng):
+    """One Kitaev coupling set (j1, j2, j3, phi1, phi2) with signed J:
+    |J1|, |J2| in [0.8, 1.2] and J3 = +-1, and, a third of the draws each,
+    zero phases (Hermitian), small phases (|phi| in [0.005, 0.06]) or
+    phases up to 0.5."""
+    j1, j2 = rng.uniform(0.8, 1.2, 2) * rng.choice([-1.0, 1.0], 2)
+    j3 = rng.choice([-1.0, 1.0])
+    kind = rng.integers(3)
+    if kind == 0:
+        phases = np.zeros(2)
+    else:
+        high = 0.06 if kind == 1 else 0.5
+        phases = rng.uniform(0.005, high, 2) * rng.choice([-1.0, 1.0], 2)
+    return tuple(float(x) for x in (j1, j2, j3, *phases))
+
+
 def outcome(fn):
     """What ``fn()`` returns, or the type and text of the EpkitError it raises."""
     from epkit.errors import EpkitError

@@ -360,9 +360,11 @@ def assert_same_scan(got, want):
 
 
 def scaled_model(bh, factor):
-    """bh with both generators multiplied by ``factor``."""
+    """bh with both generators, and its grid form if any, multiplied by
+    ``factor``."""
+    grid = None if bh.grid is None else lambda qx, qy: factor * bh.grid(qx, qy)
     return replace(bh, block=lambda q: factor * bh.block(q),
-                   block_prime=lambda q: factor * bh.block_prime(q))
+                   block_prime=lambda q: factor * bh.block_prime(q), grid=grid)
 
 
 RADIUS_GRIDS = [analysis.DEFAULT_RADII, np.geomspace(3e-2, 1e-6, 48)]
@@ -1090,7 +1092,7 @@ class TestBZScan:
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
         bounds = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
         whole = bz_scan(bh, (64, 64), bounds)
-        # five grid rows of 4 x 4 matrices per chunk; the last chunk is short
+        # twenty grid rows per chunk, each from the grid form; the last is short
         monkeypatch.setattr(analysis, "GRID_CHUNK_ENTRIES", 5 * 64 * 16)
         chunked = bz_scan(bh, (64, 64), bounds)
         assert len(chunked) == len(whole) > 0
@@ -1106,6 +1108,26 @@ class TestBZScan:
             # refinement calls are (k, 5, 2): a point and its neighbours
             grid_calls = [s for s in shapes[label] if s[1:] == (24, 2)]
             assert grid_calls == [(7, 24, 2)] * 3 + [(3, 24, 2)]
+
+    def test_kitaev_grid_calls_no_pointwise_generator(self):
+        # the grid comes from the grid form; the generators see only the
+        # Newton batches and the refined points
+        bh, shapes = counting_generators(kitaev_model(1.0, 0.9, 1.1, 0.3, -0.2))
+        assert bz_scan(bh, (128, 128), KITAEV_BOUNDS)
+        for label in ("B", "B'"):
+            steps = [s for s in shapes[label] if len(s) == 3]
+            assert steps and all(s[1:] == (5, 2) for s in steps)
+            [(roots, _)] = [s for s in shapes[label] if len(s) != 3]
+            assert shapes[label][-1] == (roots, 2)
+
+    def test_yao_lee_grid_calls_the_generators(self):
+        bh = build_model("yao-lee-ep4")
+        window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
+        counted, shapes = counting_generators(bh)
+        assert bh.grid is None
+        bz_scan(counted, (64, 64), window)
+        for label in ("B", "B'"):
+            assert [s for s in shapes[label] if s[1:] == (64, 2)] == [(64, 64, 2)]
 
     def test_refinement_calls_generators_in_batches(self, monkeypatch):
         counted, shapes = counting_generators(kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epkit.classify import EPKind, classify_point, classify_zero_energy
-from epkit.errors import ParamViolationError
+from epkit.errors import GeneratorFailureError, ParamViolationError
 from epkit import models
 from epkit.models import (
     MODEL_CATALOG,
@@ -21,9 +21,20 @@ from epkit.models import (
     zero_targets,
 )
 from epkit.spectral import jordan_structure
-from epkit.sublattice import assemble, reduced_spectrum, symmetry_residual
+from epkit.sublattice import (
+    _grid_blocks,
+    assemble,
+    reduced_spectrum,
+    symmetry_residual,
+)
 
-from conftest import assert_same_bits, direction_mismatch
+from conftest import (
+    KITAEV_SCALES,
+    assert_same_bits,
+    direction_mismatch,
+    outcome,
+    signed_kitaev_couplings,
+)
 
 EXPECTED_KIND = {
     "doublet-ep2": EPKind.DOUBLET_EP2,
@@ -314,6 +325,67 @@ class TestKitaev:
         result = classify_point(bh.b(bh.q_star), bh.b_prime(bh.q_star), 1e-8)
         assert result.kind is EPKind.EP2
         assert result.evidence["jordan_blocks_at_zero"] == [2]
+
+
+def _kitaev_window_axes(nx, ny):
+    return (np.linspace(-np.pi, np.pi, nx),
+            np.linspace(-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi, ny))
+
+
+def _pointwise_grid(bh, qx, qy):
+    q = np.stack(np.meshgrid(qx, qy, indexing="ij"), axis=-1)
+    return np.stack([bh.b(q), bh.b_prime(q)])
+
+
+class TestKitaevGrid:
+    """The grid form of the Kitaev model against its pointwise generators."""
+
+    @pytest.mark.parametrize("scale", KITAEV_SCALES)
+    @pytest.mark.parametrize("grid,rows", [((37, 53), 37), ((96, 128), 20)])
+    def test_matches_pointwise_generators(self, scale, grid, rows, rng):
+        eps = np.finfo(float).eps
+        qx, qy = _kitaev_window_axes(*grid)
+        for _ in range(8):
+            *j, p1, p2 = signed_kitaev_couplings(rng)
+            j = [scale * x for x in j]
+            bh = kitaev_model(*j, p1, p2)
+            want = _pointwise_grid(bh, qx, qy)
+            bound = 8 * eps * 2 * sum(abs(x) for x in j)
+            # row chunks as bz_scan takes them; the last one is short
+            for start in range(0, len(qx), rows):
+                got = _grid_blocks(bh, qx[start:start + rows], qy)
+                assert got.shape == (2, len(qx[start:start + rows]), len(qy), 1, 1)
+                assert np.max(np.abs(got - want[:, start:start + rows])) <= bound
+
+    def test_refuses_the_couplings_the_generators_refuse(self, rng):
+        # 2 (|J1| + |J2| + |J3|) passes the double range from about 3e307:
+        # some grid points of a set overflow and others do not
+        qx, qy = _kitaev_window_axes(64, 48)
+        seen = set()
+        for scale in (2e307, 2.6e307, 3e307, 3.5e307, 4.5e307, 1.7e308):
+            for _ in range(6):
+                *j, p1, p2 = signed_kitaev_couplings(rng)
+                bh = kitaev_model(*(scale * x for x in j), p1, p2)
+                got = outcome(lambda: _grid_blocks(bh, qx, qy) is not None)
+                assert got == outcome(lambda: _pointwise_grid(bh, qx, qy)
+                                      is not None)
+                seen.add(got if got is True else got[1])
+        assert seen == {True, "B(q) returned non-finite entries"}
+
+    def test_overflow_message_names_b_prime_when_only_it_overflows(self):
+        # near q.r1 = q.r2 = 1, where the phases of A~(-q) vanish, A~(-q)
+        # is about 6 * 4e307 and overflows, while A~(q) stays finite
+        bh = kitaev_model(4e307, 4e307, 4e307, 1.0, 1.0)
+        qx, qy = np.linspace(0.95, 1.05, 16), np.linspace(0.55, 0.6, 16)
+        for blocks in (lambda: _grid_blocks(bh, qx, qy),
+                       lambda: _pointwise_grid(bh, qx, qy)):
+            with pytest.raises(GeneratorFailureError,
+                               match=r"^B'\(q\) returned non-finite entries$"):
+                blocks()
+
+    def test_only_kitaev_has_a_grid_form(self):
+        assert [name for name in MODEL_CATALOG
+                if build_model(name).grid is not None] == ["kitaev"]
 
 
 class TestYaoLee:

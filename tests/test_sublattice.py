@@ -15,6 +15,7 @@ from epkit.models import (
 )
 from epkit.sublattice import (
     BlockHamiltonian,
+    _grid_blocks,
     _pow2_scales,
     assemble,
     assemble_blocks,
@@ -71,6 +72,38 @@ class TestGeneratorContract:
         for q in (0.0, (0.0, 0.0, 0.0), np.zeros((2, 3))):
             with pytest.raises(ValueError):
                 bh.b(q)
+
+
+class TestGridForm:
+    QX, QY = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 3)
+
+    def test_without_a_grid_form_the_generators_run_on_the_grid(self):
+        bh = random_block_hamiltonian(np.random.default_rng(3), 2)
+        q = np.stack(np.meshgrid(self.QX, self.QY, indexing="ij"), axis=-1)
+        assert_same_bits(_grid_blocks(bh, self.QX, self.QY),
+                         np.stack([bh.b(q), bh.b_prime(q)]))
+
+    def test_grid_output_broadcasts(self):
+        bh = BlockHamiltonian(1, _constant([[2.0]]), _constant([[3.0]]),
+                              grid=lambda qx, qy: [[[[[2.0]]]], [[[[3.0]]]]])
+        got = _grid_blocks(bh, self.QX, self.QY)
+        assert got.shape == (2, 5, 3, 1, 1)
+        np.testing.assert_array_equal(got[:, 0, 0, 0, 0], [2.0, 3.0])
+
+    @pytest.mark.parametrize("grid,message", [
+        # every shape is checked before any entry
+        (lambda qx, qy: np.full((2, 5, 4, 1, 1), np.nan),
+         r"^B\(q\) returned shape \(5, 4, 1, 1\), expected \(5, 3, 1, 1\)$"),
+        (lambda qx, qy: np.ones((3, 5, 3, 1, 1)),
+         r"^grid returned shape \(3, 5, 3, 1, 1\), expected \(2, 5, 3, 1, 1\)$"),
+        (lambda qx, qy: [[[[[1.0]], [[1.0]], [[1.0]]]],
+                         [[[[1.0]], [[np.inf]], [[1.0]]]]],
+         r"^B'\(q\) returned non-finite entries$"),
+    ], ids=["shape-before-entries", "not-a-pair", "non-finite"])
+    def test_grid_output_checked_as_the_generators(self, grid, message):
+        bh = BlockHamiltonian(1, _constant([[1.0]]), _constant([[1.0]]), grid=grid)
+        with pytest.raises(GeneratorFailureError, match=message):
+            _grid_blocks(bh, self.QX, self.QY)
 
 
 @pytest.mark.parametrize("entry", [
