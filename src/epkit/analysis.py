@@ -20,7 +20,8 @@ from . import classify as _classify
 from . import cmatrix
 from .cmatrix import DEFAULT_TOL
 from .errors import EpkitError, NoiseFloorReachedError, ZeroVectorError
-from .sublattice import BlockHamiltonian, _grid_blocks, _pow2_scales, _spectra
+from .sublattice import (BlockHamiltonian, _grid_blocks, _pow2_above,
+                         _pow2_scales, _spectra)
 
 #: 12 log-spaced radii across the asymptotic window. Below ~1e-6 the
 #: conditioning of near-defective eigenproblems starts eating the signal.
@@ -174,6 +175,7 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
         raise ValueError("q_star must be finite")
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
+    cmatrix._check_tol(tol)
     r_all = _validate_radii(DEFAULT_RADII if radii is None else radii)
     direction = np.array([np.cos(theta), np.sin(theta)])
     two_n = 2 * bh.n
@@ -388,16 +390,17 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     form when it has one (Kitaev's outer products of 1-D phase factors),
     else one generator call per side. A side's objective is
     |det(blocks / s)|^(1/N) * s, s the pair's :func:`sublattice.pow2_scale`,
-    and ``scale`` is the largest s. At N = 1 the grid reads the entry
-    itself: np.linalg.det would run an LU factorisation and a log-sum on
-    every 1 x 1 matrix. The grid minima of both sides below
-    COARSE_FRACTION * scale (B first, row-major) start one lockstep of
-    :func:`_newton_roots`, each on det(blocks / scale) of its own side
-    from the pointwise generators, which takes m-fold steps at a zero of
-    order m (a double zero at doublet-ep2, ep4-sqrt and yao-lee-ep4). The
-    grid only chooses the starts and the scale, so a grid form moves a
-    point only where its rounding moves a grid minimum or the scale's
-    power of two. A point is kept when
+    and ``scale`` is the largest s. At N = 1 the objective is the modulus
+    of the entry itself, and ``scale`` the power of two of the grid's peak
+    modulus: np.linalg.det would run an LU factorisation and a log-sum on
+    every 1 x 1 matrix, and no entry needs dividing. The grid minima of
+    both sides below COARSE_FRACTION * scale (B first, row-major) start
+    one lockstep of :func:`_newton_roots`, each on det(blocks / scale) of
+    its own side from the pointwise generators, which takes m-fold steps
+    at a zero of order m (a double zero at doublet-ep2, ep4-sqrt and
+    yao-lee-ep4). The grid only chooses the starts and the scale, so a
+    grid form moves a point only where its rounding moves a grid minimum
+    or the scale's power of two. A point is kept when
     sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale and then
     deduplicated. The kept points are classified together, from the blocks
     evaluated for sigma_min, in one stacked pass whose one-pair case is
@@ -413,8 +416,7 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
         raise ValueError("bounds must be finite")
     if not (qx_min < qx_max and qy_min < qy_max):
         raise ValueError("bounds must be increasing per axis")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    cmatrix._check_tol(tol)
 
     qx = np.linspace(qx_min, qx_max, nx)
     qy = np.linspace(qy_min, qy_max, ny)
@@ -422,12 +424,18 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     sig = np.empty((2, nx, ny))
     scale = 0.0
     for start in range(0, nx, rows):
-        blocks = _grid_blocks(bh, qx[start:start + rows], qy)
+        chunk = slice(start, start + rows)
+        blocks = _grid_blocks(bh, qx[chunk], qy)
+        if bh.n == 1:
+            sig[:, chunk] = np.abs(blocks[..., 0, 0])
+            continue
         s = _pow2_scales(*blocks)
-        scaled = blocks / s[..., None, None]
-        dets = scaled[..., 0, 0] if bh.n == 1 else np.linalg.det(scaled)
-        sig[:, start:start + rows] = np.abs(dets) ** (1 / bh.n) * s
+        dets = np.linalg.det(blocks / s[..., None, None])
+        sig[:, chunk] = np.abs(dets) ** (1 / bh.n) * s
         scale = max(scale, float(s.max()))
+    if bh.n == 1:
+        # the largest s: the power of two of the grid's peak modulus
+        scale = float(_pow2_above(sig.max()))
 
     lo, hi = np.array(bounds, dtype=float).T
     minima = [_grid_minima(side_sig, COARSE_FRACTION * scale) for side_sig in sig]

@@ -213,8 +213,11 @@ def classify_point(b, bprime, tol: float = DEFAULT_TOL) -> EPClassification:
     CrossCheckMismatchError (a tolerance pathology, not a physics answer)
     is raised. This is the one-pair case of the stacked reading that
     :func:`epkit.analysis.bz_scan` runs on all its candidates at once.
+    A ``tol`` that is not positive raises ValueError once the blocks are
+    validated, before any work.
     """
     b, bp = _pair(b, bprime)
+    cmatrix._check_tol(tol)
     [result] = _classify_pairs(b[None], bp[None], tol)
     if isinstance(result, EpkitError):
         raise result
@@ -248,9 +251,11 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
     is finite and keeps its precision whatever the scale of the pair. The
     eigenvalues are clustered within DEFAULT_CLUSTER_FRACTION * ||product||,
     and only clusters of two or more get their Jordan block sizes read; no
-    chain is built.
+    chain is built. A ``tol`` that is not positive raises ValueError once
+    the blocks are validated, before any work.
     """
     b, bp = _pair(b, bprime)
+    cmatrix._check_tol(tol)
     s = pow2_scale(b, bp)
     product = (b / s) @ (bp / s)
     scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)

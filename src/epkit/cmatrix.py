@@ -111,13 +111,18 @@ class SVD:
         return self.u[:, : self.rank]
 
 
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not positive, NaN included."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+
 def _cutoffs(norm, tol: float, scale=None) -> np.ndarray:
     """The cutoffs ``tol * scale`` of finite matrices of norms ``norm``;
     ``scale`` defaults to the norm, and both may be arrays that broadcast.
     A norm or scale at or below the absolute floor makes everything count
     as zero."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     scale = norm if scale is None else scale
     return np.where(np.minimum(norm, scale) <= _ABS_FLOOR, np.inf, tol * scale)
 

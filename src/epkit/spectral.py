@@ -41,7 +41,8 @@ from .errors import (
 DEFAULT_CLUSTER_FRACTION = 1e-7
 
 #: Residual bound of the chain equation (H - E) x = e_{j-1}, as a
-#: fraction of ||H - E|| * ||x||.
+#: fraction of ||H - E|| * ||x||; a rank tolerance above 1e-7 raises the
+#: fraction to 10 * tol, as a block cut at tol * ||H - E|| needs.
 DEFAULT_CHAIN_FRACTION = 1e-6
 
 
@@ -286,8 +287,10 @@ def jordan_chain(h, e: complex, length: int, seed_vector=None,
     of the requested length. Each later vector is the minimum-norm solution
     of (H - E) x = e_{j-1} restricted to im((H - E)^(length-j)), so the
     result is deterministic, and each chain equation holds to
-    DEFAULT_CHAIN_FRACTION * ||H - E|| * ||x||, a bound that scales with
-    the chain vectors, which grow like ||H - E||^-(j-1).
+    max(DEFAULT_CHAIN_FRACTION, 10 * tol) * ||H - E|| * ||x||, a bound
+    that scales with the chain vectors, which grow like ||H - E||^-(j-1),
+    and loosens with the cut that made the block; a given seed must hold
+    (H - E) e_1 = 0 to the same bound at unit norm.
     """
     a = as_square_matrix(h)
     n = a.shape[0]
@@ -301,8 +304,8 @@ def jordan_chain(h, e: complex, length: int, seed_vector=None,
 
 def _chain(ladder: _PowerLadder, length: int, seed_vector):
     n = ladder.n
-    # the residual bound of a chain vector of unit norm
-    unit_tol = DEFAULT_CHAIN_FRACTION * ladder.norm
+    # the residual bound of a chain vector of unit norm, the seed's too
+    unit_tol = max(DEFAULT_CHAIN_FRACTION, 10 * ladder.tol) * ladder.norm
     if seed_vector is not None:
         seed = np.asarray(seed_vector, dtype=np.complex128).reshape(n)
         nrm = np.linalg.norm(seed)
@@ -310,7 +313,7 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector):
             raise SeedNotInKernelError("seed vector has zero norm")
         seed = seed / nrm
         resid = np.linalg.norm(ladder.shifted @ seed)
-        if resid > max(unit_tol, 10 * ladder.tol * ladder.norm):
+        if resid > unit_tol:
             raise SeedNotInKernelError(
                 f"seed is not in ker(H - E): residual {resid:.3e}"
             )

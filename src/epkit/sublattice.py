@@ -170,21 +170,6 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return phase_gauge(rows / cmatrix.row_norms(rows)[:, None])
 
 
-def factor_blocks(b, bprime, tol: float = DEFAULT_TOL):
-    """One factorisation of each block of a pair that :func:`_pair` has
-    validated, both in one stacked SVD and both cut against the pair.
-
-    The cutoff is tol * scale with scale = max(||B||, ||B'||), the common
-    magnitude of the pair, so a block that is tiny against its partner
-    counts as zero even when it is not exactly zero. Returns
-    ``(svd_b, svd_bprime, scale)``.
-    """
-    u, s, vh, scale = _factor_pairs(b, bprime)
-    scale = float(scale)
-    fb, fbp = (cmatrix._cut(*f, tol, scale) for f in zip(u, s, vh))
-    return fb, fbp, scale
-
-
 def _factor_pairs(b, bprime):
     """The full SVDs ``(u, s, vh)`` of both blocks of each pair of the
     validated stacks ``b``, ``bprime`` (..., N, N), in one stacked call,
@@ -204,7 +189,12 @@ def _pow2_scales(b, bprime) -> np.ndarray:
     with np.errstate(over="ignore"):
         peak = np.maximum(np.abs(b), np.abs(bprime))
     planes = np.ascontiguousarray(peak.reshape(-1, n * n).T)
-    peak = planes.max(axis=0).reshape(peak.shape[:-2])
+    return _pow2_above(planes.max(axis=0).reshape(peak.shape[:-2]))
+
+
+def _pow2_above(peak) -> np.ndarray:
+    """The power of two just above each modulus of ``peak``, kept within
+    the normal range."""
     # a modulus beyond the double range reads inf, whose frexp exponent is 0
     exponent = np.where(np.isinf(peak), 1023, np.frexp(peak)[1])
     return np.ldexp(1.0, np.clip(exponent, -1021, 1023))
@@ -217,20 +207,46 @@ def pow2_scale(b, bprime) -> float:
     return float(_pow2_scales(b, bprime))
 
 
+def _zero_modes(b, bprime, tol):
+    """The kernel-built zero modes of R pairs, for validated block stacks
+    ``b``, ``bprime`` of shape (R, N, N).
+
+    Returns ``(states, owner)``: unit, phase-fixed 2N-vector rows, pair
+    after pair, (0, chi) for chi in ker B and then (psi, 0) for psi in
+    ker B', and ``owner[i]``, the pair of row i. Both blocks of every pair
+    come from one stacked SVD, each cut at tol * scale with scale =
+    max(||B||, ||B'||), the common magnitude of its pair, so a block that
+    is tiny against its partner counts as zero even when it is not exactly
+    zero. A ``tol`` that is not positive raises ValueError, and then a
+    pair whose norm leaves the double range raises NonFiniteError.
+    """
+    n = b.shape[-1]
+    _, s, vh, scale = _factor_pairs(b, bprime)
+    # a bad tol is refused before an overflowing norm
+    cutoff = cmatrix._cutoffs(s[..., 0], tol, scale)
+    if not np.isfinite(scale).all():
+        raise NonFiniteError(cmatrix._NORM_OUT_OF_RANGE)
+    kernel = s <= cutoff[..., None]
+    # (pair, side, row of vh) of each kernel direction, B's side first
+    owner, side, j = np.nonzero(kernel.swapaxes(0, 1))
+    rows = np.zeros((len(owner), 2, n), dtype=np.complex128)
+    # ker B fills the chi half of its state, ker B' the psi half
+    rows[np.arange(len(owner)), 1 - side] = vh[side, owner, j].conj()
+    return _unit_rows(rows.reshape(-1, 2 * n)), owner
+
+
 def zero_energy_states(b, bprime, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Zero modes from the kernels, as unit 2N-vector rows: (0, chi) for
     chi in ker B, then (psi, 0) for psi in ker B'.
 
-    Kernel decisions are taken against the common magnitude of the pair
-    (see :func:`factor_blocks`)."""
+    Kernel decisions are taken against the common magnitude of the pair,
+    max(||B||, ||B'||), so a block that is tiny against its partner counts
+    as zero; a pair whose norm leaves the double range raises
+    NonFiniteError. This is the one-pair case of the stacked reader that
+    :func:`reduced_spectrum` runs on every pair whose spectrum drops an
+    eigenvalue."""
     b, bp = _pair(b, bprime)
-    fb, fbp, _ = factor_blocks(b, bp, tol)
-    n = b.shape[0]
-    ker_b, ker_bp = fb.kernel.T, fbp.kernel.T
-    rows = np.zeros((len(ker_b) + len(ker_bp), 2 * n), dtype=np.complex128)
-    rows[:len(ker_b), n:] = ker_b
-    rows[len(ker_b):, :n] = ker_bp
-    return _unit_rows(rows)
+    return _zero_modes(b[None], bp[None], tol)[0]
 
 
 def _spectra(b, bprime, tol):
@@ -240,9 +256,10 @@ def _spectra(b, bprime, tol):
     Returns ``(energies, states, owner)``: the rows that
     :func:`reduced_spectrum` gives for each pair, pair after pair, and
     ``owner[i]``, the pair of row i. Each pair keeps its own power-of-two
-    scale and its own cutoff, and its eigenpairs keep LAPACK's order.
-    Raises NonFiniteError when an energy or a state leaves the double
-    range.
+    scale and its own cutoff, and its eigenpairs keep LAPACK's order; the
+    zero modes of all pairs that drop an eigenvalue come from one
+    :func:`_zero_modes` call. ``tol`` is checked by the caller. Raises
+    NonFiniteError when an energy or a state leaves the double range.
     """
     n = b.shape[-1]
     if n > cmatrix.MAX_DIM:
@@ -275,11 +292,11 @@ def _spectra(b, bprime, tol):
     if not len(dropped):
         return energies, states, owner
     # each dropping pair's zero modes after its own rows
-    zero_modes = [zero_energy_states(b[i], bprime[i], tol) for i in dropped]
-    owner = np.concatenate([owner, np.repeat(dropped, [len(z) for z in zero_modes])])
+    zero_modes, zero_owner = _zero_modes(b[dropped], bprime[dropped], tol)
+    owner = np.concatenate([owner, dropped[zero_owner]])
     order = np.argsort(owner, kind="stable")
-    energies = np.concatenate([energies, np.zeros(len(owner) - len(energies))])
-    return (energies[order], np.concatenate([states, *zero_modes])[order],
+    energies = np.concatenate([energies, np.zeros(len(zero_modes))])
+    return (energies[order], np.concatenate([states, zero_modes])[order],
             owner[order])
 
 
@@ -298,8 +315,11 @@ def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
     from the blocks divided by :func:`pow2_scale`, so no magnitude of the
     pair can underflow or overflow it; an energy or state that leaves the
     double range raises NonFiniteError. This is the one-pair case of the
-    kernel that :func:`epkit.analysis.path_scan` runs on a whole ray.
+    kernel that :func:`epkit.analysis.path_scan` runs on a whole ray. A
+    ``tol`` that is not positive raises ValueError once the blocks are
+    validated, before any work.
     """
     b, bp = _pair(b, bprime)
+    cmatrix._check_tol(tol)
     energies, states, _ = _spectra(b[None], bp[None], tol)
     return energies, states

@@ -34,7 +34,8 @@ from epkit.models import (
     reciprocal_to_cartesian,
     zero_targets,
 )
-from epkit.sublattice import BlockHamiltonian, _pow2_scales, reduced_spectrum
+from epkit.sublattice import (BlockHamiltonian, _pow2_scales, _spectra,
+                              reduced_spectrum)
 
 from conftest import assert_same_bits, plant_counts, rising_chains, rising_model
 
@@ -266,6 +267,15 @@ class TestPathScan:
         with pytest.raises(ValueError, match=arg):
             path_scan(bh, call["q_star"], call["theta"], call["radii"])
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan])
+    def test_tol_refused_before_the_generators_run(self, tol):
+        calls = []
+        bh = ep4_sqrt_model()
+        counted = replace(bh, block=lambda q: calls.append(q) or bh.block(q))
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            path_scan(counted, bh.q_star, 0.0, tol=tol)
+        assert calls == []
+
     def test_continuation_is_permutation_consistent(self):
         bh = build_model("ep3")
         scan = path_scan(bh, bh.q_star, np.pi / 2, tol=1e-13)
@@ -391,6 +401,23 @@ class TestPathScanMatchesReference:
         bh = build_model("ep3")
         scan = self.check(bh, bh.q_star, np.pi / 2, tol=1e-9)
         assert len(scan.skipped_radii) > 0
+
+    def test_dropped_pairs_read_in_one_pass(self):
+        # 33 of the 48 radii drop an eigenvalue of B'B, and their zero
+        # modes come from one stacked reading; 25 radii are left with 3
+        # states and skipped
+        bh = build_model("ep3")
+        theta, radii, tol = np.pi / 2, RADIUS_GRIDS[1], 1e-6
+        scan = self.check(bh, bh.q_star, theta, radii, tol)
+        assert len(scan.skipped_radii) == 25
+        ray = bh.q_star + radii[:, None] * [np.cos(theta), np.sin(theta)]
+        b, bp = bh.b(ray), bh.b_prime(ray)
+        energies, states, owner = _spectra(b, bp, tol)
+        assert len(np.unique(owner[energies == 0])) == 33
+        alone = [reduced_spectrum(*pair, tol) for pair in zip(b, bp)]
+        assert_same_bits(owner, np.repeat(np.arange(48), [len(e) for e, _ in alone]))
+        assert_same_bits(energies, np.concatenate([e for e, _ in alone]))
+        assert_same_bits(states, np.concatenate([s for _, s in alone]))
 
     def test_each_radius_keeps_its_own_scale_and_cutoff(self):
         # the blocks at radius r are 2^e(r) (I, diag(r^2, 1e-8 r^2)) with
@@ -1072,6 +1099,23 @@ class TestBZScan:
         assert len(grid_calls) == grid_dets
         assert all(s[1:] == (5, bh.n, bh.n) for s in shapes
                    if s not in grid_calls)
+
+    @pytest.mark.parametrize("name,params,grid,grid_scales", [
+        ("kitaev", {"phi1": 0.3, "phi2": 0.1}, (128, 128), 0),
+        ("yao-lee-ep4", None, (64, 64), 1)])
+    def test_per_point_scales_only_from_n2(self, name, params, grid,
+                                           grid_scales, monkeypatch):
+        # at N = 1 the grid is the modulus of the entry, and the scan's
+        # scale the power of two of its peak
+        bh = build_model(name, params)
+        window = (KITAEV_BOUNDS if name == "kitaev"
+                  else tuple((c - 0.4, c + 0.4) for c in bh.q_star))
+        calls = []
+        scales = analysis._pow2_scales
+        monkeypatch.setattr(analysis, "_pow2_scales",
+                            lambda *blocks: calls.append(1) or scales(*blocks))
+        bz_scan(bh, grid, window)
+        assert len(calls) == grid_scales
 
     def test_cli_yao_lee_refinement_budget(self, capsys, monkeypatch):
         # the double zero of det B takes the 2-fold step once two plain

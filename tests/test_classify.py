@@ -677,6 +677,27 @@ class TestNearExactPoints:
         assert structure.block_sizes == blocks
         assert [len(chain) for chain in structure.chains] == blocks
 
+    @pytest.mark.parametrize("name,tol,blocks", [
+        ("ep4-sqrt", 1e-2, [4]), ("yao-lee-ep4", 1e-2, [4]),
+        ("yao-lee-ep4", 1e-6, [4]), ("yao-lee-ep3", 1e-2, [3, 1])])
+    def test_chains_at_a_loose_cut(self, name, tol, blocks):
+        # a block cut at tol * ||H|| has chain equations that hold to
+        # 10 * tol * ||H|| * ||x||, not to DEFAULT_CHAIN_FRACTION
+        bh = build_model(name)
+        q = bh.q_star + 1e-6 * np.array([1.0, 0.3])
+        h = assemble_blocks(bh.b(q), bh.b_prime(q))
+        structure = jordan_structure(h, 0.0, tol)
+        assert structure.block_sizes == blocks
+        assert [len(chain) for chain in structure.chains] == blocks
+        unit_tol = 10 * tol * np.linalg.norm(h, 2)
+        residuals = []
+        for chain in structure.chains:
+            assert np.linalg.norm(h @ chain[0]) <= unit_tol
+            for below, x in zip(chain, chain[1:]):
+                residuals.append(np.linalg.norm(h @ x - below) / np.linalg.norm(x))
+        assert max(residuals) <= unit_tol
+        assert max(residuals) > spectral.DEFAULT_CHAIN_FRACTION * np.linalg.norm(h, 2)
+
     def test_yao_lee_ep4_chain(self):
         # the seed of the 4-chain, cut at tol on principal-angle sines, was
         # once missed where the ranks read a 4-block

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from epkit import cmatrix
 from epkit.analysis import DEFAULT_RADII
 from epkit.classify import classify_nonzero_energy, classify_point
 from epkit.errors import GeneratorFailureError, NonFiniteError, OddDimensionError
@@ -17,9 +18,9 @@ from epkit.sublattice import (
     BlockHamiltonian,
     _grid_blocks,
     _pow2_scales,
+    _zero_modes,
     assemble,
     assemble_blocks,
-    factor_blocks,
     phase_gauge,
     pow2_scale,
     reduced_spectrum,
@@ -114,6 +115,31 @@ def test_pair_of_two_shapes_refused(entry):
         entry(np.eye(2), np.eye(3))
 
 
+TOL_ENTRIES = [zero_energy_states, reduced_spectrum, classify_point,
+               classify_nonzero_energy]
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan])
+@pytest.mark.parametrize("b", [
+    [[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), np.diag([1.0, 0.0])],
+    ids=["regular", "zero", "singular"])
+@pytest.mark.parametrize("entry", TOL_ENTRIES, ids=lambda f: f.__name__)
+def test_tol_refused(entry, b, tol):
+    # reduced_spectrum once gave energies here, or blamed the zero pair on
+    # the double range; classify_nonzero_energy called the singular pair
+    # Nondegenerate
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        entry(b, np.eye(2), tol)
+
+
+@pytest.mark.parametrize("entry", TOL_ENTRIES, ids=lambda f: f.__name__)
+def test_tol_refused_before_an_overflowing_norm(entry):
+    big = np.full((2, 2), 1e308)
+    for pair in ((np.zeros((2, 2)), big), (big, np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            entry(*pair, -1.0)
+
+
 class TestSymmetryResidual:
     def test_assembled_is_exact(self, rng):
         bh = random_block_hamiltonian(rng, 2)
@@ -149,10 +175,13 @@ def reference_unit_state(psi, chi):
 
 
 def reference_zero_energy_states(b, bprime, tol=1e-9):
-    """zero_energy_states as it was, one state at a time."""
+    """zero_energy_states as it was, one block and one state at a time:
+    each block factorised alone and cut against the pair."""
     b = np.asarray(b, dtype=np.complex128)
     bp = np.asarray(bprime, dtype=np.complex128)
-    fb, fbp, _ = factor_blocks(b, bp, tol)
+    svds = [np.linalg.svd(m) for m in (b, bp)]
+    scale = max(svds[0][1][0], svds[1][1][0], 1e-300)
+    fb, fbp = (cmatrix._cut(*f, tol, scale) for f in svds)
     n = b.shape[0]
     states = [reference_unit_state(np.zeros(n), chi) for chi in fb.kernel.T]
     states += [reference_unit_state(psi, np.zeros(n)) for psi in fbp.kernel.T]
@@ -416,6 +445,50 @@ class TestPhaseGauge:
         assert_same_bits(g[0], v[0])
         np.testing.assert_allclose(g[1], [4.0, -3j], atol=1e-15)
         assert_same_bits(phase_gauge(np.zeros((0, 4))), np.zeros((0, 4), dtype=complex))
+
+
+def kernel_pairs(rng, n):
+    """Pairs of N x N blocks with a kernel in B, in B', in both or in
+    neither, zero blocks, and a block that is tiny against its partner;
+    each kernel is a random direction, not a coordinate axis."""
+    def draw(scale=1.0):
+        return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+    def singular(rank):
+        u, _, vh = np.linalg.svd(draw())
+        return (u[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ vh[:rank]
+
+    zero = np.zeros((n, n), dtype=complex)
+    short = max(n - 2, 0)
+    return [(draw(), draw()), (singular(n - 1), draw()), (draw(), singular(short)),
+            (singular(n - 1), singular(n - 1)), (zero, draw()), (draw(), zero),
+            (zero, zero), (draw(1e-12), draw()), (draw(), draw(1e-15)),
+            (draw(1e-200), singular(n - 1) * 1e-200)]
+
+
+class TestZeroModes:
+    """The zero modes of a stack of pairs, read in one pass."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_mixed_stack_matches_the_reference(self, n, tol, rng):
+        pairs = kernel_pairs(rng, n)
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        b, bp = (np.array(side) for side in zip(*pairs))
+        states, owner = _zero_modes(b, bp, tol)
+        want = [reference_zero_energy_states(*pair, tol) for pair in pairs]
+        assert_same_bits(states, np.concatenate(want))
+        assert_same_bits(owner, np.repeat(np.arange(len(pairs)), [len(w) for w in want]))
+
+    def test_norm_out_of_range_raises(self, rng):
+        # finite entries whose norm, about 3e308, is beyond the double range
+        big = np.full((3, 3), 1e308, dtype=complex)
+        for side in (0, 1):
+            b, bp = rng.standard_normal((2, 2, 3, 3)) + 0j
+            (b, bp)[side][1] = big
+            with pytest.raises(NonFiniteError,
+                               match=f"^{cmatrix._NORM_OUT_OF_RANGE}$"):
+                _zero_modes(b, bp, 1e-9)
 
 
 class TestArrayFormMatchesReference:
