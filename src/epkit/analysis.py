@@ -21,7 +21,7 @@ from . import cmatrix
 from .cmatrix import DEFAULT_TOL
 from .errors import EpkitError, NoiseFloorReachedError, ZeroVectorError
 from .sublattice import (BlockHamiltonian, _grid_blocks, _pow2_above,
-                         _pow2_scales, _spectra)
+                         _pow2_rows, _pow2_scales, _spectra)
 
 #: 12 log-spaced radii across the asymptotic window. Below ~1e-6 the
 #: conditioning of near-defective eigenproblems starts eating the signal.
@@ -56,10 +56,14 @@ def quantum_distance(u, v) -> float:
     """Squared quantum distance 2 - 2 |<u|v>|, clamped to [0, 2].
 
     Gauge-invariant: insensitive to the phases of both states. Inputs are
-    normalized internally; zero vectors are rejected.
+    normalized internally, after each is divided by the power of two above
+    its largest real or imaginary part (:func:`sublattice._pow2_rows`,
+    exact), so their scales are free: vectors scaled by powers of two give
+    the same bits. An all-zero vector raises ZeroVectorError, and one with
+    a non-finite entry NonFiniteError.
     """
-    u = np.asarray(u, dtype=np.complex128).reshape(1, -1)
-    v = np.asarray(v, dtype=np.complex128).reshape(1, -1)
+    u = _pow2_rows(np.reshape(u, (1, -1)))
+    v = _pow2_rows(np.reshape(v, (1, -1)))
     return float(_distances(u, v)[0, 0])
 
 
@@ -70,7 +74,9 @@ class PathScan:
     ``energies[b, k]`` is branch b at radius index k; ``states[b, k, :]`` is
     the corresponding gauge-fixed 2N-vector. Radii are strictly descending;
     radii where the sample was degenerate are recorded in ``skipped_radii``
-    and absent from ``radii``.
+    and absent from ``radii``. ``scale`` is the largest power-of-two pair
+    scale (:func:`sublattice.pow2_scale`) of the ray's samples, the unit
+    of :func:`scaling_exponent`'s noise floor.
     """
 
     q_star: np.ndarray
@@ -81,6 +87,7 @@ class PathScan:
     skipped_radii: list = field(default_factory=list)
     branch_switches: list = field(default_factory=list)
     min_overlap: float = 1.0
+    scale: float = 1.0
 
     @property
     def n_branches(self) -> int:
@@ -181,7 +188,7 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     two_n = 2 * bh.n
     ray = qs + r_all[:, None] * direction
 
-    energies, states, owner = _spectra(bh.b(ray), bh.b_prime(ray), tol)
+    energies, states, owner, scales = _spectra(bh.b(ray), bh.b_prime(ray), tol)
     complete = np.bincount(owner, minlength=len(r_all)) == two_n
     kept_radii = r_all[complete]
     if len(kept_radii) < 2:
@@ -218,7 +225,7 @@ def path_scan(bh: BlockHamiltonian, q_star, theta: float, radii=None,
     steps = np.arange(len(kept_radii))
     return PathScan(qs, float(theta), kept_radii, energies[steps, perms.T],
                     states[steps, perms.T], r_all[~complete].tolist(),
-                    switches, min_overlap)
+                    switches, min_overlap, float(scales.max()))
 
 
 @dataclass
@@ -245,12 +252,21 @@ class CoalescenceProfile:
 def coalescence_profile(scan: PathScan, targets,
                         converge_threshold: float = 1e-3,
                         bounded_threshold: float = 0.05) -> CoalescenceProfile:
-    """Profile how each branch approaches each labeled target vector."""
+    """Profile how each branch approaches each labeled target vector.
+
+    Each target is divided by the power of two above its largest real or
+    imaginary part (:func:`sublattice._pow2_rows`, exact) before its
+    overlaps are taken,
+    so targets scaled by powers of two give the same bits and any nonzero
+    scale the same verdicts; an all-zero target raises ZeroVectorError,
+    and one with a non-finite entry NonFiniteError. ``targets`` in the
+    profile are the vectors as given.
+    """
     labels = [label for label, _ in targets]
     nb, nr, two_n = scan.states.shape
     tvecs = np.array([v for _, v in targets], dtype=np.complex128)
     tvecs = tvecs.reshape(len(labels), two_n)
-    dist = _distances(scan.states.reshape(nb * nr, two_n), tvecs)
+    dist = _distances(scan.states.reshape(nb * nr, two_n), _pow2_rows(tvecs))
     dist = dist.reshape(nb, nr, len(labels))
     final = dist[:, -1]
     converges = (final < converge_threshold) & np.all(
@@ -265,11 +281,13 @@ def scaling_exponent(scan: PathScan, branch_index: int,
                      noise_floor: float = 1e-12):
     """Least-squares slope of log |E| against log |dq| for one branch.
 
-    Returns (exponent, r_squared). Radii where |E| has fallen below the
-    noise floor are excluded; if fewer than two remain the fit is refused.
+    Returns (exponent, r_squared). Radii where |E| is at or below
+    ``noise_floor * scan.scale`` are excluded, the floor in units of the
+    ray's largest pair scale, so the fit does not depend on the overall
+    scale of the blocks; if fewer than two remain the fit is refused.
     """
     e = np.abs(scan.energies[branch_index])
-    mask = e > noise_floor
+    mask = e > noise_floor * scan.scale
     if np.sum(mask) < 2:
         raise NoiseFloorReachedError(
             f"branch {branch_index}: fewer than two energies above the noise floor"

@@ -250,26 +250,24 @@ def classify_nonzero_energy(b, bprime, tol: float = DEFAULT_TOL) -> EPClassifica
     s^2: lambda = value * 2**eigenvalue_scale_log2, and every reported value
     is finite and keeps its precision whatever the scale of the pair. The
     eigenvalues are clustered within DEFAULT_CLUSTER_FRACTION * ||product||,
-    and only clusters of two or more get their Jordan block sizes read; no
-    chain is built. A ``tol`` that is not positive raises ValueError once
-    the blocks are validated, before any work.
+    and only clusters of two or more get their Jordan block sizes read, at
+    their centres, from the product as it was formed; no chain is built.
+    A ``tol`` that is not positive raises ValueError once the blocks are
+    validated, before any work.
     """
     b, bp = _pair(b, bprime)
     cmatrix._check_tol(tol)
     s = pow2_scale(b, bp)
     product = (b / s) @ (bp / s)
-    scale = max(np.linalg.norm(product, 2), cmatrix._ABS_FLOOR)
-    lams, _ = cmatrix.eig(product)
+    scale, lams, _, clusters = spectral._spectrum(product)
     if any(abs(lam) <= tol * scale for lam in lams):
         raise ZeroEigenvaluePresentError(
             "B B' has a (near-)zero eigenvalue; use classify_point"
         )
-    clusters = spectral.cluster_eigenvalues(
-        lams, spectral.DEFAULT_CLUSTER_FRACTION * scale)
     defective = [
         cl.center for cl in clusters if cl.algebraic_multiplicity > 1
-        and max(spectral.jordan_structure(product, cl.center, tol,
-                                          with_chains=False).block_sizes) > 1
+        and max(spectral._structure(spectral._PowerLadder(
+            product, cl.center, tol), with_chains=False).block_sizes) > 1
     ]
     evidence = {
         "n": b.shape[0],

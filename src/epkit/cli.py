@@ -41,12 +41,6 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def fmt_complex(z: complex) -> str:
-    z = complex(z)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{fmt_float(z.real)}{sign}{fmt_float(abs(z.imag))}i"
-
-
 def parse_number(text: str):
     """Parse a real or complex literal; complex uses the a+bi form."""
     s = text.strip()
@@ -190,21 +184,6 @@ def _write_lines(lines, out_path):
         sys.stdout.write(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return fmt_complex(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _dump_json(payload, out_path):
-    _write_lines([json.dumps(payload, sort_keys=True, default=_json_default)],
-                 out_path)
-
-
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -218,10 +197,13 @@ def _table(rows, fields, as_json):
     row with all its keys, or a CSV header of ``fields`` and one line of
     those fields per row."""
     if as_json:
-        return [json.dumps(row, sort_keys=True, default=_json_default)
-                for row in rows]
+        return [json.dumps(row, sort_keys=True) for row in rows]
     return [",".join(fields)] + [",".join(_cell(row[f]) for f in fields)
                                  for row in rows]
+
+
+def _dump_json(payload, out_path):
+    _write_lines(_table([payload], None, True), out_path)
 
 
 def cmd_classify(bh, raw, as_json, out_path) -> int:

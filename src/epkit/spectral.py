@@ -21,6 +21,7 @@ Each image, intersection and seed removal is one SVD that keeps as many
 directions as the staircase counts, so no second cut is made.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ from .errors import (
     RankSequenceError,
     SeedNotInKernelError,
 )
+from .sublattice import _pow2_rows
 
 #: Cluster radius as a fraction of ||H||; looser than the rank tolerance
 #: because eigenvalues of a near-defective matrix scatter as eps**(1/k).
@@ -142,7 +144,7 @@ class _PowerLadder:
         if not np.isfinite(complex(e)):
             raise NonFiniteError(f"the shift {e} is not finite")
         self.n = n = a.shape[0]
-        self.tol = tol
+        self.e, self.tol = e, tol
         self.shifted = a - complex(e) * np.eye(n)
         self._base = base = cmatrix._cut(*np.linalg.svd(self.shifted), tol)
         self.norm = base.norm
@@ -251,7 +253,9 @@ def cluster_eigenvalues(eigenvalues, cluster_tol: float) -> list[EigenvalueClust
 
 
 def rank_sequence(h, e: complex, tol: float = DEFAULT_TOL) -> list[int]:
-    """Ranks [r_1, r_2, ...] of powers (H - E)^k until the plateau."""
+    """Ranks [r_1, r_2, ...] of powers (H - E)^k until the plateau, cut at
+    tol * ||H - E||; like :func:`jordan_structure`, at a shift within that
+    distance of the spectrum of a large block they read a block."""
     return _PowerLadder(as_square_matrix(h), e, tol).read()[0]
 
 
@@ -284,7 +288,10 @@ def jordan_chain(h, e: complex, length: int, seed_vector=None,
 
     The seed e_1 must lie in ker(H - E); if omitted it is chosen from
     ker(H - E) ∩ im((H - E)^(length-1)), the directions that admit a chain
-    of the requested length. Each later vector is the minimum-norm solution
+    of the requested length. A given seed is divided by the power of two
+    above its largest real or imaginary part, which is exact, so its scale
+    is free: only an all-zero seed is refused, and a non-finite entry
+    raises NonFiniteError. Each later vector is the minimum-norm solution
     of (H - E) x = e_{j-1} restricted to im((H - E)^(length-j)), so the
     result is deterministic, and each chain equation holds to
     max(DEFAULT_CHAIN_FRACTION, 10 * tol) * ||H - E|| * ||x||, a bound
@@ -299,19 +306,19 @@ def jordan_chain(h, e: complex, length: int, seed_vector=None,
     ladder = _PowerLadder(a, e, tol)
     if ladder.kernel.shape[1] == 0:
         raise NotAnEigenvalueError(f"{e} is not an eigenvalue at tol={tol}")
+    if seed_vector is not None:
+        seed_vector = _pow2_rows(np.reshape(seed_vector, n))
     return _chain(ladder, length, seed_vector)
 
 
 def _chain(ladder: _PowerLadder, length: int, seed_vector):
-    n = ladder.n
     # the residual bound of a chain vector of unit norm, the seed's too
     unit_tol = max(DEFAULT_CHAIN_FRACTION, 10 * ladder.tol) * ladder.norm
     if seed_vector is not None:
-        seed = np.asarray(seed_vector, dtype=np.complex128).reshape(n)
-        nrm = np.linalg.norm(seed)
-        if nrm < 1e-14:
+        nrm = np.linalg.norm(seed_vector)
+        if nrm == 0:
             raise SeedNotInKernelError("seed vector has zero norm")
-        seed = seed / nrm
+        seed = seed_vector / nrm
         resid = np.linalg.norm(ladder.shifted @ seed)
         if resid > unit_tol:
             raise SeedNotInKernelError(
@@ -343,60 +350,64 @@ def _chain(ladder: _PowerLadder, length: int, seed_vector):
 
 def jordan_structure(h, e: complex, tol: float = DEFAULT_TOL,
                      with_chains: bool = True) -> JordanStructure:
-    """Block sizes and chains of the generalized eigenspace at ``e``. The
-    seed of the i-th block, of size k, is the leading direction of a space
-    of dimension counts[k - 1] - (i - 1) >= 1, so one always exists."""
-    a = as_square_matrix(h)
-    n = a.shape[0]
-    ladder = _PowerLadder(a, e, tol)
+    """Block sizes and chains of the generalized eigenspace at ``e``.
+
+    The blocks are read at tol * ||H - E||, so a shift that is no
+    eigenvalue but lies within that distance of the spectrum of a large
+    block (a pseudo-eigenvalue) reads a block, not NotAnEigenvalueError;
+    ask at the centres of eigenvalue clusters, as :func:`ep_report` does.
+    """
+    return _structure(_PowerLadder(as_square_matrix(h), e, tol), with_chains)
+
+
+def _structure(ladder: _PowerLadder, with_chains: bool = True) -> JordanStructure:
+    """:func:`jordan_structure` read from a ladder already built. The seed
+    space of the blocks of size k, ker(H - E) ∩ im((H - E)^(k - 1)), of
+    dimension counts[k - 1], is computed once for all of them; the seed
+    of the i-th of them is the leading direction of that space less the
+    i - 1 seeds before it, so one always exists."""
     ranks, sizes = ladder.read()
-    if ranks[0] == n:
-        raise NotAnEigenvalueError(f"{e} is not an eigenvalue at tol={tol}")
+    if ranks[0] == ladder.n:
+        raise NotAnEigenvalueError(
+            f"{ladder.e} is not an eigenvalue at tol={ladder.tol}")
     if isinstance(sizes, RankSequenceError):
         raise sizes
-    structure = JordanStructure(complex(e), sizes)
+    structure = JordanStructure(complex(ladder.e), sizes)
     if not with_chains:
         return structure
 
-    kern = ladder.kernel
-    used_seeds = np.zeros((n, 0), dtype=np.complex128)
-    for size in sizes:
-        if size == 1:
-            candidates = kern
-        else:
-            candidates = _subspace_intersection(
-                kern, ladder.image(size - 1), int(ladder.counts[size - 1]))
-        # Remove directions already consumed by earlier (larger) blocks.
-        if used_seeds.shape[1]:
-            rest = candidates - used_seeds @ (used_seeds.conj().T @ candidates)
-            candidates = np.linalg.svd(rest)[0]
-        seed = candidates[:, 0]
-        structure.chains.append(_chain(ladder, size, seed))
-        used_seeds = np.hstack([used_seeds, seed.reshape(-1, 1)])
+    used = np.zeros((ladder.n, 0), dtype=np.complex128)
+    for size, blocks in itertools.groupby(sizes):
+        space = ladder.kernel if size == 1 else _subspace_intersection(
+            ladder.kernel, ladder.image(size - 1), int(ladder.counts[size - 1]))
+        for _ in blocks:
+            # less the directions of the seeds of earlier blocks
+            rest = space - used @ (used.conj().T @ space)
+            seed = (np.linalg.svd(rest)[0] if used.shape[1] else space)[:, 0]
+            structure.chains.append(_chain(ladder, size, seed))
+            used = np.hstack([used, seed[:, None]])
     return structure
+
+
+def _spectrum(a: np.ndarray) -> tuple:
+    """``(norm, w, v, clusters)`` of a validated square matrix ``a``: its
+    spectral norm, floored at the absolute floor, its eigenvalues and
+    unit eigenvectors from np.linalg.eig, and their clusters within
+    DEFAULT_CLUSTER_FRACTION * norm."""
+    norm = max(np.linalg.norm(a, 2), cmatrix._ABS_FLOOR)
+    w, v = np.linalg.eig(a)
+    return norm, w, v, cluster_eigenvalues(w, DEFAULT_CLUSTER_FRACTION * norm)
 
 
 def ep_report(h, tol: float = DEFAULT_TOL) -> EPReport:
     """Cluster the spectrum within DEFAULT_CLUSTER_FRACTION * ||H|| and
-    report the Jordan structure per cluster."""
+    report the Jordan structure per cluster, read at its centre from H as
+    validated once."""
     a = as_square_matrix(h)
-    hnorm = max(np.linalg.norm(a, 2), cmatrix._ABS_FLOOR)
-    w, v = cmatrix.eig(a)
-    clusters = cluster_eigenvalues(w, DEFAULT_CLUSTER_FRACTION * hnorm)
-    entries = []
-    nontrivial_blocks = 0
-    for cl in clusters:
-        if cl.algebraic_multiplicity == 1:
-            idx = cl.member_indices[0]
-            structure = JordanStructure(cl.center, [1], [[v[:, idx]]])
-        else:
-            structure = jordan_structure(a, cl.center, tol)
-        entries.append((cl, structure))
-        nontrivial_blocks += sum(1 for s in structure.block_sizes if s > 1)
-    if nontrivial_blocks == 0:
-        flag = "none"
-    elif nontrivial_blocks == 1:
-        flag = "simple"
-    else:
-        flag = "compound"
-    return EPReport(entries, flag)
+    _, _, v, clusters = _spectrum(a)
+    entries = [(cl, JordanStructure(cl.center, [1], [[v[:, cl.member_indices[0]]]])
+                if cl.algebraic_multiplicity == 1
+                else _structure(_PowerLadder(a, cl.center, tol)))
+               for cl in clusters]
+    nontrivial = sum(size > 1 for _, s in entries for size in s.block_sizes)
+    return EPReport(entries, ("none", "simple", "compound")[min(nontrivial, 2)])

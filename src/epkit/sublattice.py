@@ -195,9 +195,23 @@ def _pow2_scales(b, bprime) -> np.ndarray:
 def _pow2_above(peak) -> np.ndarray:
     """The power of two just above each modulus of ``peak``, kept within
     the normal range."""
-    # a modulus beyond the double range reads inf, whose frexp exponent is 0
-    exponent = np.where(np.isinf(peak), 1023, np.frexp(peak)[1])
-    return np.ldexp(1.0, np.clip(exponent, -1021, 1023))
+    # a modulus from 2^1022 up, inf included, takes the top exponent, 1023
+    exponent = np.frexp(np.minimum(peak, 2.0 ** 1022))[1]
+    return np.ldexp(1.0, np.maximum(exponent, -1021))
+
+
+def _pow2_rows(v) -> np.ndarray:
+    """Vectors given from outside, the rows of ``v`` (..., n), each divided
+    by :func:`_pow2_above` its peak, the largest modulus of a real or
+    imaginary part (a modulus could overflow). The division is exact, and
+    a nonzero row then peaks in [1/2, 1) whatever its scale, so no norm or
+    overlap of it can overflow or underflow; an all-zero row stays zero. A
+    non-finite entry raises NonFiniteError."""
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    peak = np.abs(v.view(np.float64)).max(axis=-1, keepdims=True, initial=0.0)
+    if not peak.max(initial=0.0) < np.inf:  # NaN fails too
+        raise NonFiniteError("vector contains NaN or Inf entries")
+    return v / _pow2_above(peak)
 
 
 def pow2_scale(b, bprime) -> float:
@@ -253,10 +267,11 @@ def _spectra(b, bprime, tol):
     """The reduced spectra of R pairs in one pass, for block stacks ``b``,
     ``bprime`` of shape (R, N, N) with finite entries.
 
-    Returns ``(energies, states, owner)``: the rows that
-    :func:`reduced_spectrum` gives for each pair, pair after pair, and
-    ``owner[i]``, the pair of row i. Each pair keeps its own power-of-two
-    scale and its own cutoff, and its eigenpairs keep LAPACK's order; the
+    Returns ``(energies, states, owner, scales)``: the rows that
+    :func:`reduced_spectrum` gives for each pair, pair after pair,
+    ``owner[i]``, the pair of row i, and the :func:`pow2_scale` (R,) that
+    each pair's blocks are divided by. Each pair keeps its own scale and
+    its own cutoff, and its eigenpairs keep LAPACK's order; the
     zero modes of all pairs that drop an eigenvalue come from one
     :func:`_zero_modes` call. ``tol`` is checked by the caller. Raises
     NonFiniteError when an energy or a state leaves the double range.
@@ -265,7 +280,8 @@ def _spectra(b, bprime, tol):
     if n > cmatrix.MAX_DIM:
         raise DimensionTooLargeError(
             f"dimension {n} exceeds the cap of {cmatrix.MAX_DIM}")
-    s = _pow2_scales(b, bprime)[:, None, None]
+    scales = _pow2_scales(b, bprime)
+    s = scales[:, None, None]
     product = (bprime / s) @ (b / s)
     # the spectral norm of each product, as np.linalg.norm(product, 2)
     norms = np.linalg.svd(product, compute_uv=False)[:, 0]
@@ -290,14 +306,14 @@ def _spectra(b, bprime, tol):
         raise NonFiniteError("an energy or a state leaves the double range")
     dropped = np.flatnonzero(~kept.all(axis=1))
     if not len(dropped):
-        return energies, states, owner
+        return energies, states, owner, scales
     # each dropping pair's zero modes after its own rows
     zero_modes, zero_owner = _zero_modes(b[dropped], bprime[dropped], tol)
     owner = np.concatenate([owner, dropped[zero_owner]])
     order = np.argsort(owner, kind="stable")
     energies = np.concatenate([energies, np.zeros(len(zero_modes))])
     return (energies[order], np.concatenate([states, zero_modes])[order],
-            owner[order])
+            owner[order], scales)
 
 
 def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
@@ -321,5 +337,5 @@ def reduced_spectrum(b, bprime, tol: float = DEFAULT_TOL):
     """
     b, bp = _pair(b, bprime)
     cmatrix._check_tol(tol)
-    energies, states, _ = _spectra(b[None], bp[None], tol)
+    energies, states, _, _ = _spectra(b[None], bp[None], tol)
     return energies, states

@@ -16,7 +16,9 @@ floats in hex. The scans are
   phases), each at the overall scales 1, 1e-200, 1e200, 2^-1000 and
   5e307 / 3, over the full zone at 128 x 128;
 - the q* +- 0.4 window of every catalog model at 16^2, 32^2, 64^2 and
-  33 x 47.
+  33 x 47;
+- 20 planted EPs of each canonical pair of perfbench/classify_taxonomy.py
+  (``conftest.planted_model``), each over its q* +- 0.4 window at 64^2.
 """
 
 import sys
@@ -26,7 +28,8 @@ import numpy as np
 
 from epkit.analysis import bz_scan
 from epkit.models import MODEL_CATALOG, build_model, kitaev_model
-from conftest import KITAEV_SCALES, signed_kitaev_couplings
+from conftest import (KITAEV_SCALES, PLANTED_GRID, planted_kinds, planted_model,
+                      signed_kitaev_couplings)
 from sweeps import run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -37,6 +40,7 @@ SMALL_PHASE_SETS = 40
 SIGNED_SETS = 40
 CATALOG_GRIDS = [(16, 16), (32, 32), (64, 64), (33, 47)]
 HALF_WIDTH = 0.4
+PLANTED_DRAWS = 20
 
 
 def _window(centre, half_width):
@@ -85,12 +89,21 @@ def catalog_scans():
             yield name, bh, grid, _window(bh.q_star, HALF_WIDTH)
 
 
+def planted_scans():
+    rng = np.random.default_rng(2)
+    for kind in planted_kinds():
+        for k in range(PLANTED_DRAWS):
+            bh, window, _ = planted_model(rng, kind)
+            yield f"planted {kind} {k}", bh, PLANTED_GRID, window
+
+
 def scans(seeds):
     for seed in seeds:
         yield from lattice_scans(seed)
     yield from small_phase_scans()
     yield from signed_scans()
     yield from catalog_scans()
+    yield from planted_scans()
 
 
 def line(label, bh, grid, window):

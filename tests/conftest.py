@@ -1,7 +1,11 @@
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def jordan_block(n, eigenvalue=0.0):
@@ -167,6 +171,56 @@ def signed_kitaev_couplings(rng):
         high = 0.06 if kind == 1 else 0.5
         phases = rng.uniform(0.005, high, 2) * rng.choice([-1.0, 1.0], 2)
     return tuple(float(x) for x in (j1, j2, j3, *phases))
+
+
+#: Window half-width and grid of a planted-EP scan.
+PLANTED_HALF_WIDTH = 0.4
+PLANTED_GRID = (64, 64)
+
+
+def planted_kinds():
+    """The canonical pairs of perfbench/classify_taxonomy.py, read-only:
+    kind -> (B0, B0', Jordan blocks of H at zero, flag)."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import classify_taxonomy
+
+    return classify_taxonomy.CANONICAL
+
+
+def planted_model(rng, kind):
+    """A model with the canonical pair ``kind`` planted at a random q*.
+
+    At q* the blocks are (P B0 Q^-1, Q B0' P^-1) for random complex P, Q of
+    condition number under 10, which conjugates H by diag(P, Q) and keeps
+    its Jordan structure; each block gains its own random complex linear
+    terms in dq = q - q*. q* is uniform in [-2, 2]^2. Returns ``(bh,
+    window, kind)``: the model, the window q* +- PLANTED_HALF_WIDTH and the
+    EPKind its Jordan blocks name.
+    """
+    from epkit.classify import _kind_of_blocks
+    from epkit.sublattice import BlockHamiltonian
+
+    b0, bp0, blocks, _ = planted_kinds()[kind]
+    b0, bp0 = np.array(b0, dtype=complex), np.array(bp0, dtype=complex)
+    n = len(b0)
+    p, q = (random_conditioned(rng, n, 10.0) for _ in range(2))
+    q_star = rng.uniform(-2.0, 2.0, 2)
+    slopes = rng.standard_normal((2, 2, n, n)) + 1j * rng.standard_normal((2, 2, n, n))
+
+    def generator(at_star, slope):
+        def fn(qs):
+            dq = np.asarray(qs) - q_star
+            return (at_star + dq[..., 0, None, None] * slope[0]
+                    + dq[..., 1, None, None] * slope[1])
+        return fn
+
+    bh = BlockHamiltonian(n, generator(p @ b0 @ np.linalg.inv(q), slopes[0]),
+                          generator(q @ bp0 @ np.linalg.inv(p), slopes[1]),
+                          name=f"planted {kind}", q_star=q_star)
+    window = tuple((float(c - PLANTED_HALF_WIDTH), float(c + PLANTED_HALF_WIDTH))
+                   for c in q_star)
+    return bh, window, _kind_of_blocks(blocks, n)
 
 
 def outcome(fn):

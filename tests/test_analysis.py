@@ -35,7 +35,7 @@ from epkit.models import (
     zero_targets,
 )
 from epkit.sublattice import (BlockHamiltonian, _pow2_scales, _spectra,
-                              reduced_spectrum)
+                              pow2_scale, reduced_spectrum)
 
 from conftest import assert_same_bits, plant_counts, rising_chains, rising_model
 
@@ -112,6 +112,29 @@ class TestQuantumDistance:
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
             quantum_distance([0.0, 0.0], [1.0, 0.0])
+
+    def test_scale_free(self, rng):
+        # both vectors are divided by the power of two above their peak
+        # modulus, which is exact
+        for _ in range(20):
+            u, v = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+            want = quantum_distance(u, v)
+            for k in (-1000, -60, 1, 60, 1000):
+                got = quantum_distance(u * 2.0 ** k, v * 2.0 ** -k)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            for c in (1e200, 1e-200):
+                assert quantum_distance(c * u, v) == pytest.approx(want, abs=1e-14)
+        # unscaled, these read 2.0 after an overflow and ZeroVectorError
+        assert quantum_distance([1e200, 0.0], [1.0, 0.0]) == 0.0
+        assert quantum_distance([1e-200, 0.0], [0.0, 1e-200]) == 2.0
+        assert quantum_distance([5e-324, 0.0], [1.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_vector_refused(self, bad):
+        with pytest.raises(NonFiniteError):
+            quantum_distance([bad, 0.0], [1.0, 0.0])
+        with pytest.raises(NonFiniteError):
+            quantum_distance([1.0, 0.0], [1.0, bad])
 
     def test_partner_pair_equidistant_from_zero_modes(self, rng):
         # (psi, chi) and its sublattice partner (psi, -chi) see any zero
@@ -412,12 +435,16 @@ class TestPathScanMatchesReference:
         assert len(scan.skipped_radii) == 25
         ray = bh.q_star + radii[:, None] * [np.cos(theta), np.sin(theta)]
         b, bp = bh.b(ray), bh.b_prime(ray)
-        energies, states, owner = _spectra(b, bp, tol)
+        energies, states, owner, scales = _spectra(b, bp, tol)
         assert len(np.unique(owner[energies == 0])) == 33
         alone = [reduced_spectrum(*pair, tol) for pair in zip(b, bp)]
         assert_same_bits(owner, np.repeat(np.arange(48), [len(e) for e, _ in alone]))
         assert_same_bits(energies, np.concatenate([e for e, _ in alone]))
         assert_same_bits(states, np.concatenate([s for _, s in alone]))
+        # the pair scales the products were divided by; the scan keeps
+        # the largest
+        assert_same_bits(scales, np.array([pow2_scale(*pair) for pair in zip(b, bp)]))
+        assert scan.scale == scales.max()
 
     def test_each_radius_keeps_its_own_scale_and_cutoff(self):
         # the blocks at radius r are 2^e(r) (I, diag(r^2, 1e-8 r^2)) with
@@ -605,6 +632,29 @@ class TestCoalescence:
         assert np.all(profile.distances >= 0) and np.all(profile.distances <= 2)
 
 
+    def test_target_scale_is_free(self):
+        bh = ep4_sqrt_model()
+        scan = path_scan(bh, bh.q_star, 0.0)
+        targets = zero_targets(bh)
+        want = coalescence_profile(scan, targets)
+        for k in (-1000, -300, 7, 300, 1000):
+            got = coalescence_profile(
+                scan, [(label, np.asarray(v) * 2.0 ** k) for label, v in targets])
+            assert_same_bits(got.distances, want.distances)
+        for c in (1e200, 1e-200):
+            got = coalescence_profile(scan, [(label, c * np.asarray(v))
+                                             for label, v in targets])
+            # unscaled, these read BoundedAway and ZeroVectorError
+            assert got.verdicts.tolist() == want.verdicts.tolist()
+            assert np.all(got.verdicts == CONVERGES)
+            np.testing.assert_allclose(got.distances, want.distances, atol=1e-14)
+
+    def test_non_finite_target_refused(self):
+        bh = build_model("ep3")
+        scan = path_scan(bh, bh.q_star, 0.0)
+        with pytest.raises(NonFiniteError):
+            coalescence_profile(scan, [("inf", [np.inf, 0.0, 0.0, 0.0])])
+
     def test_zero_target_raises(self):
         bh = build_model("ep3")
         scan = path_scan(bh, bh.q_star, 0.0)
@@ -727,6 +777,22 @@ class TestScalingExponent:
                                  np.zeros((1, 12, 4), dtype=complex))
         with pytest.raises(NoiseFloorReachedError):
             scaling_exponent(scan, 0)
+
+    @pytest.mark.parametrize("name", ["ep4-sqrt", "ep3"])
+    def test_floor_in_units_of_the_ray_scale(self, name):
+        # with the blocks scaled by 1e-14 every ep4-sqrt energy fell under
+        # the absolute floor 1e-12; at 1e-10 the last ep3 radii did
+        bh = build_model(name)
+        fits = {}
+        for c in (1.0, 1e-10, 1e-14, 2.0 ** -60):
+            scaled = replace(bh, block=lambda q, f=bh.b: c * f(q),
+                             block_prime=lambda q, f=bh.b_prime: c * f(q))
+            scan = path_scan(scaled, bh.q_star, 0.0)
+            assert scan.scale == pow2_scale(scaled.b(bh.q_star + [1e-2, 0.0]),
+                                            scaled.b_prime(bh.q_star + [1e-2, 0.0]))
+            fits[c] = [scaling_exponent(scan, b)[0] for b in range(scan.n_branches)]
+        for got in fits.values():
+            np.testing.assert_allclose(got, fits[1.0], rtol=0, atol=1e-6)
 
     def test_model_exponents(self):
         for name, theta, expected in (

@@ -635,6 +635,27 @@ class TestNonzeroEnergy:
         classify_nonzero_energy(jordan_block(2, 1.0), np.eye(2))
         assert len(calls) == 1
 
+    def test_blocks_validated_once(self, monkeypatch):
+        # the product, formed from the validated blocks, is read as it is,
+        # not validated again by eig and by each repeated cluster's reading
+        calls = []
+        as_matrix = cmatrix.as_matrix
+        monkeypatch.setattr(cmatrix, "as_matrix",
+                            lambda m: calls.append(1) or as_matrix(m))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the verdict went through a public reader")
+
+        monkeypatch.setattr(cmatrix, "eig", refused)
+        monkeypatch.setattr(spectral, "jordan_structure", refused)
+        b = block_diag(jordan_block(2, 1.0), jordan_block(2, 4.0), [[9.0]])
+        result = classify_nonzero_energy(b, np.eye(5))
+        assert len(calls) == 2
+        assert result.kind is EPKind.NONZERO_EP2_PAIR
+        unit = 2.0 ** result.evidence["eigenvalue_scale_log2"]
+        lambdas = np.multiply(result.evidence["defective_lambdas"], unit)
+        assert lambdas.tolist() == [1, 4]
+
     def test_verdict_builds_no_chains(self, monkeypatch):
         def no_chains(*args, **kwargs):
             raise AssertionError("the nonzero-energy verdict built a chain")

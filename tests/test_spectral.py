@@ -251,6 +251,29 @@ class TestJordanChain:
         with pytest.raises(SeedNotInKernelError):
             jordan_chain(jordan_block(2), 0.0, 2, seed_vector=[0.0, 1.0])
 
+    def test_seed_scale_is_free(self):
+        m = block_diag(jordan_block(2), jordan_block(2))
+        seed = np.array([0.6, 0.0, 0.8j, 0.0])
+        want = jordan_chain(m, 0.0, 2, seed_vector=seed)
+        for k in (-1020, -60, 1, 60, 1020):
+            assert_same_bits(jordan_chain(m, 0.0, 2, seed_vector=seed * 2.0 ** k),
+                             want)
+        for c in (1e200, 1e-200, 1e-15):
+            got = jordan_chain(m, 0.0, 2, seed_vector=c * seed)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # unscaled, these read an all-zero chain after an overflow and
+        # "zero norm"
+        for seed in ([1e200, 0.0], [1e-15, 0.0]):
+            chain = jordan_chain(jordan_block(2), 0.0, 2, seed_vector=seed)
+            assert_same_bits(chain, np.eye(2, dtype=complex))
+        with pytest.raises(SeedNotInKernelError, match="zero norm"):
+            jordan_chain(jordan_block(2), 0.0, 2, seed_vector=[0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, -np.inf)])
+    def test_non_finite_seed_refused(self, bad):
+        with pytest.raises(NonFiniteError):
+            jordan_chain(jordan_block(2), 0.0, 2, seed_vector=[bad, 0.0])
+
     def test_overlong_chain_fails(self):
         with pytest.raises(ChainSolveFailedError):
             jordan_chain(block_diag(jordan_block(2), jordan_block(2)), 0.0, 3)
@@ -319,6 +342,40 @@ class TestEpReport:
     def test_diagonalizable_flag_none(self):
         report = ep_report(np.diag([1.0, 2.0, 3.0]))
         assert report.flag == "none"
+
+    def test_matrix_validated_once(self, monkeypatch):
+        # two repeated clusters, none of which validates the matrix again
+        calls = []
+        as_matrix = cmatrix.as_matrix
+        monkeypatch.setattr(cmatrix, "as_matrix",
+                            lambda m: calls.append(1) or as_matrix(m))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("ep_report went through a public reader")
+
+        monkeypatch.setattr(cmatrix, "eig", refused)
+        monkeypatch.setattr(spectral, "jordan_structure", refused)
+        m = block_diag(jordan_block(2), jordan_block(2), jordan_block(3, 1.0), [[2.0]])
+        report = ep_report(m)
+        assert len(calls) == 1
+        assert [s.block_sizes for _, s in report.entries] == [[2, 2], [3], [1]]
+        assert report.flag == "compound"
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_one_seed_space_per_block_size(count, monkeypatch):
+    # one intersection for all blocks of a size, not one per block
+    calls = []
+    intersection = spectral._subspace_intersection
+    monkeypatch.setattr(spectral, "_subspace_intersection",
+                        lambda *args: calls.append(1) or intersection(*args))
+    m = block_diag(*[jordan_block(2)] * count)
+    structure = jordan_structure(m, 0.0)
+    assert len(calls) == 1
+    assert structure.block_sizes == [2] * count
+    assert_chains_hold(m, structure.chains)
+    seeds = np.array([chain[0] for chain in structure.chains]).T
+    assert np.linalg.svd(seeds, compute_uv=False)[-1] > 0.5
 
 
 class ReferenceLadder:

@@ -352,6 +352,9 @@ def test_pow2_scales_as_the_trailing_reduction(n, rng):
     b[1, 1, -1, -1] = 1.5e308 + 1.5e308j
     bp[1, 2] = 1e-310j
     b[2, :, 0, 0] = np.nan_to_num(np.inf)
+    # peaks at the powers of two where the exponent is clamped
+    b[3, :4] = bp[3, :4] = 0.0
+    b[3, :4, 0, 0] = 2.0 ** 1022, 2.0 ** 1023, 2.0 ** -1022, 2.0 ** -1023
     for got, want in ((_pow2_scales(b, bp), reference_pow2_scales(b, bp)),
                       (_pow2_scales(b[0, 0], bp[3, 4]),
                        reference_pow2_scales(b[0, 0], bp[3, 4]))):
