@@ -27,8 +27,10 @@ from .sublattice import (BlockHamiltonian, _grid_blocks, _pow2_above,
 #: conditioning of near-defective eigenproblems starts eating the signal.
 DEFAULT_RADII = np.geomspace(1e-2, 1e-6, 12)
 
-#: Settings of :func:`bz_scan`, described there; the blocks of a grid chunk
-#: take at most GRID_CHUNK_ENTRIES // 2 complex128 entries (32 MiB).
+#: Settings of :func:`bz_scan`, described there (BZ_TOL is its default
+#: tol); the blocks of a grid chunk take at most GRID_CHUNK_ENTRIES // 2
+#: complex128 entries (32 MiB).
+BZ_TOL = 1e-6
 COARSE_FRACTION = 0.25
 NEWTON_STEPS = 60
 GRID_CHUNK_ENTRIES = 2 ** 22
@@ -325,7 +327,10 @@ def _newton_roots(dets, starts, lo, hi):
     have each kept the same share (0.4 to 0.95, within 0.05) of the one
     before: at a zero of order m, f ~ c dq^m, so J dq = m f and a plain
     step keeps 1 - 1/m of the distance. From then on the start takes
-    Schroeder's m-fold step, which converges quadratically again. w is
+    Schroeder's m-fold step, which converges quadratically again, as long
+    as |f| falls: a start whose |f| did not fall since its last evaluation
+    goes back to m = 1 (and may settle on an order again), as a step of the
+    wrong order jumps across a simple zero and back. w is
     h = cbrt(eps) * max(hi - lo) until m is known, then the start's last
     move clipped to [sqrt(eps) * max|lo, hi|, h]: near a multiple zero J
     is as small as the distance, and a fixed h would bias it. A start
@@ -353,6 +358,7 @@ def _newton_roots(dets, starts, lo, hi):
     active = np.arange(len(q))
     width, order = np.full(len(q), h), np.ones(len(q))
     last, kept_before = np.full(len(q), np.inf), np.zeros(len(q))
+    last_f = np.full(len(q), np.inf)
     stalls = np.zeros(len(q), dtype=int)
     for _ in range(NEWTON_STEPS):
         if not len(active):
@@ -365,6 +371,9 @@ def _newton_roots(dets, starts, lo, hi):
         slope = (f[:, [1, 3]] - f[:, [2, 4]]) / (2 * w[:, None])
         jac = np.stack([slope.real, slope.imag], axis=1)
         residual = np.stack([f[:, 0].real, f[:, 0].imag], axis=-1)
+        size_f = np.abs(f[:, 0])
+        order[active[size_f >= last_f[active]]] = 1
+        last_f[active] = size_f
         step = (np.linalg.pinv(jac, rcond=1e-12) @ residual[..., None])[..., 0]
         size = np.max(np.abs(step), axis=-1)
         # the share of the previous step that this one kept; only a share
@@ -399,7 +408,7 @@ def _grid_minima(sig, threshold):
     return np.argwhere((sig <= threshold) & (sig <= neighbourhood))
 
 
-def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
+def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = BZ_TOL):
     """Locate and classify degeneracy points of H(q) over a momentum window.
 
     H is singular exactly where det B or det B' vanishes, and its singular
@@ -422,9 +431,17 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
     sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale and then
     deduplicated. The kept points are classified together, from the blocks
     evaluated for sigma_min, in one stacked pass whose one-pair case is
-    :func:`classify.classify_point`, and sorted by (qx, qy); a point whose
-    classification raises an EpkitError is kept as Unclassified with
-    ``evidence["error"]``, and the others keep their verdicts.
+    :func:`classify.classify_point`, except that a block counts as zero
+    below tol * max(its pair's scale, ``scale``), the cut that kept the
+    point: where both blocks vanish to rounding, as at a Hermitian Kitaev
+    Dirac point (|A(q*)| ~ 1e-15), the point reads Diabolic, not
+    Nondegenerate as against the pair's own tiny scale. A verdict is thus
+    relative to the window's peak: a block that is nonzero but below
+    tol * ``scale`` reads as zero, so a wider window, whose peak is higher,
+    can read such a point as less defective. The points are
+    sorted by (qx, qy); a point whose classification raises an EpkitError
+    is kept as Unclassified with ``evidence["error"]``, and the others keep
+    their verdicts.
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 16 or ny < 16:
@@ -478,7 +495,7 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = 1e-6):
         kept.append(i)
     if not kept:
         return []
-    results = _classify._classify_pairs(b[kept], bp[kept], tol)
+    results = _classify._classify_pairs(b[kept], bp[kept], tol, scale)
     candidates = [BZCandidate(starts[i], roots[i], float(sigma[i]), _verdict(r))
                   for i, r in zip(kept, results)]
     candidates.sort(key=lambda c: (c.q_refined[0], c.q_refined[1]))

@@ -51,7 +51,6 @@ from . import cmatrix, spectral
 from .cmatrix import DEFAULT_TOL
 from .errors import (
     CrossCheckMismatchError,
-    DimensionTooLargeError,
     EpkitError,
     NonFiniteError,
     RankSequenceError,
@@ -103,11 +102,6 @@ def _kind_of_blocks(blocks, n):
     return EPKind.UNCLASSIFIED
 
 
-def _too_large(dim):
-    return DimensionTooLargeError(
-        f"dimension {dim} exceeds the cap of {cmatrix.MAX_DIM}")
-
-
 def _around(pair, of_h):
     """The factors ``pair`` (2, K, ...) of B and B', zero-padded to the
     shape of those of H, ``of_h`` (K, ...), stacked around them: reversed,
@@ -119,7 +113,7 @@ def _around(pair, of_h):
     return stack
 
 
-def _classify_pairs(b, bprime, tol):
+def _classify_pairs(b, bprime, tol, reference=None):
     """:func:`classify_point` of each pair of the stacks ``b``, ``bprime``
     (K, N, N) of finite complex blocks, all pairs in one pass: the
     staircase of the cycle (B, B') of each pair, whose first level is the
@@ -132,10 +126,18 @@ def _classify_pairs(b, bprime, tol):
     classify_point raises for it, with the same message; a pair that fails
     leaves the others as they are, and any other exception propagates.
     A pair whose H, 2N x 2N, is over the cap is refused unread.
+
+    ``reference``, when given, is a magnitude below which a block counts as
+    zero whatever the pair's own scale, such as the scale of the scan that
+    found the pair: B and B' are cut at tol * max(scale, reference), and H
+    in the same units. Without it, or at or below the pair's scale, the
+    cuts are those of :func:`classify_point`. ``evidence["scale"]`` is the
+    pair's own scale either way.
     """
     k, n = b.shape[0], b.shape[-1]
     if 2 * n > cmatrix.MAX_DIM:
-        return [_too_large(n if n > cmatrix.MAX_DIM else 2 * n) for _ in range(k)]
+        return [cmatrix._too_large(n if n > cmatrix.MAX_DIM else 2 * n)
+                for _ in range(k)]
     out = [None] * k
     u, s, vh, scale = _factor_pairs(b, bprime)
     # pairs[j] is the pair in row j of the stacks. A pair whose norms
@@ -151,13 +153,21 @@ def _classify_pairs(b, bprime, tol):
             return out
         b, bprime, u, s, vh, scale = (b[pairs], bprime[pairs], u[:, pairs],
                                       s[:, pairs], vh[:, pairs], scale[pairs])
-    cutoff = cmatrix._cutoffs(s[..., 0], tol, scale)
+    top = scale if reference is None else np.maximum(scale, reference)
+    cutoff = cmatrix._cutoffs(s[..., 0], tol, top)
     # H divided by the pair scale; a block at the absolute floor is zero
     # in H as in the chains
     scaled = np.array([b, bprime]) / scale[:, None, None]
     scaled[np.isinf(cutoff)] = 0
     h = np.linalg.svd(_fill(*scaled))
-    cutoff = np.array([cutoff[0], cmatrix._cutoffs(h[1][:, 0], tol), cutoff[1]])
+    norm, h_scale = h[1][:, 0], None
+    if reference is not None:
+        # H is cut where the blocks are, in units of the pair scale: at its
+        # norm times top / scale, exactly its norm where the pair's scale is
+        # the top (a zero H is all kernel at any unit; 0 * inf would be NaN)
+        with np.errstate(over="ignore"):
+            h_scale = norm * np.where(norm > 0, top / scale, 1.0)
+    cutoff = np.array([cutoff[0], cmatrix._cutoffs(norm, tol, h_scale), cutoff[1]])
     # counts[:, k - 1]: the kernels of the deflated B, H and B' at level k.
     # Those of B and B' count the chains of length >= k in ker B and in
     # ker B' for odd k, and in ker B' and ker B for even k; those of H

@@ -313,7 +313,7 @@ def cmd_bz_scan(bh, raw, as_json, out_path) -> int:
         raise ConfigError("bounds keys must be given all together")
     else:
         bounds = _default_bounds(bh)
-    ep_tol = _get_float(raw, "ep_tol", 1e-6, positive=True)
+    ep_tol = _get_float(raw, "ep_tol", analysis.BZ_TOL, positive=True)
     rows = []
     for c in analysis.bz_scan(bh, (nx, ny), bounds, tol=ep_tol):
         row = {"qx": c.q_refined[0], "qy": c.q_refined[1],

@@ -56,10 +56,13 @@ def as_square_matrix(m) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > MAX_DIM:
-        raise DimensionTooLargeError(
-            f"dimension {a.shape[0]} exceeds the cap of {MAX_DIM}"
-        )
+        raise _too_large(a.shape[0])
     return a
+
+
+def _too_large(dim: int) -> DimensionTooLargeError:
+    """The refusal of a matrix of dimension ``dim`` over MAX_DIM."""
+    return DimensionTooLargeError(f"dimension {dim} exceeds the cap of {MAX_DIM}")
 
 
 def eig(m):

@@ -15,6 +15,8 @@ exp(i q~_j).
 """
 
 import cmath
+import dataclasses
+import functools
 import inspect
 import math
 from typing import Callable, NamedTuple
@@ -24,7 +26,7 @@ import numpy as np
 from . import classify
 from .cmatrix import DEFAULT_TOL
 from .errors import ParamViolationError
-from .sublattice import BlockHamiltonian, zero_energy_states
+from .sublattice import BlockHamiltonian, _fill, zero_energy_states
 
 R1 = np.array([1.0, 0.0])
 R2 = np.array([0.5, math.sqrt(3.0) / 2.0])
@@ -78,6 +80,50 @@ def _require(cond: bool, message: str):
         raise ParamViolationError(message)
 
 
+class ModelSpec(NamedTuple):
+    builder: Callable[..., BlockHamiltonian]
+    params: dict
+    description: str
+
+
+MODEL_CATALOG: dict[str, ModelSpec] = {}
+
+
+def _catalog(name: str, description: str):
+    """Decorator that enters a builder in :data:`MODEL_CATALOG` as ``name``.
+
+    The entry's parameters are the builder's keyword defaults, in signature
+    order, with ``q_star``, which comes last, given as ``qstar_x``,
+    ``qstar_y``. The builder is wrapped, so every model it returns is named
+    ``name`` and carries the builder's bound arguments, defaults included
+    and ``q_star`` left out, as ``params``.
+    """
+    def register(builder):
+        signature = inspect.signature(builder)
+
+        def arguments(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return bound.arguments
+
+        @functools.wraps(builder)
+        def build(*args, **kwargs):
+            params = arguments(*args, **kwargs)
+            params.pop("q_star", None)
+            return dataclasses.replace(builder(*args, **kwargs), name=name,
+                                       params=params)
+
+        defaults = arguments()
+        if "q_star" in defaults:
+            defaults["qstar_x"], defaults["qstar_y"] = defaults.pop("q_star")
+        MODEL_CATALOG[name] = ModelSpec(build, defaults, description)
+        return build
+
+    return register
+
+
+@_catalog("doublet-ep2",
+          "SU(2) doublet of 2-blocks; sqrt dispersion, two limit vectors")
 def doublet_ep2_model(v_x=1.0, v_y=1.0, c=1.0, q_star=(0.0, 0.0)) -> BlockHamiltonian:
     """SU(2)-symmetric doublet of 2-blocks at q_star.
 
@@ -99,12 +145,11 @@ def doublet_ep2_model(v_x=1.0, v_y=1.0, c=1.0, q_star=(0.0, 0.0)) -> BlockHamilt
     def block_prime(q):
         return (c / -1j) * np.eye(2)
 
-    return BlockHamiltonian(
-        2, block, block_prime, name="doublet-ep2", q_star=qs,
-        params={"v_x": v_x, "v_y": v_y, "c": c},
-    )
+    return BlockHamiltonian(2, block, block_prime, q_star=qs)
 
 
+@_catalog("ep4-sqrt",
+          "4-block with sqrt dispersion; all eigenvectors collapse to e1")
 def ep4_sqrt_model(b2=1.0, bp1=1.0, bp4=1.0, v1=0.9, v4=0.7, vp3=0.8,
                    q_star=(0.0, 0.0)) -> BlockHamiltonian:
     """Four-fold coalescence with square-root dispersion on every ray."""
@@ -120,12 +165,10 @@ def ep4_sqrt_model(b2=1.0, bp1=1.0, bp4=1.0, v1=0.9, v4=0.7, vp3=0.8,
         v = _complex_offset(q, qs)
         return _matrix([[bp1, 0.0], [vp3 * v, bp4]])
 
-    return BlockHamiltonian(
-        2, block, block_prime, name="ep4-sqrt", q_star=qs,
-        params={"b2": b2, "bp1": bp1, "bp4": bp4, "v1": v1, "v4": v4, "vp3": vp3},
-    )
+    return BlockHamiltonian(2, block, block_prime, q_star=qs)
 
 
+@_catalog("ep4-quartic", "4-block with quartic-root dispersion")
 def ep4_quartic_model(b2=1.0, bp1=1.0, bp4=1.0, v3=0.9,
                       q_star=(0.0, 0.0)) -> BlockHamiltonian:
     """Four-fold coalescence with a quartic-root branch cut.
@@ -145,12 +188,10 @@ def ep4_quartic_model(b2=1.0, bp1=1.0, bp4=1.0, v3=0.9,
     def block_prime(q):
         return np.diag([bp1, bp4]).astype(np.complex128)
 
-    return BlockHamiltonian(
-        2, block, block_prime, name="ep4-quartic", q_star=qs,
-        params={"b2": b2, "bp1": bp1, "bp4": bp4, "v3": v3},
-    )
+    return BlockHamiltonian(2, block, block_prime, q_star=qs)
 
 
+@_catalog("ep3", "mixed 3-block plus zero mode; path-dependent coalescence")
 def ep3_model(b2=1.0, bp1=1.0, bp2=2.0, v1=1.0, v3=0.4, v4=0.6,
               vp3=0.9, vp4=0.5, rp3=0.3, rp4=-3.0,
               q_star=(0.0, 0.0)) -> BlockHamiltonian:
@@ -180,11 +221,7 @@ def ep3_model(b2=1.0, bp1=1.0, bp2=2.0, v1=1.0, v3=0.4, v4=0.6,
             [[bp1, bp2], [vp3 * lin + rp3 * quad, vp4 * lin + rp4 * quad]]
         )
 
-    return BlockHamiltonian(
-        2, block, block_prime, name="ep3", q_star=qs,
-        params={"b2": b2, "bp1": bp1, "bp2": bp2, "v1": v1, "v3": v3, "v4": v4,
-                "vp3": vp3, "vp4": vp4, "rp3": rp3, "rp4": rp4},
-    )
+    return BlockHamiltonian(2, block, block_prime, q_star=qs)
 
 
 # --- honeycomb lattice models -------------------------------------------
@@ -226,9 +263,9 @@ def _a_grids(qx, qy, j1, j2, j3, phi1, phi2):
 
 def kitaev_bloch(q, j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> np.ndarray:
     """2 x 2 Majorana Bloch matrix [[0, i A(q)], [-i A(-q), 0]]."""
-    a = _a_tilde(q, j1, j2, j3, phi1, phi2)
-    am = _a_tilde(-np.asarray(q, dtype=float), j1, j2, j3, phi1, phi2)
-    return _matrix([[0.0, 1j * a], [-1j * am, 0.0]])
+    q = np.asarray(q, dtype=float)
+    return _fill(*(_a_tilde(p, j1, j2, j3, phi1, phi2)[..., None, None]
+                   for p in (q, -q)))
 
 
 def _fold_sign(j, phi):
@@ -278,6 +315,7 @@ def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     return sorted(out, key=lambda q: (q[0], q[1]))
 
 
+@_catalog("kitaev", "one-flavour honeycomb Majorana model with complex couplings")
 def kitaev_model(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> BlockHamiltonian:
     """One-flavour honeycomb Majorana model as a BlockHamiltonian (N = 1),
     with a grid form built from 1-D phase factors (:func:`_a_grids`)."""
@@ -293,11 +331,7 @@ def kitaev_model(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> BlockHamiltonian
     def grid(qx, qy):
         return _a_grids(qx, qy, j1, j2, j3, phi1, phi2)[..., None, None]
 
-    return BlockHamiltonian(
-        1, block, block_prime, name="kitaev", q_star=q_star,
-        params={"j1": j1, "j2": j2, "j3": j3, "phi1": phi1, "phi2": phi2},
-        grid=grid,
-    )
+    return BlockHamiltonian(1, block, block_prime, q_star=q_star, grid=grid)
 
 
 def _yao_lee_pieces(jt, phi):
@@ -333,15 +367,14 @@ def _yao_lee_pieces(jt, phi):
     return q_star, g, h
 
 
-def _yao_lee_model(name, expected_kind, upper, q_star, public):
+def _yao_lee_model(expected_kind, upper, q_star, j01, j02, j03):
     """diag(upper(q), A0(q)) with the particle-hole pairing B'(q) = A(-q)^T.
 
     ``upper(q, qt)`` gives the 2-flavour block as rows of entries from the
     momenta and their reciprocal coordinates; A0 is the real-coupling
-    honeycomb band of (j01, j02, j03). The 2-flavour
-    sub-block at q* must classify as ``expected_kind``.
+    honeycomb band of (j01, j02, j03). The 2-flavour sub-block at q* must
+    classify as ``expected_kind``, or ParamViolationError names the kind.
     """
-    j01, j02, j03 = public["j01"], public["j02"], public["j03"]
 
     def block(q):
         qt = cartesian_to_reciprocal(q)
@@ -352,19 +385,19 @@ def _yao_lee_model(name, expected_kind, upper, q_star, public):
     def block_prime(q):
         return np.swapaxes(block(-q), -1, -2)
 
-    bh = BlockHamiltonian(3, block, block_prime, name=name, q_star=q_star,
-                          params=public)
+    bh = BlockHamiltonian(3, block, block_prime, q_star=q_star)
     result = classify.classify_zero_energy(
         bh.b(q_star)[:2, :2], bh.b_prime(q_star)[:2, :2], 1e-8)
     if result.kind is not expected_kind:
         raise ParamViolationError(
-            f"{name}: 2-flavour sub-block at q* classifies as "
+            "yao-lee model: 2-flavour sub-block at q* classifies as "
             f"{result.kind.value}, expected {expected_kind.value}; "
             "adjust the coupling constants"
         )
     return bh
 
 
+@_catalog("yao-lee-ep4", "six-band spin-liquid construction hosting a 4-block")
 def yao_lee_ep4_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
                       j01=3.0, j02=1.0, j03=1.0) -> BlockHamiltonian:
     """Six-band spin-liquid construction whose 4 x 4 sub-block carries a
@@ -384,12 +417,11 @@ def yao_lee_ep4_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
         a_prime = a + zp1 * g(qt) + zp2 * h(-qt)
         return [[a, w], [0.0, a_prime]]
 
-    public = {"jt": jt, "phi": phi, "z1": z1, "z2": z2, "zp1": zp1, "zp2": zp2,
-              "j01": j01, "j02": j02, "j03": j03}
-    return _yao_lee_model("yao-lee-ep4", classify.EPKind.EP4, upper, q_star,
-                          public)
+    return _yao_lee_model(classify.EPKind.EP4, upper, q_star, j01, j02, j03)
 
 
+@_catalog("yao-lee-ep3",
+          "six-band spin-liquid construction hosting a mixed 3-block")
 def yao_lee_ep3_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
                       j01=3.0, j02=1.0, j03=1.0) -> BlockHamiltonian:
     """Six-band construction whose 4 x 4 sub-block carries a mixed 3-block.
@@ -415,10 +447,8 @@ def yao_lee_ep3_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
         return [[_a_of_phases(qt, jt, jt, jt, phi, 0.0), w_top],
                 [w_bottom, 0.0]]
 
-    public = {"jt": jt, "phi": phi, "z1": z1, "z2": z2, "zp1": zp1, "zp2": zp2,
-              "j01": j01, "j02": j02, "j03": j03}
-    return _yao_lee_model("yao-lee-ep3", classify.EPKind.EP3_MIXED, upper,
-                          q_star, public)
+    return _yao_lee_model(classify.EPKind.EP3_MIXED, upper, q_star,
+                          j01, j02, j03)
 
 
 def zero_targets(bh: BlockHamiltonian, tol: float = DEFAULT_TOL):
@@ -431,42 +461,6 @@ def zero_targets(bh: BlockHamiltonian, tol: float = DEFAULT_TOL):
         raise ParamViolationError(f"model {bh.name!r} has no degeneracy point")
     states = zero_energy_states(bh.b(bh.q_star), bh.b_prime(bh.q_star), tol)
     return [(f"e{i + 1}", row) for i, row in enumerate(states)]
-
-
-class ModelSpec(NamedTuple):
-    builder: Callable[..., BlockHamiltonian]
-    params: dict
-    description: str
-
-
-def _spec(builder, description) -> ModelSpec:
-    """Catalog entry whose parameters are the builder's keyword defaults,
-    in signature order, with ``q_star`` given as ``qstar_x``, ``qstar_y``."""
-    params = {}
-    for name, param in inspect.signature(builder).parameters.items():
-        if name == "q_star":
-            params["qstar_x"], params["qstar_y"] = param.default
-        else:
-            params[name] = param.default
-    return ModelSpec(builder, params, description)
-
-
-MODEL_CATALOG: dict[str, ModelSpec] = {
-    "doublet-ep2": _spec(
-        doublet_ep2_model,
-        "SU(2) doublet of 2-blocks; sqrt dispersion, two limit vectors"),
-    "ep4-sqrt": _spec(
-        ep4_sqrt_model,
-        "4-block with sqrt dispersion; all eigenvectors collapse to e1"),
-    "ep4-quartic": _spec(ep4_quartic_model, "4-block with quartic-root dispersion"),
-    "ep3": _spec(ep3_model, "mixed 3-block plus zero mode; path-dependent coalescence"),
-    "kitaev": _spec(
-        kitaev_model, "one-flavour honeycomb Majorana model with complex couplings"),
-    "yao-lee-ep4": _spec(
-        yao_lee_ep4_model, "six-band spin-liquid construction hosting a 4-block"),
-    "yao-lee-ep3": _spec(
-        yao_lee_ep3_model, "six-band spin-liquid construction hosting a mixed 3-block"),
-}
 
 
 def build_model(name: str, params: dict | None = None) -> BlockHamiltonian:

@@ -18,12 +18,7 @@ import numpy as np
 
 from . import cmatrix
 from .cmatrix import DEFAULT_TOL
-from .errors import (
-    DimensionTooLargeError,
-    GeneratorFailureError,
-    NonFiniteError,
-    OddDimensionError,
-)
+from .errors import GeneratorFailureError, NonFiniteError, OddDimensionError
 
 
 @dataclass(frozen=True)
@@ -278,8 +273,7 @@ def _spectra(b, bprime, tol):
     """
     n = b.shape[-1]
     if n > cmatrix.MAX_DIM:
-        raise DimensionTooLargeError(
-            f"dimension {n} exceeds the cap of {cmatrix.MAX_DIM}")
+        raise cmatrix._too_large(n)
     scales = _pow2_scales(b, bprime)
     s = scales[:, None, None]
     product = (bprime / s) @ (b / s)

@@ -20,6 +20,7 @@ from epkit.classify import EPKind, classify_point
 from epkit.cmatrix import DEFAULT_TOL
 from epkit.errors import (
     CrossCheckMismatchError,
+    DimensionTooLargeError,
     NoiseFloorReachedError,
     NonFiniteError,
     ZeroVectorError,
@@ -527,6 +528,12 @@ class TestPathScanMatchesReference:
         assert [s["radius"] for s in scan.branch_switches] == [radii[radii < 3e-5][0]]
         assert scan.min_overlap < 0.9
         assert scan.min_overlap == scan.branch_switches[0]["overlap"]
+
+
+def test_path_scan_refuses_blocks_over_the_cap():
+    bh = BlockHamiltonian(17, lambda q: np.eye(17), lambda q: 2.0 * np.eye(17))
+    with pytest.raises(DimensionTooLargeError, match="dimension 17 exceeds the cap of 16"):
+        path_scan(bh, (0.0, 0.0), 0.3)
 
 
 class TestPathScanScale:
@@ -1050,6 +1057,25 @@ class TestNewtonRoots:
         [candidate] = bz_scan(bh, (64, 64), window)
         assert np.max(np.abs(candidate.q_refined - bh.q_star)) < 1e-15
 
+    @pytest.mark.parametrize("a,start", [(1e-2, (0.5, -0.2)), (1e-3, (-1.1, 0.7))])
+    def test_m_fold_step_that_does_not_lower_f_goes_back(self, a, start):
+        # f = z (z + a): from afar its two simple zeros read as one double
+        # zero, so m settles at 2; the doubled step overshoots, |f| rises,
+        # and the start goes back to m = 1. Kept at m = 2, these starts
+        # jumped between the same two points for all NEWTON_STEPS steps
+        lo, hi = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        calls = []
+
+        def det(q):
+            calls.append(len(q))
+            z = q[..., 0] + 1j * q[..., 1]
+            return z * (z + a)
+
+        [root] = analysis._newton_roots([det], [[start]], lo, hi)
+        z = complex(*root)
+        assert min(abs(z), abs(z + a)) < 1e-15
+        assert len(calls) < analysis.NEWTON_STEPS
+
     def test_stalled_start_stops_without_the_step(self):
         # residuals 1, 1/2, 1/2, 1/2 against a fixed Jacobian: the third
         # step is the first no smaller than the one before and is taken;
@@ -1079,6 +1105,11 @@ class TestBZScan:
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
         with pytest.raises(ValueError, match="bounds"):
             bz_scan(bh, (16, 16), ((-1, np.inf), (-1, 1)))
+
+    def test_decreasing_bounds_refused(self):
+        bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
+        with pytest.raises(ValueError, match="bounds must be increasing per axis"):
+            bz_scan(bh, (16, 16), ((-1, 1), (1, -1)))
 
     def test_kitaev_against_closed_form(self):
         bh = kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1)
@@ -1330,8 +1361,44 @@ class TestBZScan:
         with pytest.raises(ValueError, match="tol"):
             bz_scan(bh, (32, 32), KITAEV_BOUNDS, tol=tol)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 1e200, 1e-200])
+    def test_hermitian_kitaev_points_read_diabolic(self, scale, rng):
+        # at a Dirac point both A(q*) and A(-q*) vanish to rounding, about
+        # 1e-15 of the couplings: full rank against that pair's own scale,
+        # zero against the scan's, the cut that kept the point. Unit
+        # couplings, then signed ones, all with zero phases
+        signed = [(*(rng.uniform(0.8, 1.2, 2) * rng.choice([-1.0, 1.0], 2)),
+                   rng.choice([-1.0, 1.0])) for _ in range(3)]
+        for j in [(1.0, 1.0, 1.0), *signed]:
+            couplings = (*(scale * float(x) for x in j), 0.0, 0.0)
+            found = bz_scan(kitaev_model(*couplings), (128, 128), KITAEV_BOUNDS)
+            assert found
+            for c in found:
+                evidence = c.classification.evidence
+                assert c.classification.kind is EPKind.DIABOLIC
+                assert evidence["jordan_blocks_at_zero"] == [1, 1]
+                assert [ch["in_ker"] for ch in evidence["chains"]] == ["B", "B'"]
+                # the pair's own scale, far below the scan's
+                assert evidence["scale"] < 1e-12 * scale
+
+    # yao-lee-ep3 is left out: its scan misses q* (ROADMAP, known defect 2)
+    @pytest.mark.parametrize("name", [n for n in MODEL_CATALOG if n != "yao-lee-ep3"])
+    def test_verdict_at_qstar_kept_in_a_wider_window(self, name):
+        # a block counts as zero against the window's peak; eight times the
+        # CLI's window (up to 64 times the peak of a quadratic block) must
+        # not change the verdict at q*
+        bh = build_model(name)
+        verdicts = []
+        for half, grid in [(0.4, 64), (3.2, 128)]:
+            bounds = [(x - half, x + half) for x in bh.q_star]
+            found = bz_scan(bh, (grid, grid), bounds)
+            [c] = [c for c in found if np.max(np.abs(c.q_refined - bh.q_star)) < 1e-6]
+            verdicts.append((c.classification.kind,
+                             c.classification.evidence["jordan_blocks_at_zero"]))
+        assert verdicts[0] == verdicts[1]
+
     def test_classification_error_is_kept(self, monkeypatch):
-        def mismatch(b, bprime, tol):
+        def mismatch(b, bprime, tol, reference):
             return [CrossCheckMismatchError("planted mismatch")] * len(b)
 
         monkeypatch.setattr(analysis._classify, "_classify_pairs", mismatch)

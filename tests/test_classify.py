@@ -86,6 +86,15 @@ class TestZeroEnergyTaxonomy:
         with pytest.raises(ValueError, match="tol must be positive"):
             classify_point(np.eye(2), jordan_block(2), tol=tol)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_energy_verdict_is_for_n_2(self, n):
+        with pytest.raises(ValueError, match="classify_zero_energy handles N = 2"):
+            classify_zero_energy(np.eye(n), np.eye(n))
+
+    def test_verdict_text(self):
+        assert str(classify_point(np.eye(2), jordan_block(2))) == "EP4, blocks [4]"
+        assert str(classify_point(np.eye(2), np.eye(2))) == "Nondegenerate"
+
     def test_canonical_kinds(self):
         expected_blocks = {
             EPKind.DOUBLET_EP2: [2, 2],
@@ -428,6 +437,38 @@ def test_stacked_equals_alone(rng, monkeypatch):
     rest = [i for i in range(len(pairs)) if i not in failing]
     assert stack_outcomes(_classify_pairs(b[rest], bp[rest], 1e-6)) == [
         alone[i] for i in rest]
+
+
+def test_reference_at_or_below_the_pair_scale_keeps_the_cuts(rng):
+    # basis-changed N3_PAIRS at three scales: a reference no larger than
+    # any pair's own scale changes no bit of any verdict or error
+    pairs = []
+    for b, bp in N3_PAIRS.values():
+        for scale in (1.0, 1e-4, 1e5):
+            v = random_conditioned(rng, 3, 20.0)
+            w = random_conditioned(rng, 3, 20.0)
+            pairs.append((scale * v @ b @ np.linalg.inv(w),
+                          scale * w @ bp @ np.linalg.inv(v)))
+    b, bp = (np.array(side, dtype=complex) for side in zip(*pairs))
+    own = np.linalg.norm(np.array([b, bp]), 2, axis=(-2, -1)).max(axis=0)
+    want = stack_outcomes(_classify_pairs(b, bp, 1e-6))
+    for reference in (own.min(), 0.5 * own.min(), own):
+        assert stack_outcomes(_classify_pairs(b, bp, 1e-6, reference)) == want
+
+
+@pytest.mark.parametrize("size", [1e-15, 1e-250])
+def test_blocks_below_the_reference_read_as_zero(size, rng):
+    # a pair that is full rank against its own scale is zero against a
+    # reference it is tiny beside; the evidence keeps the pair's scale
+    b, bp = (size * random_conditioned(rng, 2, 10.0) for _ in range(2))
+    assert classify_point(b, bp, 1e-6).kind is EPKind.NONDEGENERATE
+    [result] = _classify_pairs(b[None], bp[None], 1e-6, 1.0)
+    assert result.kind is EPKind.DIABOLIC
+    assert result.evidence["jordan_blocks_at_zero"] == [1, 1, 1, 1]
+    assert result.evidence["scale"] == classify_point(b, bp, 1e-6).evidence["scale"]
+    # one block below it beside one above: B vanishes, H^2 = 0
+    [result] = _classify_pairs(b[None], np.eye(2)[None] + 0j, 1e-6, 1.0)
+    assert result.kind is EPKind.DOUBLET_EP2
 
 
 @pytest.mark.parametrize("c", [1e-320, 1e-305, 0.0])

@@ -251,7 +251,7 @@ class TestBZScanCommand:
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_classification_error_reported(self, fail, monkeypatch, capsys):
-        def mismatch(b, bprime, tol):
+        def mismatch(b, bprime, tol, reference):
             return [CrossCheckMismatchError("planted mismatch")] * len(b)
 
         if fail:

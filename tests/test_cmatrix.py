@@ -97,6 +97,12 @@ class TestRank:
             assert err <= 1e-12 * np.linalg.norm(m, 2)
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_as_matrix_refuses_other_dimensions(shape):
+    with pytest.raises(NonSquareError, match="expected a 2-d matrix, got shape"):
+        cmatrix.as_matrix(np.ones(shape))
+
+
 class TestFactorize:
     def test_one_factorisation_gives_rank_kernel_image_norm(self, rng):
         for _ in range(50):

@@ -115,6 +115,92 @@ class TestCatalogInvariants:
             build_model("ep3", {"bogus": 1.0})
 
 
+#: Each catalog model's builder and the parameters its models carry, in
+#: order, written out apart from the catalog that records them
+YAO_LEE_PARAMS = ("jt", "phi", "z1", "z2", "zp1", "zp2", "j01", "j02", "j03")
+BUILT = {
+    "doublet-ep2": (doublet_ep2_model, ("v_x", "v_y", "c")),
+    "ep4-sqrt": (ep4_sqrt_model, ("b2", "bp1", "bp4", "v1", "v4", "vp3")),
+    "ep4-quartic": (ep4_quartic_model, ("b2", "bp1", "bp4", "v3")),
+    "ep3": (ep3_model, ("b2", "bp1", "bp2", "v1", "v3", "v4", "vp3", "vp4",
+                        "rp3", "rp4")),
+    "kitaev": (kitaev_model, ("j1", "j2", "j3", "phi1", "phi2")),
+    "yao-lee-ep4": (yao_lee_ep4_model, YAO_LEE_PARAMS),
+    "yao-lee-ep3": (yao_lee_ep3_model, YAO_LEE_PARAMS),
+}
+
+
+def expected_q_star(name, args):
+    """The degeneracy point each builder gives for the arguments ``args``."""
+    if name == "kitaev":
+        locations = kitaev_ep_locations(*args.values())
+        return locations[0] if locations else None
+    if name.startswith("yao-lee"):
+        return reciprocal_to_cartesian((2 * np.pi / 3 - args["phi"], -2 * np.pi / 3))
+    return np.asarray(args["q_star"], dtype=float)
+
+
+class TestCatalogRecordsItsModels:
+    def test_catalog_lists_every_builder_in_order(self):
+        assert list(MODEL_CATALOG) == list(BUILT)
+        for name, (builder, params) in BUILT.items():
+            spec = MODEL_CATALOG[name]
+            assert spec.builder is builder
+            q_star = ("qstar_x", "qstar_y") if "qstar_x" in spec.params else ()
+            assert list(spec.params) == [*params, *q_star]
+
+    @pytest.mark.parametrize("name", list(BUILT))
+    def test_every_call_names_and_records_the_model(self, name, rng):
+        # defaults, positional, by keyword, partly by keyword and through
+        # build_model all give the same name, parameters and point
+        builder, names = BUILT[name]
+        defaults = MODEL_CATALOG[name].params
+        draws = [dict(defaults)] + [
+            {k: v if k == "z2" else v * (1 + 0.1 * rng.standard_normal())
+             for k, v in defaults.items()} for _ in range(6)]
+        for values in draws:
+            args = dict(values)
+            if "qstar_x" in args:
+                args["q_star"] = (args.pop("qstar_x"), args.pop("qstar_y"))
+            first, *rest = args
+            built = [builder(*args.values()), builder(**args),
+                     builder(args[first], **{k: args[k] for k in rest}),
+                     build_model(name, values)]
+            if values is draws[0]:
+                built += [builder(), build_model(name)]
+            for bh in built:
+                assert bh.name == name
+                assert list(bh.params.items()) == [(k, args[k]) for k in names]
+                if bh.q_star is None:
+                    assert expected_q_star(name, args) is None
+                else:
+                    assert_same_bits(bh.q_star, expected_q_star(name, args))
+
+    def test_params_are_the_arguments_as_given(self):
+        bh = kitaev_model(2, j3=-1, phi2=0.25)
+        assert list(bh.params.items()) == [
+            ("j1", 2), ("j2", 1.0), ("j3", -1), ("phi1", 0.0), ("phi2", 0.25)]
+        assert type(bh.params["j1"]) is int
+
+
+def reference_kitaev_bloch(q, j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
+    """The Bloch matrix with its layout [[0, i A(q)], [-i A(-q), 0]]
+    written out entry by entry."""
+    a = models._a_tilde(q, j1, j2, j3, phi1, phi2)
+    am = models._a_tilde(-np.asarray(q, dtype=float), j1, j2, j3, phi1, phi2)
+    return models._matrix([[0.0, 1j * a], [-1j * am, 0.0]])
+
+
+def test_kitaev_bloch_bits_as_its_layout(rng):
+    q = rng.uniform(-4.0, 4.0, (300, 2))
+    couplings = rng.uniform(-2.0, 2.0, (300, 5))
+    for point, j in zip(q, couplings):
+        assert_same_bits(kitaev_bloch(point, *j), reference_kitaev_bloch(point, *j))
+    assert_same_bits(kitaev_bloch(q, *couplings[0]),
+                     reference_kitaev_bloch(q, *couplings[0]))
+    assert_same_bits(kitaev_bloch([0.5, -1.0]), reference_kitaev_bloch([0.5, -1.0]))
+
+
 class TestReciprocalCoordinates:
     @pytest.mark.parametrize("k", [1, 2, 3, 17, 1000])
     def test_phases_do_not_depend_on_batch_size(self, k, rng):
@@ -307,6 +393,18 @@ class TestKitaev:
             for q, ref in zip(locs, folded):
                 assert_same_bits(q, ref)
 
+    @pytest.mark.parametrize("zero", range(3))
+    def test_zero_coupling_gives_no_point(self, zero):
+        couplings = [1.0, 0.9, 1.1]
+        couplings[zero] = 0.0
+        assert kitaev_ep_locations(*couplings, 0.3, -0.2) == []
+
+    def test_zero_targets_need_a_point(self):
+        bh = kitaev_model(3.0, 1.0, 1.0)
+        assert bh.q_star is None
+        with pytest.raises(ParamViolationError, match="'kitaev' has no degeneracy point"):
+            zero_targets(bh)
+
     def test_complex_coupling_gives_no_point(self):
         # the triangle law needs real couplings; a complex one is not refused
         assert kitaev_ep_locations(1.0 + 0.1j, 1.0, 1.0, 0.3, 0.1) == []
@@ -436,6 +534,11 @@ class TestYaoLee:
     def test_mirror_coupling_needs_pure_x_hopping(self):
         with pytest.raises(ParamViolationError):
             yao_lee_ep3_model(z2=0.05)
+
+    def test_sub_block_refusal_names_the_expected_kind(self):
+        with pytest.raises(ParamViolationError,
+                           match="classifies as DoubletEP2, expected EP4;"):
+            yao_lee_ep4_model(z1=0.0)
 
     def test_hermitian_phi_rejected(self):
         with pytest.raises(ParamViolationError):

@@ -221,6 +221,12 @@ def test_non_finite_shift_refused(entry, e):
 
 
 class TestJordanChain:
+    @pytest.mark.parametrize("length", [0, 3])
+    def test_length_out_of_range(self, length):
+        with pytest.raises(ChainSolveFailedError,
+                           match=f"chain length {length} out of range for n=2"):
+            jordan_chain(jordan_block(2), 0.0, length)
+
     def test_shift_block_from_seed(self):
         chain = jordan_chain(jordan_block(2), 0.0, 2, seed_vector=[1.0, 0.0])
         assert direction_mismatch(chain[1], [0.0, 1.0]) < 1e-12
