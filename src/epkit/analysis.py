@@ -408,26 +408,48 @@ def _grid_minima(sig, threshold):
     return np.argwhere((sig <= threshold) & (sig <= neighbourhood))
 
 
+def _abs_dets(a):
+    """|det| of every matrix of the stack ``a`` (..., N, N), by cofactors
+    for N = 2 and 3 and by np.linalg.det from N = 4, where it is the only
+    path. np.linalg.det runs an LU factorisation per matrix and returns
+    sign * exp(log |det|); the cofactors are a few elementwise products of
+    the stack's entry planes, and agree with it to rounding. They also
+    stay finite where every entry is subnormal, and the LU's division by
+    a subnormal pivot can make np.linalg.det NaN."""
+    n = a.shape[-1]
+    if n == 2:
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    elif n == 3:
+        (p, q, r), (s, t, u), (v, w, x) = (
+            [a[..., i, j] for j in range(3)] for i in range(3))
+        det = p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+    else:
+        det = np.linalg.det(a)
+    return np.abs(det)
+
+
 def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = BZ_TOL):
     """Locate and classify degeneracy points of H(q) over a momentum window.
 
     H is singular exactly where det B or det B' vanishes, and its singular
     values are those of B and B', so H is never formed. Each grid row chunk
     takes both blocks from :func:`sublattice._grid_blocks`: the model's grid
-    form when it has one (Kitaev's outer products of 1-D phase factors),
-    else one generator call per side. A side's objective is
+    form when it has one (the lattice models' outer products of 1-D phase
+    factors), else one generator call per side. A side's objective is
     |det(blocks / s)|^(1/N) * s, s the pair's :func:`sublattice.pow2_scale`,
-    and ``scale`` is the largest s. At N = 1 the objective is the modulus
-    of the entry itself, and ``scale`` the power of two of the grid's peak
-    modulus: np.linalg.det would run an LU factorisation and a log-sum on
-    every 1 x 1 matrix, and no entry needs dividing. The grid minima of
+    and ``scale`` is the largest s; |det| comes from the cofactors at N = 2
+    and 3 and from np.linalg.det from N = 4 (:func:`_abs_dets`). At N = 1
+    the objective is the modulus of the entry itself, and ``scale`` the
+    power of two of the grid's peak modulus: np.linalg.det would run an LU
+    factorisation and a log-sum on every 1 x 1 matrix, and no entry needs
+    dividing. The grid minima of
     both sides below COARSE_FRACTION * scale (B first, row-major) start
     one lockstep of :func:`_newton_roots`, each on det(blocks / scale) of
     its own side from the pointwise generators, which takes m-fold steps
     at a zero of order m (a double zero at doublet-ep2, ep4-sqrt and
     yao-lee-ep4). The grid only chooses the starts and the scale, so a
-    grid form moves a point only where its rounding moves a grid minimum
-    or the scale's power of two. A point is kept when
+    grid form or the cofactors move a point only where their rounding
+    moves a grid minimum or the scale's power of two. A point is kept when
     sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale and then
     deduplicated. The kept points are classified together, from the blocks
     evaluated for sigma_min, in one stacked pass whose one-pair case is
@@ -465,8 +487,8 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = BZ_TOL):
             sig[:, chunk] = np.abs(blocks[..., 0, 0])
             continue
         s = _pow2_scales(*blocks)
-        dets = np.linalg.det(blocks / s[..., None, None])
-        sig[:, chunk] = np.abs(dets) ** (1 / bh.n) * s
+        dets = _abs_dets(blocks / s[..., None, None])
+        sig[:, chunk] = dets ** (1 / bh.n) * s
         scale = max(scale, float(s.max()))
     if bh.n == 1:
         # the largest s: the power of two of the grid's peak modulus

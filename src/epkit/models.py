@@ -240,23 +240,42 @@ def _a_of_phases(qt, j1, j2, j3, phi1, phi2):
     )
 
 
+def _sides(qx, qy):
+    """The 1-D factors of the plane waves at every (qx[i], qy[j]) of the 1-D
+    momenta ``qx``, ``qy``, for q and for -q, each side with the other's:
+    e^{i q.r1} = e1[i] and e^{i q.r2} = e2[i] e3[j], with e1 = e^{i qx},
+    e2 = e^{i qx / 2} and e3 = e^{i sqrt(3) qy / 2}, as q.r1 = qx and
+    q.r2 = qx / 2 + (sqrt(3) / 2) qy on a rectilinear grid. At -q the
+    factors are conjugated."""
+    factors = (np.exp(1j * qx), np.exp(0.5j * qx), np.exp(1j * (R2[1] * qy)))
+    conj = tuple(f.conj() for f in factors)
+    return (factors, conj), (conj, factors)
+
+
+def _waves(row, c2, e2, e3, out=None):
+    """row[i] + c2 e2[i] e3[j] on the grid of the 1-D factors, shape
+    (len(e2), len(e3)), for a ``row`` of shape (len(e2),) or a scalar: one
+    outer product and one broadcast add."""
+    out = np.multiply((c2 * e2)[:, None], e3, out=out)
+    out += np.reshape(row, (-1, 1))
+    return out
+
+
 def _a_grids(qx, qy, j1, j2, j3, phi1, phi2):
     """A~(q) and A~(-q) at every (qx[i], qy[j]) of the 1-D momenta ``qx``,
-    ``qy``, shape (2, nx, ny), from three 1-D phase factors.
+    ``qy``, shape (2, nx, ny), from the three 1-D phase factors.
 
-    On the rectilinear grid q.r1 = qx and q.r2 = qx / 2 + (sqrt(3) / 2) qy,
-    so A~(q) = 2 (c1 e^{i qx} + c2 e^{i qx / 2} e^{i sqrt(3) qy / 2} + j3)
-    with c_k = j_k e^{i phi_k}: one outer product and one broadcast add per
-    side, and A~(-q) takes the conjugated factors. The 2 multiplies the
-    sum, as in :func:`_a_of_phases`, so both forms overflow at the same
-    couplings; the entries agree with it to rounding, not bit for bit.
+    A~(q) = 2 (c1 e^{i q.r1} + c2 e^{i q.r2} + j3) with c_k = j_k e^{i phi_k},
+    one :func:`_waves` per side, and A~(-q) takes the conjugated factors.
+    The 2 multiplies the sum, as in :func:`_a_of_phases`, so both forms
+    overflow at the same couplings while every |j_k| is under half the
+    double range (about 9e307), where no two terms can overflow together;
+    the entries agree with it to rounding, not bit for bit.
     """
-    factors = (np.exp(1j * qx), np.exp(0.5j * qx), np.exp(1j * (R2[1] * qy)))
     c1, c2 = j1 * cmath.exp(1j * phi1), j2 * cmath.exp(1j * phi2)
     out = np.empty((2, len(qx), len(qy)), dtype=np.complex128)
-    for a, (e1, e2, e3) in zip(out, (factors, [f.conj() for f in factors])):
-        np.multiply((c2 * e2)[:, None], e3, out=a)
-        a += (c1 * e1 + j3)[:, None]
+    for a, ((e1, e2, e3), _) in zip(out, _sides(qx, qy)):
+        _waves(c1 * e1 + j3, c2, e2, e3, out=a)
         a *= 2.0
     return out
 
@@ -349,7 +368,9 @@ def _yao_lee_pieces(jt, phi):
     required matrix entries at the degeneracy point. g and h take the
     reciprocal coordinates q~ of q, so that one generator call converts
     its momenta once: q~(-q) = -q~(q) exactly, since negation commutes
-    with rounding.
+    with rounding. ``g_grid(e1)`` and ``h_grid(e2, e3)`` are g and h on
+    the grid of the 1-D phase factors of q (:func:`_sides`); g depends on
+    qx alone, so ``g_grid`` is a column (nx, 1).
     """
     _require(jt > 0, "yao-lee model needs jt > 0")
     _require(phi != 0, "yao-lee model needs phi != 0 for non-Hermiticity")
@@ -364,16 +385,26 @@ def _yao_lee_pieces(jt, phi):
     def h(qt):
         return h1 + np.exp(1j * qt[..., 1]) + 1.0
 
-    return q_star, g, h
+    def g_grid(e1):
+        return (cmath.exp(1j * phi) * e1 + g2 + 1.0)[:, None]
+
+    def h_grid(e2, e3):
+        return _waves(h1 + 1.0, 1.0, e2, e3)
+
+    return q_star, g, h, g_grid, h_grid
 
 
-def _yao_lee_model(expected_kind, upper, q_star, j01, j02, j03):
+def _yao_lee_model(expected_kind, upper, upper_grid, q_star, j01, j02, j03):
     """diag(upper(q), A0(q)) with the particle-hole pairing B'(q) = A(-q)^T.
 
     ``upper(q, qt)`` gives the 2-flavour block as rows of entries from the
     momenta and their reciprocal coordinates; A0 is the real-coupling
-    honeycomb band of (j01, j02, j03). The 2-flavour sub-block at q* must
-    classify as ``expected_kind``, or ParamViolationError names the kind.
+    honeycomb band of (j01, j02, j03). ``upper_grid(qx, qy)`` yields the
+    same rows on the grid of the 1-D momenta, at q and then at -q, each
+    entry summed in the generator's order (A~ as :func:`_a_grids` sums
+    it), and makes the model's grid form with A0 from :func:`_a_grids`.
+    The 2-flavour sub-block at q* must classify as ``expected_kind``, or
+    ParamViolationError names the kind.
     """
 
     def block(q):
@@ -385,7 +416,19 @@ def _yao_lee_model(expected_kind, upper, q_star, j01, j02, j03):
     def block_prime(q):
         return np.swapaxes(block(-q), -1, -2)
 
-    bh = BlockHamiltonian(3, block, block_prime, q_star=q_star)
+    def grid(qx, qy):
+        out = np.zeros((2, len(qx), len(qy), 3, 3), dtype=np.complex128)
+        a0 = _a_grids(qx, qy, j01, j02, j03, 0.0, 0.0)
+        # B(q), then B'(q) = B(-q)^T as B(-q) written into its transpose
+        for blocks, rows, entry in zip((out[0], out[1].swapaxes(-1, -2)),
+                                       upper_grid(qx, qy), a0):
+            for i, row in enumerate(rows):
+                for j, value in enumerate(row):
+                    blocks[..., i, j] = value
+            blocks[..., 2, 2] = entry
+        return out
+
+    bh = BlockHamiltonian(3, block, block_prime, q_star=q_star, grid=grid)
     result = classify.classify_zero_energy(
         bh.b(q_star)[:2, :2], bh.b_prime(q_star)[:2, :2], 1e-8)
     if result.kind is not expected_kind:
@@ -409,7 +452,7 @@ def yao_lee_ep4_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
     band is an independent real-coupling honeycomb block (gapped for the
     default couplings) and never mixes.
     """
-    q_star, g, h = _yao_lee_pieces(jt, phi)
+    q_star, g, h, g_grid, h_grid = _yao_lee_pieces(jt, phi)
 
     def upper(q, qt):
         a = _a_of_phases(qt, jt, jt, jt, phi, 0.0)
@@ -417,7 +460,15 @@ def yao_lee_ep4_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
         a_prime = a + zp1 * g(qt) + zp2 * h(-qt)
         return [[a, w], [0.0, a_prime]]
 
-    return _yao_lee_model(classify.EPKind.EP4, upper, q_star, j01, j02, j03)
+    def upper_grid(qx, qy):
+        a = _a_grids(qx, qy, jt, jt, jt, phi, 0.0)
+        for a_side, (here, there) in zip(a, _sides(qx, qy)):
+            w = z1 * g_grid(there[0]) + z2 * h_grid(*here[1:])
+            a_prime = a_side + zp1 * g_grid(here[0]) + zp2 * h_grid(*there[1:])
+            yield [[a_side, w], [0.0, a_prime]]
+
+    return _yao_lee_model(classify.EPKind.EP4, upper, upper_grid, q_star,
+                          j01, j02, j03)
 
 
 @_catalog("yao-lee-ep3",
@@ -432,9 +483,11 @@ def yao_lee_ep3_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
     anisotropy of the mixed-type point. The flavour-2 diagonal coupling is
     switched off entirely: it would have to vanish at both +-q*, which no
     single mirrored honeycomb hopping does. z2 must stay 0 here for the
-    same reason (checked at construction).
+    same reason (checked at construction). On the grid the mirrored point
+    of q takes e^{i sqrt(3) (2 q*_y - q_y) / 2} in place of e3, and that of
+    -q e^{i sqrt(3) (2 q*_y + q_y) / 2}.
     """
-    q_star, g, h = _yao_lee_pieces(jt, phi)
+    q_star, g, h, g_grid, h_grid = _yao_lee_pieces(jt, phi)
     qsy = q_star[1]
 
     def f1(qt):
@@ -447,7 +500,18 @@ def yao_lee_ep3_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
         return [[_a_of_phases(qt, jt, jt, jt, phi, 0.0), w_top],
                 [w_bottom, 0.0]]
 
-    return _yao_lee_model(classify.EPKind.EP3_MIXED, upper, q_star,
+    def upper_grid(qx, qy):
+        a = _a_grids(qx, qy, jt, jt, jt, phi, 0.0)
+        mirrored = (np.exp(1j * (R2[1] * (2 * qsy - qy))),
+                    np.exp(1j * (R2[1] * (2 * qsy + qy))))
+        for a_side, (here, there), e3 in zip(a, _sides(qx, qy), mirrored):
+            # f1 at q and at the mirrored point, which keeps e^{i q.r1}
+            w_top = (z1 * g_grid(there[0]) + z2 * h_grid(*here[1:])
+                     + (z1 * g_grid(there[0]) + z2 * h_grid(here[1], e3)))
+            w_bottom = zp1 * g_grid(here[0]) + zp2 * h_grid(*there[1:])
+            yield [[a_side, w_top], [w_bottom, 0.0]]
+
+    return _yao_lee_model(classify.EPKind.EP3_MIXED, upper, upper_grid, q_star,
                           j01, j02, j03)
 
 

@@ -35,10 +35,12 @@ from epkit.models import (
     reciprocal_to_cartesian,
     zero_targets,
 )
-from epkit.sublattice import (BlockHamiltonian, _pow2_scales, _spectra,
-                              pow2_scale, reduced_spectrum)
+from epkit.sublattice import (BlockHamiltonian, _grid_blocks, _pow2_scales,
+                              _spectra, pow2_scale, reduced_spectrum)
 
-from conftest import assert_same_bits, plant_counts, rising_chains, rising_model
+from bz_sweep import CATALOG_GRIDS
+from conftest import (assert_same_bits, plant_counts, planted_kinds,
+                      random_conditioned, rising_chains, rising_model)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KITAEV_BOUNDS = ((-np.pi, np.pi), (-np.sqrt(3) * np.pi, np.sqrt(3) * np.pi))
@@ -70,6 +72,19 @@ def counting_solver(monkeypatch):
 
     monkeypatch.setattr(analysis, "_max_weight_assignment", counted)
     return calls
+
+
+def counting_det(monkeypatch):
+    """The shapes of every np.linalg.det call from now on, in order."""
+    shapes = []
+    det = np.linalg.det
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    return shapes
 
 
 def loop_minima(sig, threshold):
@@ -1174,28 +1189,40 @@ class TestBZScan:
                 assert_same_bits(analysis._grid_minima(entry, threshold),
                                  analysis._grid_minima(side, threshold))
 
-    @pytest.mark.parametrize("name,params,grid,grid_dets", [
-        ("kitaev", {"phi1": 0.3, "phi2": 0.1}, (128, 128), 0),
-        ("yao-lee-ep4", None, (64, 64), 1)])
-    def test_det_runs_on_the_grid_only_from_n2(self, name, params, grid,
-                                                grid_dets, monkeypatch):
+    @pytest.mark.parametrize("name,params,grid", [
+        ("kitaev", {"phi1": 0.3, "phi2": 0.1}, (128, 128)),
+        ("ep4-sqrt", None, (64, 64)),
+        ("yao-lee-ep4", None, (64, 64)),
+        ("yao-lee-ep3", None, (33, 47))])
+    def test_no_det_on_the_grid_up_to_n3(self, name, params, grid, monkeypatch):
+        # N = 1 reads the entry, N = 2 and 3 the cofactors; only the Newton
+        # refinement calls np.linalg.det, on (k, 5, N, N) stacks
         bh = build_model(name, params)
         window = (KITAEV_BOUNDS if name == "kitaev"
                   else tuple((c - 0.4, c + 0.4) for c in bh.q_star))
-        shapes = []
-        det = np.linalg.det
-
-        def counted(a):
-            shapes.append(np.shape(a))
-            return det(a)
-
-        monkeypatch.setattr(np.linalg, "det", counted)
+        shapes = counting_det(monkeypatch)
         bz_scan(bh, grid, window)
-        # the grid passes (2, rows, ny, N, N); refinement (k, 5, N, N)
-        grid_calls = [s for s in shapes if s[2:3] == (grid[1],)]
-        assert len(grid_calls) == grid_dets
-        assert all(s[1:] == (5, bh.n, bh.n) for s in shapes
-                   if s not in grid_calls)
+        assert shapes
+        assert all(s[1:] == (5, bh.n, bh.n) for s in shapes)
+
+    def test_det_runs_once_per_grid_chunk_from_n4(self, monkeypatch):
+        # a hand-built N = 4 pair: B = diag(qx + i qy, 1, 1, 1) plus ones
+        # above the diagonal, B' = I; 7 rows of 24 per chunk, the last short
+        monkeypatch.setattr(analysis, "GRID_CHUNK_ENTRIES", 7 * 24 * 8 ** 2)
+
+        def block(q):
+            b = np.broadcast_to(np.eye(4, k=1) + np.eye(4),
+                                q.shape[:-1] + (4, 4)).astype(complex)
+            b[..., 0, 0] = q[..., 0] + 1j * q[..., 1]
+            return b
+
+        bh = BlockHamiltonian(4, block, lambda q: np.eye(4, dtype=complex))
+        shapes = counting_det(monkeypatch)
+        [candidate] = bz_scan(bh, (24, 24), ((-0.7, 0.5), (-0.4, 0.6)))
+        assert np.max(np.abs(candidate.q_refined)) < 1e-10
+        grid_calls = [s for s in shapes if s[2:3] == (24,)]
+        assert grid_calls == [(2, 7, 24, 4, 4)] * 3 + [(2, 3, 24, 4, 4)]
+        assert all(s[1:] == (5, 4, 4) for s in shapes if s not in grid_calls)
 
     @pytest.mark.parametrize("name,params,grid,grid_scales", [
         ("kitaev", {"phi1": 0.3, "phi2": 0.1}, (128, 128), 0),
@@ -1262,13 +1289,22 @@ class TestBZScan:
             assert shapes[label][-1] == (roots, 2)
 
     def test_yao_lee_grid_calls_the_generators(self):
-        bh = build_model("yao-lee-ep4")
-        window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
-        counted, shapes = counting_generators(bh)
-        assert bh.grid is None
-        bz_scan(counted, (64, 64), window)
-        for label in ("B", "B'"):
-            assert [s for s in shapes[label] if s[1:] == (64, 2)] == [(64, 64, 2)]
+        for name in ("yao-lee-ep4", "yao-lee-ep3"):
+            bh = build_model(name)
+            window = tuple((c - 0.4, c + 0.4) for c in bh.q_star)
+            # with the grid form dropped, one generator call per side on
+            # the grid
+            counted, shapes = counting_generators(replace(bh, grid=None))
+            bz_scan(counted, (64, 64), window)
+            for label in ("B", "B'"):
+                assert [s for s in shapes[label] if s[1:] == (64, 2)] == [(64, 64, 2)]
+            # with it, the generators see only the Newton batches and the
+            # refined points, no grid-shaped momenta
+            counted, shapes = counting_generators(bh)
+            assert bz_scan(counted, (64, 64), window)
+            for label in ("B", "B'"):
+                assert shapes[label]
+                assert all(s[1:] == (5, 2) or len(s) == 2 for s in shapes[label])
 
     def test_refinement_calls_generators_in_batches(self, monkeypatch):
         counted, shapes = counting_generators(kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1))
@@ -1421,3 +1457,103 @@ class TestBZScan:
         bh = ep4_sqrt_model(q_star=(0.3, 0.7))
         with pytest.raises(RuntimeError, match="planted bug"):
             bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))
+
+
+def _permanent_of_moduli(a):
+    """The permanent of |a| for each matrix of the stack: the sum of the
+    moduli of the products that the determinant adds up."""
+    n = a.shape[-1]
+    moduli = np.abs(a)
+    return sum(np.prod([moduli[..., i, p[i]] for i in range(n)], axis=0)
+               for p in itertools.permutations(range(n)))
+
+
+def _grid_scaled(b, bprime):
+    """The pairs of stacks divided by their power of two, as bz_scan
+    divides its grid: shape (2, ..., N, N)."""
+    s = _pow2_scales(b, bprime)
+    return np.stack([b, bprime]) / s[..., None, None]
+
+
+class TestGridDets:
+    """The cofactor |det| of bz_scan's grid against np.linalg.det."""
+
+    @staticmethod
+    def assert_agree(a):
+        # np.linalg.det returns sign * exp(log |det|), whose relative error
+        # grows with |log |det||; the cofactors are within a few eps of the
+        # permanent of |a|. Products that underflow add a few subnormals.
+        # Where every entry is subnormal, the LU divides by a subnormal
+        # pivot and np.linalg.det may return NaN; the cofactors stay finite
+        eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+        got = analysis._abs_dets(a)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = np.abs(np.linalg.det(a))
+        assert np.isfinite(got).all()
+        lapack = np.isfinite(want)
+        assert lapack.mean() > 0.9
+        got, want = got[lapack], want[lapack]
+        logs = np.abs(np.log(np.where(want > 0, want, 1.0)))
+        bound = 4 * eps * (_permanent_of_moduli(a[lapack]) + logs * want) + 4 * tiny
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gaussian_pairs_at_any_scale(self, n, rng):
+        # each block at its own scale 10^x, x in +-300: the smaller block
+        # of a pair is divided by the larger one's power of two, down to
+        # subnormal entries and to zero
+        for _ in range(20):
+            b, bp = (np.einsum("knm,k->knm",
+                               rng.standard_normal((256, n, n))
+                               + 1j * rng.standard_normal((256, n, n)),
+                               10.0 ** rng.uniform(-300, 300, 256))
+                     for _ in range(2))
+            self.assert_agree(_grid_scaled(b, bp))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_subnormal_entries(self, n, rng):
+        # B' at unit scale and B at 2^-1020 to 2^-1080 of it: B's entries
+        # are partly or wholly subnormal, or zero, once the pair is divided
+        # by B''s scale
+        b = rng.standard_normal((2, 300, n, n))
+        b = np.ldexp(b, rng.integers(-1080, -1020, 300)[:, None, None])
+        b = b[0] + 1j * b[1]
+        bp = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal((300, n, n))
+        a = _grid_scaled(b, bp)
+        assert np.any((a[0] != 0) & (np.abs(a[0]) < np.finfo(float).tiny))
+        self.assert_agree(a)
+
+    def test_singular_canonical_pairs(self, rng):
+        # the canonical pairs of the taxonomy, read-only, each basis-changed
+        # as planted_model does and at an overall scale 10^x, x in +-300:
+        # B, B' or both singular
+        for kind, (b0, bp0, _, _) in planted_kinds().items():
+            b0, bp0 = np.array(b0, dtype=complex), np.array(bp0, dtype=complex)
+            n = len(b0)
+            pairs = []
+            for _ in range(50):
+                p, q = (random_conditioned(rng, n, 10.0) for _ in range(2))
+                scale = 10.0 ** rng.uniform(-300, 300)
+                pairs.append((scale * (p @ b0 @ np.linalg.inv(q)),
+                              scale * (q @ bp0 @ np.linalg.inv(p))))
+            self.assert_agree(_grid_scaled(*map(np.array, zip(*pairs))))
+
+    @pytest.mark.parametrize("name", [n for n in MODEL_CATALOG
+                                      if build_model(n).n > 1])
+    @pytest.mark.parametrize("grid", CATALOG_GRIDS)
+    def test_grid_minima_as_with_lapack(self, name, grid):
+        # on every catalog window of the bz sweep, either determinant
+        # gives the same grid minima, bit for bit
+        bh = build_model(name)
+        qx, qy = (np.linspace(c - 0.4, c + 0.4, k) for c, k in zip(bh.q_star, grid))
+        blocks = _grid_blocks(bh, qx, qy)
+        s = _pow2_scales(*blocks)
+        a = blocks / s[..., None, None]
+        threshold = analysis.COARSE_FRACTION * s.max()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lapack = np.abs(np.linalg.det(a)) ** (1 / bh.n) * s
+        cofactor = analysis._abs_dets(a) ** (1 / bh.n) * s
+        minima = [analysis._grid_minima(side, threshold) for side in lapack]
+        assert sum(map(len, minima)) > 0
+        for got, want in zip(cofactor, minima):
+            assert_same_bits(analysis._grid_minima(got, threshold), want)

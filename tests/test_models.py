@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epkit.classify import EPKind, classify_point, classify_zero_energy
+from epkit.analysis import GRID_CHUNK_ENTRIES
 from epkit.errors import GeneratorFailureError, ParamViolationError
 from epkit import models
 from epkit.models import (
@@ -481,9 +482,128 @@ class TestKitaevGrid:
                                match=r"^B'\(q\) returned non-finite entries$"):
                 blocks()
 
-    def test_only_kitaev_has_a_grid_form(self):
+    def test_only_the_lattice_models_have_a_grid_form(self):
         assert [name for name in MODEL_CATALOG
-                if build_model(name).grid is not None] == ["kitaev"]
+                if build_model(name).grid is not None] == [
+                    "kitaev", "yao-lee-ep4", "yao-lee-ep3"]
+
+
+#: Coupling sets of the six-band models beside their defaults, each built
+#: (the sub-block at q* keeps its kind). yao-lee-ep3 keeps its kind only
+#: for |z2| up to about 1e-8, and only z2 reaches its mirrored e^{i q.r2}.
+YAO_LEE_PARAMS = [
+    ("yao-lee-ep4", {}),
+    ("yao-lee-ep4", {"phi": -0.7, "z2": 0.05, "zp2": -0.2, "jt": 1.3}),
+    ("yao-lee-ep4", {"phi": 1.1, "z1": -0.4, "z2": 0.3, "zp1": 0.25,
+                     "zp2": 0.6, "j01": -1.5, "j02": 2.0, "j03": 0.5}),
+    ("yao-lee-ep3", {}),
+    ("yao-lee-ep3", {"phi": 0.45, "z1": 0.2, "zp1": -0.1, "zp2": 0.3}),
+    ("yao-lee-ep3", {"z2": 1e-9, "zp2": -0.2}),
+    ("yao-lee-ep3", {"phi": -1.2, "jt": 0.7, "z1": -0.35, "zp1": 0.5,
+                     "zp2": -0.4, "j01": 1.0, "j02": -2.5, "j03": 1.5}),
+]
+
+#: The couplings of the six-band models that an overall scale multiplies.
+YAO_LEE_COUPLINGS = ("jt", "z1", "z2", "zp1", "zp2", "j01", "j02", "j03")
+#: KITAEV_SCALES less 2^-1000, which puts the sub-block at q* under the
+#: classifier's absolute floor, so the builders refuse it.
+YAO_LEE_SCALES = tuple(s for s in KITAEV_SCALES if s != 2.0 ** -1000)
+
+
+def _yao_lee_window_axes(bh, grid):
+    """The axes of the q* +- 0.4 window that bz-scan and bz-lattice scan."""
+    return tuple(np.linspace(c - 0.4, c + 0.4, n) for c, n in zip(bh.q_star, grid))
+
+
+def _scaled_yao_lee(name, params, scale):
+    defaults = MODEL_CATALOG[name].params
+    return build_model(name, {**params, **{
+        key: scale * params.get(key, defaults[key]) for key in YAO_LEE_COUPLINGS}})
+
+
+def _assert_overflow_as_generators(bh, qx, qy):
+    """The grid form's entries overflow exactly where the generators' do."""
+    q = np.stack(np.meshgrid(qx, qy, indexing="ij"), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = bh.grid(qx, qy)
+        points = np.stack([bh.block(q), bh.block_prime(q)])
+    np.testing.assert_array_equal(np.isfinite(grid), np.isfinite(points))
+
+
+class TestYaoLeeGrid:
+    """The grid forms of the six-band models against their pointwise
+    generators."""
+
+    @pytest.mark.parametrize("scale", YAO_LEE_SCALES)
+    @pytest.mark.parametrize("name,params", YAO_LEE_PARAMS)
+    def test_matches_pointwise_generators(self, name, params, scale):
+        eps = np.finfo(float).eps
+        bh = _scaled_yao_lee(name, params, scale)
+        values = bh.params
+        bound = 8 * eps * 2 * sum(abs(values[key]) for key in YAO_LEE_COUPLINGS)
+        bound *= 1 + 2 * (name == "yao-lee-ep4")  # jt in three entries of B
+        windows = [(_yao_lee_window_axes(bh, (64, 64)), None),
+                   (_yao_lee_window_axes(bh, (33, 47)), 20),
+                   (_kitaev_window_axes(96, 128), 20)]
+        for (qx, qy), rows in windows:
+            want = _pointwise_grid(bh, qx, qy)
+            # row chunks as bz_scan takes them (one chunk at these sizes),
+            # then shorter ones, of which the last is short
+            rows = rows or max(1, GRID_CHUNK_ENTRIES // (len(qy) * 6 ** 2))
+            for start in range(0, len(qx), rows):
+                got = _grid_blocks(bh, qx[start:start + rows], qy)
+                assert got.shape == (2, len(qx[start:start + rows]), len(qy), 3, 3)
+                assert np.max(np.abs(got - want[:, start:start + rows])) <= bound
+
+    def test_zero_entries_are_exact(self):
+        # the entries that the generators leave zero stay exactly zero
+        for name, params in YAO_LEE_PARAMS:
+            bh = build_model(name, params)
+            qx, qy = _kitaev_window_axes(40, 24)
+            got, want = _grid_blocks(bh, qx, qy), _pointwise_grid(bh, qx, qy)
+            np.testing.assert_array_equal(got == 0, want == 0)
+
+    def test_refuses_the_couplings_the_generators_refuse(self, rng):
+        # signed couplings of 5e306 to 6e307, under half the double range
+        # (see _a_grids): over the q* window and over the zone some grids
+        # overflow in B, some in B' only, some not at all
+        seen, built = set(), 0
+        for name in ("yao-lee-ep4", "yao-lee-ep3"):
+            for scale in (1e307, 2e307, 3e307):
+                for _ in range(16):
+                    signs = rng.choice([-1.0, 1.0], len(YAO_LEE_COUPLINGS))
+                    params = dict(zip(YAO_LEE_COUPLINGS,
+                                      scale * rng.uniform(0.5, 2.0, len(signs)) * signs))
+                    params.update(jt=abs(params["jt"]), phi=rng.uniform(0.1, 1.2))
+                    if name == "yao-lee-ep3":
+                        params["z2"] = 0.0
+                    bh = outcome(lambda: build_model(name, params))
+                    if isinstance(bh, tuple):
+                        # refused at construction: the blocks at q* overflow,
+                        # or the sub-block there changes its kind
+                        continue
+                    built += 1
+                    for qx, qy in (_yao_lee_window_axes(bh, (64, 64)),
+                                   _kitaev_window_axes(64, 48)):
+                        _assert_overflow_as_generators(bh, qx, qy)
+                        got = outcome(lambda: _grid_blocks(bh, qx, qy) is not None)
+                        assert got == outcome(lambda: _pointwise_grid(bh, qx, qy)
+                                              is not None)
+                        seen.add(got if got is True else got[1])
+        assert built >= 40
+        assert seen == {True, "B(q) returned non-finite entries",
+                        "B'(q) returned non-finite entries"}
+
+    def test_entries_are_summed_in_the_generators_order(self):
+        # A~'(q) = (A~(q) + zp1 g(q)) + zp2 h(-q): here the first sum
+        # overflows at points of the zone where the whole would not
+        bh = yao_lee_ep4_model(
+            jt=3.877232928092327e307, phi=0.47384563363410215,
+            z1=-1.685390313317694e307, z2=-3.6554648914543663e307,
+            zp1=3.2796716932983755e307, zp2=2.5816502414520153e307,
+            j01=-2.8470220554584044e307, j02=2.781772604839505e307,
+            j03=3.54487362482518e307)
+        _assert_overflow_as_generators(bh, *_kitaev_window_axes(64, 48))
 
 
 class TestYaoLee:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,17 @@ class TestJordanChain:
     def test_non_finite_seed_refused(self, bad):
         with pytest.raises(NonFiniteError):
             jordan_chain(jordan_block(2), 0.0, 2, seed_vector=[bad, 0.0])
+
+    @pytest.mark.parametrize("seed,residual", [([0, 0, 1], "1.000e+00"),
+                                               ([1, 0, 1], "7.071e-01")])
+    def test_seed_without_a_chain_of_that_length_fails(self, seed, residual):
+        # J2 + [0]: the seed is in the kernel, but its part along the
+        # trivial block is outside im(H), so no x has H x = seed; the
+        # least-squares x misses the chain bound at level 2
+        m = block_diag(jordan_block(2), [[0.0]])
+        with pytest.raises(ChainSolveFailedError,
+                           match=re.escape(f"chain equation at level 2 has residual {residual} ")):
+            jordan_chain(m, 0.0, 2, seed_vector=seed)
 
     def test_overlong_chain_fails(self):
         with pytest.raises(ChainSolveFailedError):
