@@ -447,9 +447,10 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = BZ_TOL):
     one lockstep of :func:`_newton_roots`, each on det(blocks / scale) of
     its own side from the pointwise generators, which takes m-fold steps
     at a zero of order m (a double zero at doublet-ep2, ep4-sqrt and
-    yao-lee-ep4). The grid only chooses the starts and the scale, so a
-    grid form or the cofactors move a point only where their rounding
-    moves a grid minimum or the scale's power of two. A point is kept when
+    yao-lee-ep4). The grid only chooses the starts and the scale, so the
+    cofactors move a point only where their rounding moves a grid minimum
+    or the scale's power of two; the catalog's grid forms have the bits of
+    their generators. A point is kept when
     sigma_min = min(sigma_min(B), sigma_min(B')) <= tol * scale and then
     deduplicated. The kept points are classified together, from the blocks
     evaluated for sigma_min, in one stacked pass whose one-pair case is

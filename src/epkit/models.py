@@ -11,7 +11,9 @@ scalar v use v_x = v_y = v, i.e. v (dq_x + i dq_y).
 The lattice models live on the triangular Bravais lattice with unit vectors
 r1 = (1, 0) and r2 = (1/2, sqrt(3)/2); momenta are Cartesian, and
 "reciprocal coordinates" q~ are the phases q.r1, q.r2 so that hoppings read
-exp(i q~_j).
+exp(i q~_j). Each lattice model states its entries once, on the 1-D phase
+factors e^{i qx}, e^{i qx / 2} and e^{i sqrt(3) qy / 2} (:class:`_Phases`),
+which give both its generators and its grid form (:func:`_lattice_model`).
 """
 
 import cmath
@@ -60,13 +62,17 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2 * math.pi) - math.pi
 
 
-def _matrix(rows) -> np.ndarray:
-    """Stack scalar or batched entries, given row by row, into an array of
-    shape (..., n, n)."""
-    entries = np.broadcast_arrays(
-        *(np.asarray(e, dtype=np.complex128) for row in rows for e in row))
-    n = len(rows)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
+def _matrix(rows, out=None) -> np.ndarray:
+    """Scalar or batched entries, given row by row, written into ``out``
+    of shape (..., n, n), or into a new array of the entries' broadcast
+    shape."""
+    if out is None:
+        shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
+        out = np.empty(shape + (len(rows), len(rows)), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def _complex_offset(q, q_star):
@@ -227,64 +233,81 @@ def ep3_model(b2=1.0, bp1=1.0, bp2=2.0, v1=1.0, v3=0.4, v4=0.6,
 # --- honeycomb lattice models -------------------------------------------
 
 
-def _a_tilde(q, j1, j2, j3, phi1, phi2):
-    return _a_of_phases(cartesian_to_reciprocal(q), j1, j2, j3, phi1, phi2)
+class _Phases(NamedTuple):
+    """The phase factors of momenta (x, y): e^{i q.r1} = e1 and
+    e^{i q.r2} = e2 e3, with e1 = e^{i x}, e2 = e^{i x / 2} and
+    e3 = e^{i sqrt(3) y / 2}; y is kept for mirrored points."""
+
+    e1: np.ndarray
+    e2: np.ndarray
+    e3: np.ndarray
+    y: np.ndarray
 
 
-def _a_of_phases(qt, j1, j2, j3, phi1, phi2):
-    """A~ of the reciprocal coordinates ``qt`` (..., 2)."""
-    return 2.0 * (
-        j1 * np.exp(1j * (qt[..., 0] + phi1))
-        + j2 * np.exp(1j * (qt[..., 1] + phi2))
-        + j3
-    )
+def _sides(x, y):
+    """The factors of q = (x, y) and of -q, whose factors are the
+    conjugates, each side with the other's: ((q, -q), (-q, q))."""
+    here = _Phases(np.exp(1j * x), np.exp(0.5j * x), np.exp(1j * (R2[1] * y)), y)
+    there = _Phases(here.e1.conj(), here.e2.conj(), here.e3.conj(), -y)
+    return (here, there), (there, here)
 
 
-def _sides(qx, qy):
-    """The 1-D factors of the plane waves at every (qx[i], qy[j]) of the 1-D
-    momenta ``qx``, ``qy``, for q and for -q, each side with the other's:
-    e^{i q.r1} = e1[i] and e^{i q.r2} = e2[i] e3[j], with e1 = e^{i qx},
-    e2 = e^{i qx / 2} and e3 = e^{i sqrt(3) qy / 2}, as q.r1 = qx and
-    q.r2 = qx / 2 + (sqrt(3) / 2) qy on a rectilinear grid. At -q the
-    factors are conjugated."""
-    factors = (np.exp(1j * qx), np.exp(0.5j * qx), np.exp(1j * (R2[1] * qy)))
-    conj = tuple(f.conj() for f in factors)
-    return (factors, conj), (conj, factors)
+def _lattice_model(n, entries, q_star=None) -> BlockHamiltonian:
+    """The model whose B(q) has the N x N rows of entries
+    ``entries(here, there)`` of the factors of q and of -q (:class:`_Phases`),
+    and B'(q) = B(-q)^T.
 
-
-def _waves(row, c2, e2, e3, out=None):
-    """row[i] + c2 e2[i] e3[j] on the grid of the 1-D factors, shape
-    (len(e2), len(e3)), for a ``row`` of shape (len(e2),) or a scalar: one
-    outer product and one broadcast add."""
-    out = np.multiply((c2 * e2)[:, None], e3, out=out)
-    out += np.reshape(row, (-1, 1))
-    return out
-
-
-def _a_grids(qx, qy, j1, j2, j3, phi1, phi2):
-    """A~(q) and A~(-q) at every (qx[i], qy[j]) of the 1-D momenta ``qx``,
-    ``qy``, shape (2, nx, ny), from the three 1-D phase factors.
-
-    A~(q) = 2 (c1 e^{i q.r1} + c2 e^{i q.r2} + j3) with c_k = j_k e^{i phi_k},
-    one :func:`_waves` per side, and A~(-q) takes the conjugated factors.
-    The 2 multiplies the sum, as in :func:`_a_of_phases`, so both forms
-    overflow at the same couplings while every |j_k| is under half the
-    double range (about 9e307), where no two terms can overflow together;
-    the entries agree with it to rounding, not bit for bit.
+    The generators evaluate the entries on their momenta as one 1-D batch,
+    a single point as a batch of one (numpy's scalar arithmetic rounds
+    differently from its array loops), and the grid form on ``qx[:, None]``,
+    ``qy``, so each grid entry has the generators' bits at its point.
     """
+
+    def blocks(out, side, x, y):
+        """B (side 0) or B' (side 1) at the momenta (x, y), written into
+        ``out``; B'(q) = B(-q)^T goes into its transpose."""
+        _matrix(entries(*_sides(x, y)[side]), out.swapaxes(-1, -2) if side else out)
+        return out
+
+    def generator(side):
+        def block(q):
+            q = np.asarray(q, dtype=float)
+            x, y = np.reshape(q, (-1, 2)).T
+            out = np.empty((len(x), n, n), dtype=np.complex128)
+            return blocks(out, side, x, y).reshape(q.shape[:-1] + (n, n))
+        return block
+
+    def grid(qx, qy):
+        out = np.empty((2, len(qx), len(qy), n, n), dtype=np.complex128)
+        for side in (0, 1):
+            blocks(out[side], side, np.asarray(qx)[:, None], np.asarray(qy))
+        return out
+
+    return BlockHamiltonian(n, generator(0), generator(1), q_star=q_star,
+                            grid=grid)
+
+
+def _a_tilde(f, j1, j2, j3, phi1, phi2):
+    """A~ = 2 (c1 e^{i q.r1} + c2 e^{i q.r2} + j3), c_k = j_k e^{i phi_k},
+    on the factors ``f`` of q, summed as 2 ((c2 e2) e3 + (c1 e1 + j3))."""
     c1, c2 = j1 * cmath.exp(1j * phi1), j2 * cmath.exp(1j * phi2)
-    out = np.empty((2, len(qx), len(qy)), dtype=np.complex128)
-    for a, ((e1, e2, e3), _) in zip(out, _sides(qx, qy)):
-        _waves(c1 * e1 + j3, c2, e2, e3, out=a)
-        a *= 2.0
-    return out
+    # in place: a new grid-sized array per operation costs more than the sum
+    a = (c2 * f.e2) * f.e3
+    a += c1 * f.e1 + j3
+    a *= 2.0
+    return a
+
+
+def _kitaev_blocks(j1, j2, j3, phi1, phi2, q_star=None) -> BlockHamiltonian:
+    """B = [[A~(q)]], B' = [[A~(-q)]]."""
+    return _lattice_model(
+        1, lambda here, _: [[_a_tilde(here, j1, j2, j3, phi1, phi2)]], q_star)
 
 
 def kitaev_bloch(q, j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> np.ndarray:
     """2 x 2 Majorana Bloch matrix [[0, i A(q)], [-i A(-q), 0]]."""
-    q = np.asarray(q, dtype=float)
-    return _fill(*(_a_tilde(p, j1, j2, j3, phi1, phi2)[..., None, None]
-                   for p in (q, -q)))
+    bh = _kitaev_blocks(j1, j2, j3, phi1, phi2)
+    return _fill(bh.block(q), bh.block_prime(q))
 
 
 def _fold_sign(j, phi):
@@ -300,7 +323,8 @@ def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     rule, which is enforced here by substituting candidates back into A and
     keeping the ones that actually vanish. Returns Cartesian momenta sorted
     lexicographically, wrapped to reciprocal coordinates in [-pi, pi);
-    empty list in the gapped phase (arccos argument outside [-1, 1]).
+    empty list in the gapped phase (arccos argument outside [-1, 1]) and
+    when a coupling is zero or not finite.
     The couplings are first divided by the power of two at or under the
     largest |J|, which brings that |J| into [1, 2), so that no square below
     overflows; a coupling more than about 2^1022 below the largest may
@@ -311,7 +335,7 @@ def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     unit = math.ldexp(1.0, math.frexp(max(abs(j1), abs(j2), abs(j3)))[1] - 1)
     j1, j2, j3 = j1 / unit, j2 / unit, j3 / unit
     a1, a2, a3 = abs(j1), abs(j2), abs(j3)
-    if a1 == 0 or a2 == 0 or a3 == 0:
+    if not all(0 < a < math.inf for a in (a1, a2, a3)):
         return []
     arg1 = (a2**2 - a1**2 - a3**2) / (2 * a1 * j3)
     arg2 = (a1**2 - a2**2 - a3**2) / (2 * a2 * j3)
@@ -320,12 +344,13 @@ def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     x = math.acos(arg1)
     y = math.acos(arg2)
     scale = 2.0 * (a1 + a2 + a3)
+    bh = _kitaev_blocks(j1, j2, j3, phi1, phi2)
     found = []
     for sx in (1.0, -1.0):
         for sy in (1.0, -1.0):
             qt = np.array([_wrap_angle(sx * x - phi1), _wrap_angle(sy * y - phi2)])
             q = reciprocal_to_cartesian(qt)
-            if abs(_a_tilde(q, j1, j2, j3, phi1, phi2)) > 1e-9 * scale:
+            if abs(bh.block(q)[0, 0]) > 1e-9 * scale:
                 continue
             if any(np.max(np.abs(qt - prev)) < 1e-8 for prev in found):
                 continue
@@ -336,99 +361,52 @@ def kitaev_ep_locations(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
 
 @_catalog("kitaev", "one-flavour honeycomb Majorana model with complex couplings")
 def kitaev_model(j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0) -> BlockHamiltonian:
-    """One-flavour honeycomb Majorana model as a BlockHamiltonian (N = 1),
-    with a grid form built from 1-D phase factors (:func:`_a_grids`)."""
+    """One-flavour honeycomb Majorana model as a BlockHamiltonian (N = 1)."""
     locations = kitaev_ep_locations(j1, j2, j3, phi1, phi2)
-    q_star = locations[0] if locations else None
-
-    def block(q):
-        return _matrix([[_a_tilde(q, j1, j2, j3, phi1, phi2)]])
-
-    def block_prime(q):
-        return _matrix([[_a_tilde(-q, j1, j2, j3, phi1, phi2)]])
-
-    def grid(qx, qy):
-        return _a_grids(qx, qy, j1, j2, j3, phi1, phi2)[..., None, None]
-
-    return BlockHamiltonian(1, block, block_prime, q_star=q_star, grid=grid)
+    return _kitaev_blocks(j1, j2, j3, phi1, phi2,
+                          locations[0] if locations else None)
 
 
-def _yao_lee_pieces(jt, phi):
-    """Shared ingredients of the six-band constructions.
+def _yao_lee_model(expected_kind, upper, jt, phi, j01, j02, j03):
+    """diag(upper, A0) with the particle-hole pairing B'(q) = A(-q)^T.
 
     The degeneracy point is pinned to the arccos branch
     q~* = (2 pi / 3 - phi, -2 pi / 3) of the complexified couplings
-    J1 = jt e^{i phi}, J2 = J3 = jt, the zero of
-    A~(q) = _a_tilde(q, jt, jt, jt, phi, 0). The helper hoppings
+    J1 = jt e^{i phi}, J2 = J3 = jt, the zero of A~ with those couplings.
+    ``upper(here, there, g, h)`` gives the 2-flavour block as rows of
+    entries from the factors of q and of -q (:class:`_Phases`) and the
+    helper hoppings
 
         g(q) = e^{i q.r1 + i phi} + e^{i q~*_2} + 1,
-        h(q) = e^{-i (q~*_1 + phi)} + e^{i q.r2} + 1
+        h(q) = e^{-i (q~*_1 + phi)} + e^{i q.r2} + 1,
 
-    satisfy g(q*) = h(-q*) = 0 for every phi, which is what pins the
-    required matrix entries at the degeneracy point. g and h take the
-    reciprocal coordinates q~ of q, so that one generator call converts
-    its momenta once: q~(-q) = -q~(q) exactly, since negation commutes
-    with rounding. ``g_grid(e1)`` and ``h_grid(e2, e3)`` are g and h on
-    the grid of the 1-D phase factors of q (:func:`_sides`); g depends on
-    qx alone, so ``g_grid`` is a column (nx, 1).
+    which satisfy g(q*) = h(-q*) = 0 for every phi, pinning the required
+    entries at q*; ``h(f, mirrored=True)`` is h at the mirror image of q
+    about q_y = q*_y, whose e3 is e^{i sqrt(3) (2 q*_y - q_y) / 2}. A0 is the
+    real-coupling honeycomb band of (j01, j02, j03). The 2-flavour sub-block
+    at q* must classify as ``expected_kind``, or ParamViolationError names
+    the kind.
     """
     _require(jt > 0, "yao-lee model needs jt > 0")
     _require(phi != 0, "yao-lee model needs phi != 0 for non-Hermiticity")
     qt_star = np.array([2 * math.pi / 3 - phi, -2 * math.pi / 3])
     q_star = reciprocal_to_cartesian(qt_star)
-    g2 = cmath.exp(1j * qt_star[1])
+    g1, g2 = cmath.exp(1j * phi), cmath.exp(1j * qt_star[1])
     h1 = cmath.exp(-1j * (qt_star[0] + phi))
 
-    def g(qt):
-        return np.exp(1j * (qt[..., 0] + phi)) + g2 + 1.0
+    def g(f):
+        return g1 * f.e1 + g2 + 1.0
 
-    def h(qt):
-        return h1 + np.exp(1j * qt[..., 1]) + 1.0
+    def h(f, mirrored=False):
+        e3 = np.exp(1j * (R2[1] * (2 * q_star[1] - f.y))) if mirrored else f.e3
+        return f.e2 * e3 + (h1 + 1.0)
 
-    def g_grid(e1):
-        return (cmath.exp(1j * phi) * e1 + g2 + 1.0)[:, None]
+    def entries(here, there):
+        (a, b), (c, d) = upper(here, there, g, h)
+        a0 = _a_tilde(here, j01, j02, j03, 0.0, 0.0)
+        return [[a, b, 0.0], [c, d, 0.0], [0.0, 0.0, a0]]
 
-    def h_grid(e2, e3):
-        return _waves(h1 + 1.0, 1.0, e2, e3)
-
-    return q_star, g, h, g_grid, h_grid
-
-
-def _yao_lee_model(expected_kind, upper, upper_grid, q_star, j01, j02, j03):
-    """diag(upper(q), A0(q)) with the particle-hole pairing B'(q) = A(-q)^T.
-
-    ``upper(q, qt)`` gives the 2-flavour block as rows of entries from the
-    momenta and their reciprocal coordinates; A0 is the real-coupling
-    honeycomb band of (j01, j02, j03). ``upper_grid(qx, qy)`` yields the
-    same rows on the grid of the 1-D momenta, at q and then at -q, each
-    entry summed in the generator's order (A~ as :func:`_a_grids` sums
-    it), and makes the model's grid form with A0 from :func:`_a_grids`.
-    The 2-flavour sub-block at q* must classify as ``expected_kind``, or
-    ParamViolationError names the kind.
-    """
-
-    def block(q):
-        qt = cartesian_to_reciprocal(q)
-        (a, b), (c, d) = upper(q, qt)
-        a0 = _a_of_phases(qt, j01, j02, j03, 0.0, 0.0)
-        return _matrix([[a, b, 0.0], [c, d, 0.0], [0.0, 0.0, a0]])
-
-    def block_prime(q):
-        return np.swapaxes(block(-q), -1, -2)
-
-    def grid(qx, qy):
-        out = np.zeros((2, len(qx), len(qy), 3, 3), dtype=np.complex128)
-        a0 = _a_grids(qx, qy, j01, j02, j03, 0.0, 0.0)
-        # B(q), then B'(q) = B(-q)^T as B(-q) written into its transpose
-        for blocks, rows, entry in zip((out[0], out[1].swapaxes(-1, -2)),
-                                       upper_grid(qx, qy), a0):
-            for i, row in enumerate(rows):
-                for j, value in enumerate(row):
-                    blocks[..., i, j] = value
-            blocks[..., 2, 2] = entry
-        return out
-
-    bh = BlockHamiltonian(3, block, block_prime, q_star=q_star, grid=grid)
+    bh = _lattice_model(3, entries, q_star)
     result = classify.classify_zero_energy(
         bh.b(q_star)[:2, :2], bh.b_prime(q_star)[:2, :2], 1e-8)
     if result.kind is not expected_kind:
@@ -452,23 +430,13 @@ def yao_lee_ep4_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
     band is an independent real-coupling honeycomb block (gapped for the
     default couplings) and never mixes.
     """
-    q_star, g, h, g_grid, h_grid = _yao_lee_pieces(jt, phi)
 
-    def upper(q, qt):
-        a = _a_of_phases(qt, jt, jt, jt, phi, 0.0)
-        w = z1 * g(-qt) + z2 * h(qt)
-        a_prime = a + zp1 * g(qt) + zp2 * h(-qt)
-        return [[a, w], [0.0, a_prime]]
+    def upper(here, there, g, h):
+        a = _a_tilde(here, jt, jt, jt, phi, 0.0)
+        w = z1 * g(there) + z2 * h(here)
+        return [[a, w], [0.0, a + zp1 * g(here) + zp2 * h(there)]]
 
-    def upper_grid(qx, qy):
-        a = _a_grids(qx, qy, jt, jt, jt, phi, 0.0)
-        for a_side, (here, there) in zip(a, _sides(qx, qy)):
-            w = z1 * g_grid(there[0]) + z2 * h_grid(*here[1:])
-            a_prime = a_side + zp1 * g_grid(here[0]) + zp2 * h_grid(*there[1:])
-            yield [[a_side, w], [0.0, a_prime]]
-
-    return _yao_lee_model(classify.EPKind.EP4, upper, upper_grid, q_star,
-                          j01, j02, j03)
+    return _yao_lee_model(classify.EPKind.EP4, upper, jt, phi, j01, j02, j03)
 
 
 @_catalog("yao-lee-ep3",
@@ -483,35 +451,16 @@ def yao_lee_ep3_model(jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1, zp2=0.0,
     anisotropy of the mixed-type point. The flavour-2 diagonal coupling is
     switched off entirely: it would have to vanish at both +-q*, which no
     single mirrored honeycomb hopping does. z2 must stay 0 here for the
-    same reason (checked at construction). On the grid the mirrored point
-    of q takes e^{i sqrt(3) (2 q*_y - q_y) / 2} in place of e3, and that of
-    -q e^{i sqrt(3) (2 q*_y + q_y) / 2}.
+    same reason (checked at construction).
     """
-    q_star, g, h, g_grid, h_grid = _yao_lee_pieces(jt, phi)
-    qsy = q_star[1]
 
-    def f1(qt):
-        return z1 * g(-qt) + z2 * h(qt)
+    def upper(here, there, g, h):
+        w_top = (z1 * g(there) + z2 * h(here)
+                 + (z1 * g(there) + z2 * h(here, mirrored=True)))
+        w_bottom = zp1 * g(here) + zp2 * h(there)
+        return [[_a_tilde(here, jt, jt, jt, phi, 0.0), w_top], [w_bottom, 0.0]]
 
-    def upper(q, qt):
-        mirrored = np.stack([q[..., 0], 2 * qsy - q[..., 1]], axis=-1)
-        w_top = f1(qt) + f1(cartesian_to_reciprocal(mirrored))
-        w_bottom = zp1 * g(qt) + zp2 * h(-qt)
-        return [[_a_of_phases(qt, jt, jt, jt, phi, 0.0), w_top],
-                [w_bottom, 0.0]]
-
-    def upper_grid(qx, qy):
-        a = _a_grids(qx, qy, jt, jt, jt, phi, 0.0)
-        mirrored = (np.exp(1j * (R2[1] * (2 * qsy - qy))),
-                    np.exp(1j * (R2[1] * (2 * qsy + qy))))
-        for a_side, (here, there), e3 in zip(a, _sides(qx, qy), mirrored):
-            # f1 at q and at the mirrored point, which keeps e^{i q.r1}
-            w_top = (z1 * g_grid(there[0]) + z2 * h_grid(*here[1:])
-                     + (z1 * g_grid(there[0]) + z2 * h_grid(here[1], e3)))
-            w_bottom = zp1 * g_grid(here[0]) + zp2 * h_grid(*there[1:])
-            yield [[a_side, w_top], [w_bottom, 0.0]]
-
-    return _yao_lee_model(classify.EPKind.EP3_MIXED, upper, upper_grid, q_star,
+    return _yao_lee_model(classify.EPKind.EP3_MIXED, upper, jt, phi,
                           j01, j02, j03)
 
 

@@ -38,9 +38,9 @@ class BlockHamiltonian:
     models of :mod:`epkit.models` (kitaev, yao-lee-ep4, yao-lee-ep3) do
     from the phase factors e^{i qx}, e^{i qx / 2} and e^{i sqrt(3) qy / 2};
     only the grid of :func:`epkit.analysis.bz_scan` reads it (see
-    :func:`_grid_blocks`). It must agree with the generators to rounding,
-    so a copy made with ``dataclasses.replace`` that swaps a generator
-    must swap or drop it.
+    :func:`_grid_blocks`). It must agree with the generators to rounding;
+    the catalog's grid forms match theirs bit for bit. A copy made with
+    ``dataclasses.replace`` that swaps a generator must swap or drop it.
     """
 
     n: int

@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,20 +49,6 @@ EXPECTED_KIND = {
     "yao-lee-ep3": EPKind.EP3_MIXED,
 }
 
-ABSTRACT = ("doublet-ep2", "ep4-sqrt", "ep4-quartic", "ep3")
-
-
-def _assert_matches_points(name, batch, points):
-    """Batched generator output against one call per point: identical for
-    the abstract models, which are pure arithmetic; within 1e-14 ||B|| for
-    the lattice models, whose batched q . r_j (a matrix product) may round
-    differently from the single-point dot product."""
-    if name in ABSTRACT:
-        np.testing.assert_array_equal(batch, points)
-    else:
-        scale = np.max(np.linalg.norm(points, 2, axis=(-2, -1)))
-        assert np.max(np.abs(batch - points)) <= 1e-14 * scale
-
 
 class TestCatalogInvariants:
     def test_every_model_classifies_as_named(self):
@@ -86,8 +75,7 @@ class TestCatalogInvariants:
         for generator in (bh.b, bh.b_prime):
             batch = generator(qs)
             assert batch.shape == (len(qs), bh.n, bh.n)
-            _assert_matches_points(name, batch,
-                                   np.array([generator(q) for q in qs]))
+            assert_same_bits(batch, np.array([generator(q) for q in qs]))
 
     @pytest.mark.parametrize("name", sorted(MODEL_CATALOG))
     def test_assemble_on_grid_matches_single_points(self, name):
@@ -98,7 +86,7 @@ class TestCatalogInvariants:
         h = assemble(bh, grid)
         assert h.shape == (5, 4, 2 * bh.n, 2 * bh.n)
         points = np.array([[assemble(bh, q) for q in row] for row in grid])
-        _assert_matches_points(name, h, points)
+        assert_same_bits(h, points)
 
     def test_catalog_params_are_the_builder_defaults(self):
         # in signature order, q_star split into qstar_x and qstar_y
@@ -186,10 +174,17 @@ class TestCatalogRecordsItsModels:
 
 def reference_kitaev_bloch(q, j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     """The Bloch matrix with its layout [[0, i A(q)], [-i A(-q), 0]]
-    written out entry by entry."""
-    a = models._a_tilde(q, j1, j2, j3, phi1, phi2)
-    am = models._a_tilde(-np.asarray(q, dtype=float), j1, j2, j3, phi1, phi2)
-    return models._matrix([[0.0, 1j * a], [-1j * am, 0.0]])
+    written out entry by entry, A~ = 2 ((c2 e2) e3 + (c1 e1 + j3)) on the
+    phase factors of q and their conjugates, each point a row of a 1-D
+    batch."""
+    q = np.asarray(q, dtype=float)
+    x, y = np.reshape(q, (-1, 2)).T
+    c1, c2 = j1 * cmath.exp(1j * phi1), j2 * cmath.exp(1j * phi2)
+    e1, e2, e3 = np.exp(1j * x), np.exp(0.5j * x), np.exp(1j * (np.sqrt(3) / 2 * y))
+    a, am = (2.0 * ((c2 * f2) * f3 + (c1 * f1 + j3))
+             for f1, f2, f3 in ((e1, e2, e3), (e1.conj(), e2.conj(), e3.conj())))
+    h = models._matrix([[0.0, 1j * a], [-1j * am, 0.0]])
+    return h.reshape(q.shape[:-1] + (2, 2))
 
 
 def test_kitaev_bloch_bits_as_its_layout(rng):
@@ -211,14 +206,34 @@ class TestReciprocalCoordinates:
         for q, row in zip(qs, batch):
             np.testing.assert_array_equal(row, cartesian_to_reciprocal(q))
 
-    @pytest.mark.parametrize("name", ["kitaev", "yao-lee-ep4"])
+    @pytest.mark.parametrize("name", ["kitaev", "yao-lee-ep4", "yao-lee-ep3"])
     def test_assemble_rows_match_points_bitwise(self, name, rng):
-        bh = (kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1) if name == "kitaev"
-              else build_model(name))
+        bh = _lattice(name)
         qs = rng.uniform(-5.0, 5.0, (200, 2))
         h = assemble(bh, qs)
         for q, row in zip(qs, h):
             np.testing.assert_array_equal(row, assemble(bh, q))
+
+    @pytest.mark.parametrize("name", ["kitaev", "yao-lee-ep4", "yao-lee-ep3"])
+    def test_blocks_alone_in_a_batch_and_on_the_grid_bitwise(self, name, rng):
+        # numpy's scalar complex arithmetic rounds differently from its
+        # array loops, so a point alone must still be a batch of one
+        bh = _lattice(name)
+        qx, qy = rng.uniform(-5.0, 5.0, 23), rng.uniform(-5.0, 5.0, 19)
+        q = np.stack(np.meshgrid(qx, qy, indexing="ij"), axis=-1)
+        grid = _grid_blocks(bh, qx, qy)
+        for blocks, generator in zip(grid, (bh.b, bh.b_prime)):
+            assert_same_bits(generator(q), blocks)
+            assert_same_bits(generator(q.reshape(-1, 2)), blocks.reshape(-1, bh.n, bh.n))
+            for point, block in zip(q.reshape(-1, 2), blocks.reshape(-1, bh.n, bh.n)):
+                assert_same_bits(generator(point), block)
+
+
+def _lattice(name):
+    """A lattice model with complex couplings: Kitaev away from its
+    Hermitian point, or a six-band model at its defaults."""
+    return (kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1) if name == "kitaev"
+            else build_model(name))
 
 
 class TestDoubletModel:
@@ -400,6 +415,15 @@ class TestKitaev:
         couplings[zero] = 0.0
         assert kitaev_ep_locations(*couplings, 0.3, -0.2) == []
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("which", range(3))
+    def test_coupling_that_is_not_finite_gives_no_point(self, which, value):
+        # the arccos of NaN is NaN, which no range check refuses
+        couplings = [1.0, 0.9, 1.1]
+        couplings[which] = value
+        assert kitaev_ep_locations(*couplings, 0.3, -0.2) == []
+        assert kitaev_model(*couplings, 0.3, -0.2).q_star is None
+
     def test_zero_targets_need_a_point(self):
         bh = kitaev_model(3.0, 1.0, 1.0)
         assert bh.q_star is None
@@ -432,8 +456,8 @@ def _kitaev_window_axes(nx, ny):
 
 
 def _pointwise_grid(bh, qx, qy):
-    q = np.stack(np.meshgrid(qx, qy, indexing="ij"), axis=-1)
-    return np.stack([bh.b(q), bh.b_prime(q)])
+    """The blocks of the grid from one call of each generator."""
+    return _grid_blocks(dataclasses.replace(bh, grid=None), qx, qy)
 
 
 class TestKitaevGrid:
@@ -442,26 +466,25 @@ class TestKitaevGrid:
     @pytest.mark.parametrize("scale", KITAEV_SCALES)
     @pytest.mark.parametrize("grid,rows", [((37, 53), 37), ((96, 128), 20)])
     def test_matches_pointwise_generators(self, scale, grid, rows, rng):
-        eps = np.finfo(float).eps
         qx, qy = _kitaev_window_axes(*grid)
         for _ in range(8):
             *j, p1, p2 = signed_kitaev_couplings(rng)
-            j = [scale * x for x in j]
-            bh = kitaev_model(*j, p1, p2)
-            want = _pointwise_grid(bh, qx, qy)
-            bound = 8 * eps * 2 * sum(abs(x) for x in j)
+            bh = kitaev_model(*(scale * x for x in j), p1, p2)
             # row chunks as bz_scan takes them; the last one is short
             for start in range(0, len(qx), rows):
                 got = _grid_blocks(bh, qx[start:start + rows], qy)
                 assert got.shape == (2, len(qx[start:start + rows]), len(qy), 1, 1)
-                assert np.max(np.abs(got - want[:, start:start + rows])) <= bound
+                assert_same_bits(got, _pointwise_grid(bh, qx[start:start + rows], qy))
 
     def test_refuses_the_couplings_the_generators_refuse(self, rng):
         # 2 (|J1| + |J2| + |J3|) passes the double range from about 3e307:
-        # some grid points of a set overflow and others do not
+        # some grid points of a set overflow and others do not; past 9e307
+        # two terms can overflow together, and at 1.7e308 a coupling may
+        # itself be infinite
         qx, qy = _kitaev_window_axes(64, 48)
         seen = set()
-        for scale in (2e307, 2.6e307, 3e307, 3.5e307, 4.5e307, 1.7e308):
+        for scale in (2e307, 2.6e307, 3e307, 3.5e307, 4.5e307, 7e307, 9e307,
+                      1.1e308, 1.4e308, 1.7e308):
             for _ in range(6):
                 *j, p1, p2 = signed_kitaev_couplings(rng)
                 bh = kitaev_model(*(scale * x for x in j), p1, p2)
@@ -537,23 +560,18 @@ class TestYaoLeeGrid:
     @pytest.mark.parametrize("scale", YAO_LEE_SCALES)
     @pytest.mark.parametrize("name,params", YAO_LEE_PARAMS)
     def test_matches_pointwise_generators(self, name, params, scale):
-        eps = np.finfo(float).eps
         bh = _scaled_yao_lee(name, params, scale)
-        values = bh.params
-        bound = 8 * eps * 2 * sum(abs(values[key]) for key in YAO_LEE_COUPLINGS)
-        bound *= 1 + 2 * (name == "yao-lee-ep4")  # jt in three entries of B
         windows = [(_yao_lee_window_axes(bh, (64, 64)), None),
                    (_yao_lee_window_axes(bh, (33, 47)), 20),
                    (_kitaev_window_axes(96, 128), 20)]
         for (qx, qy), rows in windows:
-            want = _pointwise_grid(bh, qx, qy)
             # row chunks as bz_scan takes them (one chunk at these sizes),
             # then shorter ones, of which the last is short
             rows = rows or max(1, GRID_CHUNK_ENTRIES // (len(qy) * 6 ** 2))
             for start in range(0, len(qx), rows):
                 got = _grid_blocks(bh, qx[start:start + rows], qy)
                 assert got.shape == (2, len(qx[start:start + rows]), len(qy), 3, 3)
-                assert np.max(np.abs(got - want[:, start:start + rows])) <= bound
+                assert_same_bits(got, _pointwise_grid(bh, qx[start:start + rows], qy))
 
     def test_zero_entries_are_exact(self):
         # the entries that the generators leave zero stay exactly zero
@@ -564,17 +582,22 @@ class TestYaoLeeGrid:
             np.testing.assert_array_equal(got == 0, want == 0)
 
     def test_refuses_the_couplings_the_generators_refuse(self, rng):
-        # signed couplings of 5e306 to 6e307, under half the double range
-        # (see _a_grids): over the q* window and over the zone some grids
-        # overflow in B, some in B' only, some not at all
+        # signed couplings of 5e306 to 6e307, then jt past half the double
+        # range, 9e307 to 1.7e308, where two terms of A~ can overflow
+        # together, with |phi| small enough to keep B'(q*) finite: over the
+        # q* window and over the zone some grids overflow in B, some in B'
+        # only, some not at all
         seen, built = set(), 0
         for name in ("yao-lee-ep4", "yao-lee-ep3"):
-            for scale in (1e307, 2e307, 3e307):
+            for scale in (1e307, 2e307, 3e307, None):
                 for _ in range(16):
                     signs = rng.choice([-1.0, 1.0], len(YAO_LEE_COUPLINGS))
-                    params = dict(zip(YAO_LEE_COUPLINGS,
-                                      scale * rng.uniform(0.5, 2.0, len(signs)) * signs))
+                    params = dict(zip(YAO_LEE_COUPLINGS, (scale or 1e307)
+                                      * rng.uniform(0.5, 2.0, len(signs)) * signs))
                     params.update(jt=abs(params["jt"]), phi=rng.uniform(0.1, 1.2))
+                    if scale is None:
+                        params.update(jt=rng.uniform(9e307, 1.7e308),
+                                      phi=rng.uniform(0.05, 0.3))
                     if name == "yao-lee-ep3":
                         params["z2"] = 0.0
                     bh = outcome(lambda: build_model(name, params))
@@ -590,9 +613,23 @@ class TestYaoLeeGrid:
                         assert got == outcome(lambda: _pointwise_grid(bh, qx, qy)
                                               is not None)
                         seen.add(got if got is True else got[1])
-        assert built >= 40
+        assert built >= 60
         assert seen == {True, "B(q) returned non-finite entries",
                         "B'(q) returned non-finite entries"}
+
+    def test_refuses_the_block_the_generators_refuse(self):
+        # jt past half the double range, where two terms of A~ can
+        # overflow together: B(q) stays finite on this window, and B'(q)
+        # overflows at some of its points in both forms alike
+        bh = yao_lee_ep3_model(jt=1.3053004388351724e308, z1=1.2e307,
+                               zp1=1.2e307, phi=0.12035595599830248)
+        qx, qy = _yao_lee_window_axes(bh, (64, 64))
+        _assert_overflow_as_generators(bh, qx, qy)
+        for blocks in (lambda: _grid_blocks(bh, qx, qy),
+                       lambda: _pointwise_grid(bh, qx, qy)):
+            with pytest.raises(GeneratorFailureError,
+                               match=r"^B'\(q\) returned non-finite entries$"):
+                blocks()
 
     def test_entries_are_summed_in_the_generators_order(self):
         # A~'(q) = (A~(q) + zp1 g(q)) + zp2 h(-q): here the first sum
@@ -667,9 +704,9 @@ class TestYaoLee:
 
 def reference_yao_lee_blocks(name, jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1,
                              zp2=0.0, j01=3.0, j02=1.0, j03=1.0):
-    """B and B' of the six-band models as they were built before each
-    generator call converted its momenta to reciprocal coordinates once
-    (six times per call for yao-lee-ep4); kept as the bitwise reference."""
+    """B and B' of the six-band models stated apart from the catalog, on
+    the reciprocal coordinates of each momentum, converted six times per
+    call for yao-lee-ep4, as the models were once built."""
     c2r = cartesian_to_reciprocal
 
     def a_tilde(q, j1, j2, j3, phi1, phi2):
@@ -710,7 +747,9 @@ class TestYaoLeeGenerators:
         ("yao-lee-ep4", {}),
         ("yao-lee-ep4", {"phi": -0.7, "z2": 0.05, "zp2": -0.2, "jt": 1.3}),
         ("yao-lee-ep3", {}),
-        ("yao-lee-ep3", {"phi": 0.45, "z1": 0.2, "zp1": -0.1, "zp2": 0.3})])
+        ("yao-lee-ep3", {"phi": 0.45, "z1": 0.2, "zp1": -0.1, "zp2": 0.3}),
+        # only z2 reaches the mirrored e^{i q.r2}
+        ("yao-lee-ep3", {"z2": 1e-9, "zp2": -0.2})])
     def test_bits_as_with_six_conversions_per_call(self, name, params, rng):
         bh = build_model(name, params)
         reference = reference_yao_lee_blocks(name, **params)
@@ -720,6 +759,14 @@ class TestYaoLeeGenerators:
         arrays.append(np.array([[0.0, -1.5], [-0.0, 1.5], [0.0, 0.0],
                                 [-0.0, -0.0], [2.0, 0.0], [-2.0, -0.0],
                                 bh.q_star, -bh.q_star]))
+        # the catalog sums e^{i q.r2} as e2 e3 (see models._Phases), so the
+        # last bits differ: within the bound of the grid forms' rounding
+        eps = np.finfo(float).eps
+        bound = 8 * eps * 2 * sum(abs(bh.params[key]) for key in YAO_LEE_COUPLINGS)
+        bound *= 1 + 2 * (name == "yao-lee-ep4")  # jt in three entries of B
         for q in arrays:
             for got, want in zip((bh.block, bh.block_prime), reference):
-                assert_same_bits(got(q), want(q))
+                got, want = got(q), want(q)
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got == 0, want == 0)
+                assert np.max(np.abs(got - want)) <= bound
