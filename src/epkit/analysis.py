@@ -434,8 +434,8 @@ def bz_scan(bh: BlockHamiltonian, grid, bounds, tol: float = BZ_TOL):
     H is singular exactly where det B or det B' vanishes, and its singular
     values are those of B and B', so H is never formed. Each grid row chunk
     takes both blocks from :func:`sublattice._grid_blocks`: the model's grid
-    form when it has one (the lattice models' outer products of 1-D phase
-    factors), else one generator call per side. A side's objective is
+    form, which every catalog model has, else, for a model built without
+    one, one generator call per side. A side's objective is
     |det(blocks / s)|^(1/N) * s, s the pair's :func:`sublattice.pow2_scale`,
     and ``scale`` is the largest s; |det| comes from the cofactors at N = 2
     and 3 and from np.linalg.det from N = 4 (:func:`_abs_dets`). At N = 1

@@ -12,8 +12,13 @@ The lattice models live on the triangular Bravais lattice with unit vectors
 r1 = (1, 0) and r2 = (1/2, sqrt(3)/2); momenta are Cartesian, and
 "reciprocal coordinates" q~ are the phases q.r1, q.r2 so that hoppings read
 exp(i q~_j). Each lattice model states its entries once, on the 1-D phase
-factors e^{i qx}, e^{i qx / 2} and e^{i sqrt(3) qy / 2} (:class:`_Phases`),
-which give both its generators and its grid form (:func:`_lattice_model`).
+factors e^{i qx}, e^{i qx / 2} and e^{i sqrt(3) qy / 2} (:class:`_Phases`).
+
+Every catalog model is built one way: :func:`_model` makes both its
+generators and its grid form from one function of its rows of entries,
+which the abstract models write on the deviation q - q_star
+(:func:`_abstract_model`) and the lattice models on the phase factors
+(:func:`_lattice_model`).
 """
 
 import cmath
@@ -32,7 +37,6 @@ from .sublattice import BlockHamiltonian, _fill, zero_energy_states
 
 R1 = np.array([1.0, 0.0])
 R2 = np.array([0.5, math.sqrt(3.0) / 2.0])
-R3 = R1 - R2
 
 # Dual basis: B1 . R1 = 1, B1 . R2 = 0, etc. (no 2 pi factor; reciprocal
 # coordinates are hopping phases directly).
@@ -62,23 +66,40 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2 * math.pi) - math.pi
 
 
-def _matrix(rows, out=None) -> np.ndarray:
+def _matrix(rows, out) -> np.ndarray:
     """Scalar or batched entries, given row by row, written into ``out``
-    of shape (..., n, n), or into a new array of the entries' broadcast
-    shape."""
-    if out is None:
-        shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
-        out = np.empty(shape + (len(rows), len(rows)), dtype=np.complex128)
+    of shape (..., n, n)."""
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             out[..., i, j] = entry
     return out
 
 
-def _complex_offset(q, q_star):
-    """dq_x + i dq_y for the deviation dq = q - q_star."""
-    dq = q - q_star
-    return dq[..., 0] + 1j * dq[..., 1]
+def _model(n, rows, q_star=None) -> BlockHamiltonian:
+    """The model whose B (side 0) and B' (side 1) have the N rows of entries
+    ``rows(side, x, y)`` at momenta (x, y) that broadcast.
+
+    The generators evaluate the rows on their momenta as one 1-D batch, a
+    single point as a batch of one (numpy's scalar arithmetic rounds
+    differently from its array loops), and the grid form on ``qx[:, None]``,
+    ``qy``, so each grid entry has the generators' bits at its point.
+    """
+
+    def generator(side):
+        def block(q):
+            q = np.asarray(q, dtype=float)
+            x, y = np.reshape(q, (-1, 2)).T
+            out = np.empty((len(x), n, n), dtype=np.complex128)
+            return _matrix(rows(side, x, y), out).reshape(q.shape[:-1] + (n, n))
+        return block
+
+    def grid(qx, qy):
+        out = np.empty((2, len(qx), len(qy), n, n), dtype=np.complex128)
+        for side in (0, 1):
+            _matrix(rows(side, np.asarray(qx)[:, None], np.asarray(qy)), out[side])
+        return out
+
+    return BlockHamiltonian(n, generator(0), generator(1), q_star=q_star, grid=grid)
 
 
 def _require(cond: bool, message: str):
@@ -128,6 +149,13 @@ def _catalog(name: str, description: str):
     return register
 
 
+def _abstract_model(rows, q_star) -> BlockHamiltonian:
+    """The 2 x 2 model whose B (side 0) or B' (side 1) has the rows
+    ``rows(side, dx, dy)`` at the deviation (dx, dy) = q - q_star."""
+    qs = np.asarray(q_star, dtype=float).reshape(2)
+    return _model(2, lambda side, x, y: rows(side, x - qs[0], y - qs[1]), qs)
+
+
 @_catalog("doublet-ep2",
           "SU(2) doublet of 2-blocks; sqrt dispersion, two limit vectors")
 def doublet_ep2_model(v_x=1.0, v_y=1.0, c=1.0, q_star=(0.0, 0.0)) -> BlockHamiltonian:
@@ -141,17 +169,14 @@ def doublet_ep2_model(v_x=1.0, v_y=1.0, c=1.0, q_star=(0.0, 0.0)) -> BlockHamilt
     """
     _require(c != 0, "doublet model needs c != 0")
     _require(v_x != 0 or v_y != 0, "doublet model needs (v_x, v_y) != (0, 0)")
-    qs = np.asarray(q_star, dtype=float).reshape(2)
 
-    def block(q):
-        dq = q - qs
-        v = v_x * dq[..., 0] + 1j * v_y * dq[..., 1]
-        return _matrix([[v, 0.0], [0.0, v]])
+    def rows(side, dx, dy):
+        if side:
+            return (c / -1j) * np.eye(2)
+        v = v_x * dx + 1j * v_y * dy
+        return [[v, 0.0], [0.0, v]]
 
-    def block_prime(q):
-        return (c / -1j) * np.eye(2)
-
-    return BlockHamiltonian(2, block, block_prime, q_star=qs)
+    return _abstract_model(rows, q_star)
 
 
 @_catalog("ep4-sqrt",
@@ -161,17 +186,13 @@ def ep4_sqrt_model(b2=1.0, bp1=1.0, bp4=1.0, v1=0.9, v4=0.7, vp3=0.8,
     """Four-fold coalescence with square-root dispersion on every ray."""
     _require(b2 != 0 and bp1 != 0 and bp4 != 0,
              "ep4-sqrt model needs b2, bp1, bp4 != 0")
-    qs = np.asarray(q_star, dtype=float).reshape(2)
 
-    def block(q):
-        v = _complex_offset(q, qs)
-        return _matrix([[v1 * v, b2], [0.0, v4 * v]])
+    def rows(side, dx, dy):
+        v = dx + 1j * dy
+        return ([[bp1, 0.0], [vp3 * v, bp4]] if side
+                else [[v1 * v, b2], [0.0, v4 * v]])
 
-    def block_prime(q):
-        v = _complex_offset(q, qs)
-        return _matrix([[bp1, 0.0], [vp3 * v, bp4]])
-
-    return BlockHamiltonian(2, block, block_prime, q_star=qs)
+    return _abstract_model(rows, q_star)
 
 
 @_catalog("ep4-quartic", "4-block with quartic-root dispersion")
@@ -185,16 +206,12 @@ def ep4_quartic_model(b2=1.0, bp1=1.0, bp4=1.0, v3=0.9,
     """
     _require(b2 != 0 and bp1 != 0 and bp4 != 0 and v3 != 0,
              "ep4-quartic model needs b2, bp1, bp4, v3 != 0")
-    qs = np.asarray(q_star, dtype=float).reshape(2)
 
-    def block(q):
-        v = _complex_offset(q, qs)
-        return _matrix([[0.0, b2], [v3 * v, 0.0]])
+    def rows(side, dx, dy):
+        return ([[bp1, 0.0], [0.0, bp4]] if side
+                else [[0.0, b2], [v3 * (dx + 1j * dy), 0.0]])
 
-    def block_prime(q):
-        return np.diag([bp1, bp4]).astype(np.complex128)
-
-    return BlockHamiltonian(2, block, block_prime, q_star=qs)
+    return _abstract_model(rows, q_star)
 
 
 @_catalog("ep3", "mixed 3-block plus zero mode; path-dependent coalescence")
@@ -215,19 +232,15 @@ def ep3_model(b2=1.0, bp1=1.0, bp2=2.0, v1=1.0, v3=0.4, v4=0.6,
     a finite quantum distance away from both zero modes.
     """
     _require(b2 != 0 and bp1 != 0, "ep3 model needs b2, bp1 != 0")
-    qs = np.asarray(q_star, dtype=float).reshape(2)
 
-    def block(q):
-        v = _complex_offset(q, qs)
-        return _matrix([[v1 * v, b2], [v3 * v, v4 * v]])
+    def rows(side, dx, dy):
+        if side:
+            quad = dy ** 2
+            return [[bp1, bp2], [vp3 * dx + rp3 * quad, vp4 * dx + rp4 * quad]]
+        v = dx + 1j * dy
+        return [[v1 * v, b2], [v3 * v, v4 * v]]
 
-    def block_prime(q):
-        lin, quad = q[..., 0] - qs[0], (q[..., 1] - qs[1]) ** 2
-        return _matrix(
-            [[bp1, bp2], [vp3 * lin + rp3 * quad, vp4 * lin + rp4 * quad]]
-        )
-
-    return BlockHamiltonian(2, block, block_prime, q_star=qs)
+    return _abstract_model(rows, q_star)
 
 
 # --- honeycomb lattice models -------------------------------------------
@@ -255,36 +268,13 @@ def _sides(x, y):
 def _lattice_model(n, entries, q_star=None) -> BlockHamiltonian:
     """The model whose B(q) has the N x N rows of entries
     ``entries(here, there)`` of the factors of q and of -q (:class:`_Phases`),
-    and B'(q) = B(-q)^T.
+    and B'(q) = B(-q)^T: the transposed rows with the sides swapped."""
 
-    The generators evaluate the entries on their momenta as one 1-D batch,
-    a single point as a batch of one (numpy's scalar arithmetic rounds
-    differently from its array loops), and the grid form on ``qx[:, None]``,
-    ``qy``, so each grid entry has the generators' bits at its point.
-    """
+    def rows(side, x, y):
+        b = entries(*_sides(x, y)[side])
+        return list(zip(*b)) if side else b
 
-    def blocks(out, side, x, y):
-        """B (side 0) or B' (side 1) at the momenta (x, y), written into
-        ``out``; B'(q) = B(-q)^T goes into its transpose."""
-        _matrix(entries(*_sides(x, y)[side]), out.swapaxes(-1, -2) if side else out)
-        return out
-
-    def generator(side):
-        def block(q):
-            q = np.asarray(q, dtype=float)
-            x, y = np.reshape(q, (-1, 2)).T
-            out = np.empty((len(x), n, n), dtype=np.complex128)
-            return blocks(out, side, x, y).reshape(q.shape[:-1] + (n, n))
-        return block
-
-    def grid(qx, qy):
-        out = np.empty((2, len(qx), len(qy), n, n), dtype=np.complex128)
-        for side in (0, 1):
-            blocks(out[side], side, np.asarray(qx)[:, None], np.asarray(qy))
-        return out
-
-    return BlockHamiltonian(n, generator(0), generator(1), q_star=q_star,
-                            grid=grid)
+    return _model(n, rows, q_star)
 
 
 def _a_tilde(f, j1, j2, j3, phi1, phi2):
@@ -489,7 +479,5 @@ def build_model(name: str, params: dict | None = None) -> BlockHamiltonian:
             raise ParamViolationError(f"model {name!r} has no parameter {key!r}")
         values[key] = val
     if "qstar_x" in values:
-        qx = values.pop("qstar_x")
-        qy = values.pop("qstar_y")
-        return spec.builder(**values, q_star=(qx, qy))
+        values["q_star"] = values.pop("qstar_x"), values.pop("qstar_y")
     return spec.builder(**values)

@@ -34,13 +34,15 @@ class BlockHamiltonian:
     ``grid(qx, qy)`` for 1-D ``qx`` (nx,) and ``qy`` (ny,) returns both
     blocks at every (qx[i], qy[j]), B's first, shape (2, nx, ny, N, N) or
     broadcastable to it. A separable model builds it from 1-D factors
-    instead of one generator call on nx * ny momenta, as the three lattice
-    models of :mod:`epkit.models` (kitaev, yao-lee-ep4, yao-lee-ep3) do
-    from the phase factors e^{i qx}, e^{i qx / 2} and e^{i sqrt(3) qy / 2};
-    only the grid of :func:`epkit.analysis.bz_scan` reads it (see
-    :func:`_grid_blocks`). It must agree with the generators to rounding;
-    the catalog's grid forms match theirs bit for bit. A copy made with
-    ``dataclasses.replace`` that swaps a generator must swap or drop it.
+    instead of one generator call on nx * ny momenta: every catalog model
+    of :mod:`epkit.models` carries one, the abstract models' on the
+    deviations qx - q*_x and qy - q*_y, the lattice models' on the phase
+    factors e^{i qx}, e^{i qx / 2} and e^{i sqrt(3) qy / 2}; a model built
+    without one takes one generator call per side. Only the grid of
+    :func:`epkit.analysis.bz_scan` reads it (see :func:`_grid_blocks`). It
+    must agree with the generators to rounding; the catalog's grid forms
+    match theirs bit for bit. A copy made with ``dataclasses.replace`` that
+    swaps a generator must swap or drop it.
     """
 
     n: int

@@ -1268,9 +1268,26 @@ class TestBZScan:
             np.testing.assert_array_equal(a.q_refined, b.q_refined)
             assert a.classification.kind is b.classification.kind
 
+    @pytest.mark.parametrize("name", list(MODEL_CATALOG))
+    def test_grid_form_gives_the_generators_candidates(self, name):
+        # on the CLI's default window the grid form and one generator call
+        # per side give the same grid, so every candidate keeps its bits
+        bh = build_model(name)
+        window = cli._default_bounds(bh)
+        got = bz_scan(bh, (64, 64), window)
+        want = bz_scan(replace(bh, grid=None), (64, 64), window)
+        assert got and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_bits(a.q_grid, b.q_grid)
+            assert_same_bits(a.q_refined, b.q_refined)
+            assert_same_bits(np.float64(a.sigma_min), np.float64(b.sigma_min))
+            assert a.classification == b.classification
+
     def test_grid_stage_calls_generators_once_per_chunk(self, monkeypatch):
         monkeypatch.setattr(analysis, "GRID_CHUNK_ENTRIES", 7 * 24 * 16)
-        bh, shapes = counting_generators(ep4_sqrt_model(q_star=(0.3, 0.7)))
+        # the chunked generator path of a model built without a grid form
+        bh, shapes = counting_generators(
+            replace(ep4_sqrt_model(q_star=(0.3, 0.7)), grid=None))
         bz_scan(bh, (24, 24), ((-0.2, 0.8), (0.2, 1.2)))
         for label in ("B", "B'"):
             # refinement calls are (k, 5, 2): a point and its neighbours

@@ -88,6 +88,9 @@ class TestCatalogInvariants:
         points = np.array([[assemble(bh, q) for q in row] for row in grid])
         assert_same_bits(h, points)
 
+    def test_every_model_has_a_grid_form(self):
+        assert all(build_model(name).grid is not None for name in MODEL_CATALOG)
+
     def test_catalog_params_are_the_builder_defaults(self):
         # in signature order, q_star split into qstar_x and qstar_y
         assert list(MODEL_CATALOG["doublet-ep2"].params.items()) == [
@@ -183,7 +186,8 @@ def reference_kitaev_bloch(q, j1=1.0, j2=1.0, j3=1.0, phi1=0.0, phi2=0.0):
     e1, e2, e3 = np.exp(1j * x), np.exp(0.5j * x), np.exp(1j * (np.sqrt(3) / 2 * y))
     a, am = (2.0 * ((c2 * f2) * f3 + (c1 * f1 + j3))
              for f1, f2, f3 in ((e1, e2, e3), (e1.conj(), e2.conj(), e3.conj())))
-    h = models._matrix([[0.0, 1j * a], [-1j * am, 0.0]])
+    h = models._matrix([[0.0, 1j * a], [-1j * am, 0.0]],
+                       np.empty(a.shape + (2, 2), dtype=complex))
     return h.reshape(q.shape[:-1] + (2, 2))
 
 
@@ -208,17 +212,17 @@ class TestReciprocalCoordinates:
 
     @pytest.mark.parametrize("name", ["kitaev", "yao-lee-ep4", "yao-lee-ep3"])
     def test_assemble_rows_match_points_bitwise(self, name, rng):
-        bh = _lattice(name)
+        bh = _complex_model(name)
         qs = rng.uniform(-5.0, 5.0, (200, 2))
         h = assemble(bh, qs)
         for q, row in zip(qs, h):
             np.testing.assert_array_equal(row, assemble(bh, q))
 
-    @pytest.mark.parametrize("name", ["kitaev", "yao-lee-ep4", "yao-lee-ep3"])
+    @pytest.mark.parametrize("name", list(MODEL_CATALOG))
     def test_blocks_alone_in_a_batch_and_on_the_grid_bitwise(self, name, rng):
         # numpy's scalar complex arithmetic rounds differently from its
         # array loops, so a point alone must still be a batch of one
-        bh = _lattice(name)
+        bh = _complex_model(name)
         qx, qy = rng.uniform(-5.0, 5.0, 23), rng.uniform(-5.0, 5.0, 19)
         q = np.stack(np.meshgrid(qx, qy, indexing="ij"), axis=-1)
         grid = _grid_blocks(bh, qx, qy)
@@ -229,9 +233,9 @@ class TestReciprocalCoordinates:
                 assert_same_bits(generator(point), block)
 
 
-def _lattice(name):
-    """A lattice model with complex couplings: Kitaev away from its
-    Hermitian point, or a six-band model at its defaults."""
+def _complex_model(name):
+    """A catalog model with complex blocks: Kitaev away from its Hermitian
+    point, or another model at its defaults."""
     return (kitaev_model(1.0, 1.0, 1.0, 0.3, 0.1) if name == "kitaev"
             else build_model(name))
 
@@ -505,10 +509,35 @@ class TestKitaevGrid:
                                match=r"^B'\(q\) returned non-finite entries$"):
                 blocks()
 
-    def test_only_the_lattice_models_have_a_grid_form(self):
-        assert [name for name in MODEL_CATALOG
-                if build_model(name).grid is not None] == [
-                    "kitaev", "yao-lee-ep4", "yao-lee-ep3"]
+
+class TestAbstractGrid:
+    """The grid forms of the four abstract models against their pointwise
+    generators."""
+
+    @pytest.mark.parametrize("name", ["doublet-ep2", "ep4-sqrt", "ep4-quartic", "ep3"])
+    def test_matches_pointwise_generators(self, name, rng):
+        defaults = MODEL_CATALOG[name].params
+        for _ in range(6):
+            # couplings drawn about their defaults (ep3's rp3, rp4 of its
+            # dy^2 term among them) and a q* off the origin
+            params = {k: v * (1 + 0.3 * rng.standard_normal())
+                      for k, v in defaults.items()}
+            params["qstar_x"], params["qstar_y"] = rng.uniform(-2.0, 2.0, 2)
+            bh = build_model(name, params)
+            qx, qy = (np.linspace(c - 0.4, c + 0.4, n)
+                      for c, n in zip(bh.q_star, (33, 47)))
+            # row chunks as bz_scan takes them (one chunk at this size),
+            # then chunks of 7 rows, of which the last is short
+            for rows in (GRID_CHUNK_ENTRIES // (len(qy) * 4 ** 2), 7):
+                for start in range(0, len(qx), rows):
+                    chunk = qx[start:start + rows]
+                    got = _grid_blocks(bh, chunk, qy)
+                    assert got.shape == (2, len(chunk), len(qy), 2, 2)
+                    assert_same_bits(got, _pointwise_grid(bh, chunk, qy))
+                    if name in ("doublet-ep2", "ep4-quartic"):
+                        # the constant B' at every grid point
+                        assert_same_bits(got[1], np.broadcast_to(
+                            bh.b_prime(bh.q_star), got[1].shape))
 
 
 #: Coupling sets of the six-band models beside their defaults, each built
@@ -737,7 +766,8 @@ def reference_yao_lee_blocks(name, jt=1.0, phi=0.3, z1=0.1, z2=0.0, zp1=0.1,
     def block(q):
         (a, b), (c, d) = upper(q)
         a0 = a_tilde(q, j01, j02, j03, 0.0, 0.0)
-        return models._matrix([[a, b, 0.0], [c, d, 0.0], [0.0, 0.0, a0]])
+        return models._matrix([[a, b, 0.0], [c, d, 0.0], [0.0, 0.0, a0]],
+                              np.empty(q.shape[:-1] + (3, 3), dtype=complex))
 
     return block, lambda q: np.swapaxes(block(-q), -1, -2)
 

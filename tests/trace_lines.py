@@ -1,4 +1,5 @@
-"""Lines of src/epkit that neither tier-1 nor the benchmark's workloads run.
+"""Lines of src/epkit that neither tier-1, the benchmark's workloads nor
+the CLI sweep run.
 
     python tests/trace_lines.py
 
@@ -6,9 +7,10 @@ Run from the root of the source tree; the program is this tree's src/,
 in this process and in those the tests start. It traces every line of src/epkit
 that runs, with ``sys.settrace`` (no coverage package is needed), while
 this one interpreter runs the tier-1 suite (pytest on the whole tree, as
-ROADMAP.md gives it) and then one round of each perfbench workload's
+ROADMAP.md gives it), one round of each perfbench workload's
 in-process operations (``Workload.traced_ops``, set up with seed 0;
-cli-configs runs ``cli.main`` in process). It prints, per
+cli-configs runs ``cli.main`` in process), and then every invocation of
+tests/cli_sweep.py through ``cli.main``. It prints, per
 module, the lines that none of them ran:
 
     cli.py: 3 of 301 lines not run: 120, 204-205
@@ -16,9 +18,9 @@ module, the lines that none of them ran:
 Code run only in subprocesses is not seen: the CLI tests that start
 ``python -m epkit``, and the fresh interpreters of cli-configs, run the
 program in other processes, so a line that only they reach is listed as
-not run. A line counts when the compiled code of its module lists it, so
-blank, comment and docstring lines are never listed. The exit code is
-pytest's.
+not run; the CLI sweep runs in process what they run. A line counts when
+the compiled code of its module lists it, so blank, comment and docstring
+lines are never listed. The exit code is pytest's.
 """
 
 import importlib
@@ -99,6 +101,16 @@ def run_workloads():
                       file=sys.stderr)
 
 
+def run_cli_sweep():
+    """Every invocation of tests/cli_sweep.py, each through ``cli.main`` in
+    this process."""
+    import cli_sweep
+
+    os.environ["COLUMNS"] = "80"
+    for label, args in cli_sweep.invocations():
+        cli_sweep.line(label, args)
+
+
 def ranges(lines, executable):
     """The sorted ``lines`` as comma-separated runs ``a-b`` of lines that
     follow each other among the sorted ``executable`` ones."""
@@ -127,6 +139,7 @@ def main():
         code = pytest.main(["-q", "-p", "no:cacheprovider",
                             "--continue-on-collection-errors", str(ROOT)])
         run_workloads()
+        run_cli_sweep()
     finally:
         trace.uninstall()
     for path, lines in executable.items():
